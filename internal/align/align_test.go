@@ -544,7 +544,8 @@ func TestPOAStaysAcyclic(t *testing.T) {
 			if err := p.AddSequence(seq, nil); err != nil {
 				t.Fatal(err)
 			}
-			if got := len(p.topoOrder()); got != p.NumNodes() {
+			order, _ := p.topo()
+			if got := len(order); got != p.NumNodes() {
 				t.Fatalf("trial %d seq %d: POA graph has a cycle (%d of %d sorted)",
 					trial, s, got, p.NumNodes())
 			}

@@ -24,18 +24,30 @@ type POA struct {
 
 	nseq int
 
-	// scratch holds grow-only DP buffers reused across AddSequence calls so
-	// repeated alignments (smoothXG polish windows, MC novel-segment
-	// induction) do not reallocate every matrix row each time. A POA is not
-	// safe for concurrent AddSequence calls, so plain reuse suffices.
-	scratch struct {
-		score    []int
-		fromNode []int32
-		fromJ    []int8
-		scoreRow [][]int
-		fnRow    [][]int32
-		fjRow    [][]int8
-	}
+	// scratch is grow-only working memory reused across AddSequence and
+	// Consensus calls — and, through Reset, across graphs — so repeated
+	// alignments (smoothXG polish windows, MC novel-segment induction)
+	// allocate nothing once warm. A POA is not safe for concurrent use, so
+	// plain reuse suffices; it lives as long as the POA, so callers scope a
+	// reused POA to one build.
+	scratch poaScratch
+}
+
+type poaScratch struct {
+	// Topological order of the graph and each node's rank in it (topo).
+	order, rank, indeg []int
+
+	// Band-resident DP of the last alignToGraph: rank r holds columns
+	// lo[r]..hi[r] at [r*width, r*width+hi[r]-lo[r]].
+	width  int
+	lo, hi []int32
+	score  []int32
+	from   []int32 // packed traceback, see poaFrom
+	qcode  []byte
+	ops    []poaOp
+
+	// Heaviest-path DP of Consensus.
+	best, next []int
 }
 
 type poaNode struct {
@@ -77,15 +89,32 @@ func (p *POA) AddSequence(seq []byte, probe *perf.Probe) error {
 		p.nseq++
 		return nil
 	}
-	ops := p.alignToGraph(seq, probe)
-	p.merge(seq, ops)
+	order, rank := p.topo()
+	p.merge(seq, p.alignToGraph(seq, order, rank, probe), rank)
 	p.nseq++
 	return nil
 }
 
+// Reset empties the graph for a new multiple alignment, keeping Band,
+// Scoring and all allocated memory (DP scratch and the node slots with
+// their edge lists) for reuse.
+func (p *POA) Reset() {
+	p.nodes = p.nodes[:0]
+	p.nseq = 0
+}
+
 func (p *POA) newNode(b byte) int {
-	p.nodes = append(p.nodes, poaNode{base: b, weight: 1})
-	return len(p.nodes) - 1
+	id := len(p.nodes)
+	if id < cap(p.nodes) {
+		// A slot left by Reset: reuse its edge lists' capacity.
+		p.nodes = p.nodes[:id+1]
+		nd := &p.nodes[id]
+		*nd = poaNode{base: b, weight: 1, out: nd.out[:0], in: nd.in[:0],
+			outWeight: nd.outWeight[:0], alignedTo: nd.alignedTo[:0]}
+	} else {
+		p.nodes = append(p.nodes, poaNode{base: b, weight: 1})
+	}
+	return id
 }
 
 func (p *POA) addEdge(from, to int) {
@@ -101,58 +130,50 @@ func (p *POA) addEdge(from, to int) {
 	p.nodes[to].in = append(p.nodes[to].in, from)
 }
 
-// topoOrder returns node indices in topological order (the graph is a DAG
-// by construction).
-func (p *POA) topoOrder() []int {
+// grow returns s resized to n elements, reallocating only when n exceeds
+// its capacity. Contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// topo computes the topological order of the graph (a DAG by construction)
+// and each node's rank in it, into scratch that the next call overwrites.
+func (p *POA) topo() (order, rank []int) {
 	n := len(p.nodes)
-	indeg := make([]int, n)
+	sc := &p.scratch
+	indeg := grow(sc.indeg, n)
+	clear(indeg)
 	for i := range p.nodes {
 		for _, t := range p.nodes[i].out {
 			indeg[t]++
 		}
 	}
-	queue := make([]int, 0, n)
+	// order doubles as the FIFO queue: nodes are appended when their last
+	// predecessor is emitted and consumed from head.
+	order = grow(sc.order, n)[:0]
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			queue = append(queue, i)
+			order = append(order, i)
 		}
 	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, t := range p.nodes[u].out {
+	for head := 0; head < len(order); head++ {
+		for _, t := range p.nodes[order[head]].out {
 			indeg[t]--
 			if indeg[t] == 0 {
-				queue = append(queue, t)
+				order = append(order, t)
 			}
 		}
 	}
-	return order
-}
-
-// dpRows returns the n×w DP matrices as row views over the grow-only
-// scratch buffers, allocating only when the graph or query outgrew them.
-func (p *POA) dpRows(n, w int) ([][]int, [][]int32, [][]int8) {
-	sc := &p.scratch
-	if cap(sc.score) < n*w {
-		sc.score = make([]int, n*w)
-		sc.fromNode = make([]int32, n*w)
-		sc.fromJ = make([]int8, n*w)
+	rank = grow(sc.rank, n)
+	clear(rank)
+	for r, id := range order {
+		rank[id] = r
 	}
-	if cap(sc.scoreRow) < n {
-		sc.scoreRow = make([][]int, n)
-		sc.fnRow = make([][]int32, n)
-		sc.fjRow = make([][]int8, n)
-	}
-	score, fromNode, fromJ := sc.scoreRow[:n], sc.fnRow[:n], sc.fjRow[:n]
-	for r := 0; r < n; r++ {
-		score[r] = sc.score[r*w : (r+1)*w]
-		fromNode[r] = sc.fromNode[r*w : (r+1)*w]
-		fromJ[r] = sc.fromJ[r*w : (r+1)*w]
-	}
-	return score, fromNode, fromJ
+	sc.indeg, sc.order, sc.rank = indeg, order, rank
+	return order, rank
 }
 
 // poaOp is one traceback operation of a sequence-to-POA alignment.
@@ -161,157 +182,244 @@ type poaOp struct {
 	qpos int // query position (-1 for deletions)
 }
 
-// alignToGraph runs global DP of seq against the DAG and returns the
-// alignment operations in order.
-func (p *POA) alignToGraph(seq []byte, probe *perf.Probe) []poaOp {
-	const negInf = -(1 << 29)
-	order := p.topoOrder()
-	rank := make([]int, len(p.nodes))
-	for r, id := range order {
-		rank[id] = r
+// poaNegInf is the score of a cell the DP never computed.
+const poaNegInf = -(1 << 29)
+
+// A traceback cell packs the move into one int32: (predecessor rank + 2)
+// << 2 | kind, with rank -1 the virtual start row and -2 "no candidate beat
+// poaNegInf" (so an untouched in-band cell is 0).
+const (
+	poaDiag = 0 // node aligned to seq[j-1]
+	poaDel  = 1 // node consumed against a gap
+	poaIns  = 2 // query base inserted
+
+	// poaUnwritten is how a cell the DP never wrote reads back: rank 0,
+	// diagonal — the zero value of the full matrix's traceback arrays.
+	poaUnwritten = (0+2)<<2 | poaDiag
+)
+
+func poaFrom(rank, kind int) int32 { return int32(rank+2)<<2 | int32(kind) }
+
+// cell returns the index of DP cell (r, j) in the band-resident arrays, or
+// -1 when column j lies outside rank r's band.
+func (sc *poaScratch) cell(r, j int) int {
+	lo := int(sc.lo[r])
+	if j < lo || j > int(sc.hi[r]) {
+		return -1
 	}
-	m := len(seq)
-	gap := p.Scoring.GapOpen
+	return r*sc.width + j - lo
+}
 
-	// score[r][j]: best alignment of seq[:j] ending at node order[r]
-	// (node consumed). Row -1 (virtual start) is gaps only. fromNode is the
-	// predecessor rank (-1 = start); fromJ is 0 diag, 1 del (gap in seq),
-	// 2 ins. Rows are views over pooled flat buffers.
-	score, fromNode, fromJ := p.dpRows(len(order), m+1)
+// scoreAt reads score (r, j); an out-of-band cell reads as poaNegInf.
+func (sc *poaScratch) scoreAt(r, j int) int32 {
+	if c := sc.cell(r, j); c >= 0 {
+		return sc.score[c]
+	}
+	return poaNegInf
+}
 
-	// Adaptive band bookkeeping.
-	lo, hi := 0, m
+// bandAt reads column j of a band row that starts at column lo; a column
+// outside the row reads as poaNegInf.
+func bandAt(row []int32, lo, j int) int32 {
+	if k := j - lo; uint(k) < uint(len(row)) {
+		return row[k]
+	}
+	return poaNegInf
+}
+
+// alignToGraph runs global DP of seq against the DAG, whose topological
+// order and ranks the caller computed with topo, and returns the alignment
+// operations in order. The returned slice is scratch: valid until the next
+// call.
+//
+// score (r, j) is the best alignment of seq[:j] ending at node order[r]
+// (node consumed); the virtual start row -1 is gaps only, score -j*gap.
+//
+// Storage is band-resident: rank r keeps only columns [lo[r], hi[r]] —
+// the adaptive band around its diagonal, or [0, m] when Band <= 0 — in a
+// row of width min(2*Band+1, m+1). A read outside a rank's band returns
+// what a full matrix would hold in a cell the DP never wrote: poaNegInf
+// score and the poaUnwritten traceback. Both are reachable — a banded cell
+// prefers poaNegInf+Match from an out-of-band predecessor over poaNegInf,
+// and the traceback then walks through that predecessor — so the rule is
+// part of the kernel's contract: op lists are identical to the full-matrix
+// kernel's (poa_oracle_test.go) for any scoring that passes
+// bio.Scoring.Validate.
+func (p *POA) alignToGraph(seq []byte, order, rank []int, probe *perf.Probe) []poaOp {
+	sc := &p.scratch
+	n, m := len(order), len(seq)
+	sc.width = m + 1
+	if p.Band > 0 && 2*p.Band+1 < sc.width {
+		sc.width = 2*p.Band + 1
+	}
+	sc.lo, sc.hi = grow(sc.lo, n), grow(sc.hi, n)
+	sc.score = grow(sc.score, n*sc.width)
+	sc.from = grow(sc.from, n*sc.width)
+	// The query as 2-bit codes, once per call instead of
+	// Scoring.Substitution per cell.
+	qcode := grow(sc.qcode, m)
+	for i, b := range seq {
+		qcode[i] = bio.Code(b)
+	}
+	sc.qcode = qcode
+	match, mismatch, gap := int32(p.Scoring.Match), -int32(p.Scoring.Mismatch), int32(p.Scoring.GapOpen)
+
 	for r, id := range order {
-		// Banding leaves cells untouched; clear the reused traceback rows so
-		// results never depend on a previous call's contents.
-		clear(fromNode[r])
-		clear(fromJ[r])
 		nd := &p.nodes[id]
-
+		lo, hi := 0, m
 		if p.Band > 0 {
-			center := r * m / max2(len(order), 1)
-			lo, hi = center-p.Band, center+p.Band
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > m {
-				hi = m
-			}
+			center := r * m / n
+			lo, hi = max(center-p.Band, 0), min(center+p.Band, m)
 		}
+		sc.lo[r], sc.hi[r] = int32(lo), int32(hi)
+		row := sc.score[r*sc.width:][:hi-lo+1]
+		from := sc.from[r*sc.width:][:len(row)]
+		// N never matches, so an N node compares unequal to every code.
+		code := bio.Code(nd.base)
+		if code == bio.BaseN {
+			code = 0xff
+		}
+		ins := poaFrom(r, poaIns)
 
-		for j := 0; j <= m; j++ {
-			score[r][j] = negInf
-		}
-		for j := lo; j <= hi; j++ {
-			best, bn, bj := negInf, int32(-2), int8(0)
-			// Predecessor values: virtual start or any in-edge node.
-			preds := nd.in
-			if len(preds) == 0 {
+		// One pass over the row per predecessor, columns innermost so the
+		// loop runs over contiguous rows. Each column still sees its
+		// candidates in the full-matrix kernel's order — per in-edge diag
+		// then del, and insert (the one left-to-right dependency, so it
+		// rides the last pass) after all of them — and ties break the same.
+		// left is the finished cell to the left; column lo has no in-band
+		// left neighbour, and poaNegInf-gap never beats a cell.
+		left := int32(poaNegInf)
+		if len(nd.in) == 0 {
+			// Source: the only predecessor is the virtual start row.
+			diag, del := poaFrom(-1, poaDiag), poaFrom(-1, poaDel)
+			for k := range row {
+				j := lo + k
+				best, f := int32(poaNegInf), int32(0)
 				if j > 0 {
-					d := -(j-1)*gap + p.Scoring.Substitution(nd.base, seq[j-1])
-					if d > best {
-						best, bn, bj = d, -1, 0
+					sub := mismatch
+					if qcode[j-1] == code {
+						sub = match
+					}
+					if d := -int32(j-1)*gap + sub; d > best {
+						best, f = d, diag
 					}
 				}
 				// Node consumed against a gap, with j query bases also
 				// gapped before it.
-				if d := -(j + 1) * gap; d > best {
-					best, bn, bj = d, -1, 1
+				if d := -int32(j+1) * gap; d > best {
+					best, f = d, del
 				}
+				if v := left - gap; v > best {
+					best, f = v, ins
+				}
+				row[k], from[k], left = best, f, best
 			}
-			for _, pre := range preds {
-				pr := rank[pre]
+		}
+		for pi, pre := range nd.in {
+			pr := rank[pre]
+			plo := int(sc.lo[pr])
+			prow := sc.score[pr*sc.width:][:int(sc.hi[pr])-plo+1]
+			diag, del := poaFrom(pr, poaDiag), poaFrom(pr, poaDel)
+			first, last := pi == 0, pi == len(nd.in)-1
+			for k := range row {
+				j := lo + k
+				best, f := int32(poaNegInf), int32(0)
+				if !first {
+					best, f = row[k], from[k]
+				}
 				if j > 0 {
-					d := score[pr][j-1] + p.Scoring.Substitution(nd.base, seq[j-1])
-					if d > best {
-						best, bn, bj = d, int32(pr), 0
+					sub := mismatch
+					if qcode[j-1] == code {
+						sub = match
+					}
+					if d := bandAt(prow, plo, j-1) + sub; d > best {
+						best, f = d, diag
 					}
 				}
-				if v := score[pr][j] - gap; v > best { // delete node base
-					best, bn, bj = v, int32(pr), 1
+				if v := bandAt(prow, plo, j) - gap; v > best { // delete node base
+					best, f = v, del
 				}
-				probe.Op(perf.ScalarInt, 4)
-			}
-			if j > 0 {
-				if v := score[r][j-1] - gap; v > best { // insert query base
-					best, bn, bj = v, int32(r), 2
+				if last {
+					if v := left - gap; v > best { // insert query base
+						best, f = v, ins
+					}
+					left = best
 				}
+				row[k], from[k] = best, f
 			}
-			score[r][j] = best
-			fromNode[r][j] = bn
-			fromJ[r][j] = bj
-			probe.Op(perf.ScalarInt, 3)
 		}
+		probe.Op(perf.ScalarInt, len(row)*(4*len(nd.in)+3))
 		probe.TakeBranch(0xb0, len(nd.in) > 1)
 	}
 
 	// Best end: any sink node at j = m (global in the query, free end on
 	// the graph among sinks).
-	bestR, bestScore := -1, negInf
+	bestR, bestScore := -1, int32(poaNegInf)
 	for r, id := range order {
-		if len(p.nodes[id].out) == 0 && score[r][m] > bestScore {
-			bestScore, bestR = score[r][m], r
+		if len(p.nodes[id].out) == 0 {
+			if v := sc.scoreAt(r, m); v > bestScore {
+				bestScore, bestR = v, r
+			}
 		}
 	}
 	if bestR < 0 {
 		// All sinks banded out: fall back to the global best at j = m.
 		for r := range order {
-			if score[r][m] > bestScore {
-				bestScore, bestR = score[r][m], r
+			if v := sc.scoreAt(r, m); v > bestScore {
+				bestScore, bestR = v, r
 			}
 		}
 	}
 
-	// Traceback.
-	var rev []poaOp
+	// Traceback, collected end to start.
+	ops := sc.ops[:0]
 	r, j := bestR, m
 	for r >= 0 {
-		bn, bj := fromNode[r][j], fromJ[r][j]
-		switch bj {
-		case 0: // diagonal: node aligned to seq[j-1]
-			rev = append(rev, poaOp{order[r], j - 1})
+		f := int32(poaUnwritten)
+		if c := sc.cell(r, j); c >= 0 {
+			f = sc.from[c]
+		}
+		bn := int(f>>2) - 2
+		switch f & 3 {
+		case poaDiag:
+			ops = append(ops, poaOp{order[r], j - 1})
 			// Leading insertions when the path started mid-query.
 			if bn == -1 {
 				for q := j - 2; q >= 0; q-- {
-					rev = append(rev, poaOp{-1, q})
+					ops = append(ops, poaOp{-1, q})
 				}
 				r, j = -1, 0
 				continue
 			}
-			r, j = int(bn), j-1
-		case 1: // node consumed against gap
-			rev = append(rev, poaOp{order[r], -1})
+			r, j = bn, j-1
+		case poaDel:
+			ops = append(ops, poaOp{order[r], -1})
 			if bn == -1 {
 				for q := j - 1; q >= 0; q-- {
-					rev = append(rev, poaOp{-1, q})
+					ops = append(ops, poaOp{-1, q})
 				}
 				r = -1
 				continue
 			}
-			r = int(bn)
-		case 2: // query base inserted
-			rev = append(rev, poaOp{-1, j - 1})
+			r = bn
+		case poaIns:
+			ops = append(ops, poaOp{-1, j - 1})
 			j--
 		}
 	}
-	// Reverse into forward order.
-	ops := make([]poaOp, len(rev))
-	for i := range rev {
-		ops[i] = rev[len(rev)-1-i]
+	sc.ops = ops
+	for a, b := 0, len(ops)-1; a < b; a, b = a+1, b-1 {
+		ops[a], ops[b] = ops[b], ops[a]
 	}
 	return ops
 }
 
 // merge threads the aligned sequence through the graph, fusing matches,
 // attaching mismatches as aligned alternatives, and inserting new nodes for
-// insertions.
-func (p *POA) merge(seq []byte, ops []poaOp) {
-	// Ranks of the pre-merge graph guard against creating cycles when
-	// reusing aligned-alternative nodes out of topological order.
-	rank := make([]int, len(p.nodes))
-	for r, id := range p.topoOrder() {
-		rank[id] = r
-	}
+// insertions. rank holds the ranks of the pre-merge graph (from topo): they
+// guard against creating cycles when reusing aligned-alternative nodes out
+// of topological order.
+func (p *POA) merge(seq []byte, ops []poaOp, rank []int) {
 	lastExistingRank := -1
 	prev := -1
 	link := func(id int) {
@@ -347,11 +455,12 @@ func (p *POA) merge(seq []byte, ops []poaOp) {
 			}
 			if target < 0 {
 				target = p.newNode(b)
-				// Cross-register the aligned group.
-				group := append([]int{op.node}, nd.alignedTo...)
+				// Cross-register the aligned group: the node, then its
+				// alternatives as they stood before target joined.
+				group := p.nodes[op.node].alignedTo
+				p.alignNodes(op.node, target)
 				for _, gmem := range group {
-					p.nodes[gmem].alignedTo = append(p.nodes[gmem].alignedTo, target)
-					p.nodes[target].alignedTo = append(p.nodes[target].alignedTo, gmem)
+					p.alignNodes(gmem, target)
 				}
 			} else {
 				p.nodes[target].weight++
@@ -367,15 +476,23 @@ func (p *POA) merge(seq []byte, ops []poaOp) {
 	}
 }
 
+// alignNodes records a and b as alternatives at the same column.
+func (p *POA) alignNodes(a, b int) {
+	p.nodes[a].alignedTo = append(p.nodes[a].alignedTo, b)
+	p.nodes[b].alignedTo = append(p.nodes[b].alignedTo, a)
+}
+
 // Consensus returns the heaviest path through the graph: dynamic programming
 // over topological order maximizing accumulated node and edge weights.
 func (p *POA) Consensus() []byte {
 	if len(p.nodes) == 0 {
 		return nil
 	}
-	order := p.topoOrder()
-	best := make([]int, len(p.nodes))
-	next := make([]int, len(p.nodes))
+	order, _ := p.topo()
+	sc := &p.scratch
+	sc.best, sc.next = grow(sc.best, len(p.nodes)), grow(sc.next, len(p.nodes))
+	best, next := sc.best, sc.next
+	clear(best)
 	for i := range next {
 		next[i] = -1
 	}

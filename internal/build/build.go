@@ -15,6 +15,10 @@
 package build
 
 import (
+	"context"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"pangenomicsbench/internal/graph"
@@ -90,6 +94,53 @@ func timeStage(d *time.Duration, fn func()) {
 	t0 := time.Now()
 	fn()
 	*d += time.Since(t0)
+}
+
+// forEach runs the n independent units of work of one pipeline stage on a
+// pool of at most workers goroutines (≤0 uses GOMAXPROCS). newWorker is
+// called once per goroutine and returns that worker's unit function, so
+// per-worker scratch is the closure's state; units are handed out in index
+// order and must write their results to per-index slots, which makes the
+// caller's in-order reduction independent of workers. An instrumented run
+// (probe != nil) executes serially on the calling goroutine with the probe —
+// it is not safe for concurrent use; pooled units get a nil probe. ctx is
+// checked before each unit; forEach returns ctx.Err() if it was cancelled,
+// after every worker has exited.
+func forEach(ctx context.Context, n, workers int, probe *perf.Probe, newWorker func() func(i int, probe *perf.Probe)) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if probe != nil || workers <= 1 {
+		unit := newWorker()
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			unit(i, probe)
+		}
+		return nil
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			unit := newWorker()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				unit(i, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
 }
 
 // runLayout is the shared visualization stage: PG-SGD over the final graph.

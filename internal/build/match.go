@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pangenomicsbench/internal/align"
@@ -271,40 +268,14 @@ func AllPairMatches(ctx context.Context, seqs [][]byte, k, w, workers int, probe
 	stats := make([]PairStats, len(jobs))
 	errs := make([]error, len(jobs))
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if probe != nil || workers <= 1 {
-		for ji, job := range jobs {
-			if err := ctx.Err(); err != nil {
-				return nil, PairStats{}, err
-			}
-			results[ji], stats[ji], errs[ji] = PairMatches(job.i, seqs[job.i], job.j, seqs[job.j], k, w, probe)
+	err := forEach(ctx, len(jobs), workers, probe, func() func(int, *perf.Probe) {
+		return func(ji int, pr *perf.Probe) {
+			job := jobs[ji]
+			results[ji], stats[ji], errs[ji] = PairMatches(job.i, seqs[job.i], job.j, seqs[job.j], k, w, pr)
 		}
-	} else {
-		var next int64
-		var wg sync.WaitGroup
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ji := int(atomic.AddInt64(&next, 1)) - 1
-					if ji >= len(jobs) || ctx.Err() != nil {
-						return
-					}
-					job := jobs[ji]
-					results[ji], stats[ji], errs[ji] = PairMatches(job.i, seqs[job.i], job.j, seqs[job.j], k, w, nil)
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, PairStats{}, err
-		}
+	})
+	if err != nil {
+		return nil, PairStats{}, err
 	}
 
 	var out []MatchBlock

@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pangenomicsbench/internal/align"
@@ -154,6 +151,10 @@ func MinigraphCactus(ctx context.Context, names []string, seqs [][]byte, cfg MCC
 	// nodes, so later assemblies carrying the same novel sequence reuse
 	// them (the "growing graph" property).
 	novel := map[[2]graph.NodeID][]graph.NodeID{}
+	// One POA for the whole run (induction is sequential): induceNovel
+	// resets it per segment and reuses its scratch.
+	poa := align.NewPOA()
+	poa.Band = cfg.POABand
 
 	for ai := 1; ai < len(seqs); ai++ {
 		if err := ctx.Err(); err != nil {
@@ -190,7 +191,7 @@ func MinigraphCactus(ctx context.Context, names []string, seqs [][]byte, cfg MCC
 					continue
 				}
 				seg := asm[item.qLo:item.qHi]
-				nd := induceNovel(g, novel, [2]graph.NodeID{last, next[pi+1]}, seg, cfg, bd, &res.Stats, probe)
+				nd := induceNovel(g, poa, novel, [2]graph.NodeID{last, next[pi+1]}, seg, cfg, bd, &res.Stats, probe)
 				if nd != last {
 					walk = append(walk, nd)
 					last = nd
@@ -315,40 +316,9 @@ func mapAssembly(ctx context.Context, g *graph.Graph, idx *minimizer.GraphIndex,
 		results[ci] = chunkResult{plan: plan, gwfa: gwfa, wall: time.Since(t0)}
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	if probe != nil || workers <= 1 {
-		for ci := range chunks {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			runChunk(ci, probe)
-		}
-	} else {
-		var next int64
-		var wg sync.WaitGroup
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ci := int(atomic.AddInt64(&next, 1)) - 1
-					if ci >= len(chunks) || ctx.Err() != nil {
-						return
-					}
-					runChunk(ci, nil)
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	err := forEach(ctx, len(chunks), cfg.Workers, probe, func() func(int, *perf.Probe) { return runChunk })
+	if err != nil {
+		return nil, err
 	}
 
 	var plan []planItem
@@ -470,8 +440,9 @@ func gapDist(g *graph.Graph, start graph.NodeID, gseq []byte, budget int, probe 
 // induceNovel resolves one novel query segment between the flanking anchor
 // nodes key[0] and key[1]: reuse an existing alternative when the segment
 // is close enough (WFA check), otherwise induce a new node whose sequence
-// is the POA consensus of the segment and its existing alternatives.
-func induceNovel(g *graph.Graph, novel map[[2]graph.NodeID][]graph.NodeID, key [2]graph.NodeID, seg []byte, cfg MCConfig, bd *StageBreakdown, stats *Stats, probe *perf.Probe) graph.NodeID {
+// is the POA consensus of the segment and its existing alternatives,
+// computed on p (reset here; the caller owns it for scratch reuse).
+func induceNovel(g *graph.Graph, p *align.POA, novel map[[2]graph.NodeID][]graph.NodeID, key [2]graph.NodeID, seg []byte, cfg MCConfig, bd *StageBreakdown, stats *Stats, probe *perf.Probe) graph.NodeID {
 	for _, nd := range novel[key] {
 		nseq := g.Seq(nd)
 		// Only compare length-compatible alternatives.
@@ -488,8 +459,7 @@ func induceNovel(g *graph.Graph, novel map[[2]graph.NodeID][]graph.NodeID, key [
 			return nd
 		}
 	}
-	p := align.NewPOA()
-	p.Band = cfg.POABand
+	p.Reset()
 	t0 := time.Now()
 	alts := novel[key]
 	if len(alts) > mcMaxPOAAlternatives {

@@ -14,7 +14,8 @@ import (
 type PGGBConfig struct {
 	// K, W select the (w,k)-minimizer scheme of the all-vs-all mapping.
 	K, W int
-	// Workers bounds the all-vs-all worker pool; ≤0 uses GOMAXPROCS.
+	// Workers bounds the all-vs-all and polish-window worker pools; ≤0
+	// uses GOMAXPROCS.
 	Workers int
 	// PolishWindow is the smoothXG partition size in backbone bp; ≤0
 	// disables the polish stage.
@@ -49,7 +50,8 @@ func DefaultPGGBConfig() PGGBConfig {
 //     (timed separately as TCTime) and graph induction with path embedding.
 //  3. Polishing — smoothXG model: the backbone is partitioned into
 //     PolishWindow-bp blocks, every assembly's projection of each block is
-//     realigned with banded POA (timed as POATime) and a consensus taken.
+//     realigned with banded POA and a consensus taken, on the same bounded
+//     pool (the window section is timed as POATime).
 //  4. Visualization — PG-SGD layout of the induced graph.
 //
 // ctx cancels the run between pipeline units of work (pairs, polish
@@ -132,38 +134,7 @@ func PGGBFromMatches(ctx context.Context, names []string, seqs [][]byte, blocks 
 
 	// 3. Polishing: smoothXG-style partitioned POA.
 	if cfg.PolishWindow > 0 {
-		timeStage(&bd.Polishing, func() {
-			base := seqs[0]
-			for start := 0; start < len(base); start += cfg.PolishWindow {
-				if err = ctx.Err(); err != nil {
-					return
-				}
-				end := start + cfg.PolishWindow
-				if end > len(base) {
-					end = len(base)
-				}
-				p := align.NewPOA()
-				p.Band = cfg.POABand
-				for _, s := range seqs {
-					// Proportional projection of the backbone block onto
-					// each assembly (smoothXG cuts blocks in graph space;
-					// path-coordinate projection is the linear analogue).
-					lo := start * len(s) / len(base)
-					hi := end * len(s) / len(base)
-					if hi <= lo {
-						continue
-					}
-					t0 := time.Now()
-					err = p.AddSequence(s[lo:hi], probe)
-					bd.POATime += time.Since(t0)
-					if err != nil {
-						return
-					}
-				}
-				res.Stats.PolishBlocks++
-				res.Stats.ConsensusLen += len(p.Consensus())
-			}
-		})
+		timeStage(&bd.Polishing, func() { err = polish(ctx, seqs, cfg, res, probe) })
 		if err != nil {
 			return nil, err
 		}
@@ -185,4 +156,54 @@ func PGGBFromMatches(ctx context.Context, names []string, seqs [][]byte, blocks 
 	stats := res.Graph.ComputeStats()
 	res.Stats.Nodes, res.Stats.Edges = stats.Nodes, stats.Edges
 	return res, nil
+}
+
+// polish is the smoothXG model: the backbone is cut into PolishWindow-bp
+// windows, and each window's projections onto every assembly are realigned
+// with banded POA and a consensus taken. Windows are independent, so they
+// run on the cfg.Workers pool, one reused POA per worker (scratch scoped to
+// this build); each window writes its own slot and the slots are reduced
+// in window order. Breakdown.POATime is the wall time of the window
+// section.
+func polish(ctx context.Context, seqs [][]byte, cfg PGGBConfig, res *Result, probe *perf.Probe) error {
+	base := seqs[0]
+	nwin := (len(base) + cfg.PolishWindow - 1) / cfg.PolishWindow
+	consLen := make([]int, nwin)
+	errs := make([]error, nwin)
+	t0 := time.Now()
+	err := forEach(ctx, nwin, cfg.Workers, probe, func() func(int, *perf.Probe) {
+		p := align.NewPOA()
+		p.Band = cfg.POABand
+		return func(wi int, pr *perf.Probe) {
+			start := wi * cfg.PolishWindow
+			end := min(start+cfg.PolishWindow, len(base))
+			p.Reset()
+			for _, s := range seqs {
+				// Proportional projection of the backbone block onto
+				// each assembly (smoothXG cuts blocks in graph space;
+				// path-coordinate projection is the linear analogue).
+				lo := start * len(s) / len(base)
+				hi := end * len(s) / len(base)
+				if hi <= lo {
+					continue
+				}
+				if errs[wi] = p.AddSequence(s[lo:hi], pr); errs[wi] != nil {
+					return
+				}
+			}
+			consLen[wi] = len(p.Consensus())
+		}
+	})
+	res.Breakdown.POATime += time.Since(t0)
+	if err != nil {
+		return err
+	}
+	for wi := range consLen {
+		if errs[wi] != nil {
+			return errs[wi]
+		}
+		res.Stats.PolishBlocks++
+		res.Stats.ConsensusLen += consLen[wi]
+	}
+	return nil
 }

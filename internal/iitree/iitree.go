@@ -109,8 +109,11 @@ func (t *Tree) Overlap(start, end int64, probe *perf.Probe, fn func(Interval) bo
 		x, l int
 		w    bool // whether the left subtree has been visited
 	}
-	var stack []frame
-	stack = append(stack, frame{(1 << uint(t.k)) - 1, t.k, false})
+	// The traversal holds at most one frame per level plus the one being
+	// expanded (k+1, k < 64), so the stack lives in a fixed array on the
+	// goroutine stack instead of growing on the heap per query.
+	var buf [64]frame
+	stack := append(buf[:0], frame{(1 << uint(t.k)) - 1, t.k, false})
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

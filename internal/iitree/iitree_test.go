@@ -140,3 +140,26 @@ func TestOverlapBeforeBuildPanics(t *testing.T) {
 	}()
 	tree.Overlap(0, 10, nil, func(Interval) bool { return true })
 }
+
+// TestOverlapDoesNotAllocate pins the fixed-array traversal stack: a query
+// must not touch the heap (the transclosure issues one per match block
+// base, ~170k per small PGGB build).
+func TestOverlapDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tree := New()
+	for i := 0; i < 5000; i++ {
+		s := int64(rng.Intn(100000))
+		tree.Add(s, s+1+int64(rng.Intn(500)), int64(i))
+	}
+	tree.Build()
+	hits := 0
+	avg := testing.AllocsPerRun(100, func() {
+		hits += tree.CountOverlaps(40000, 41000, nil)
+	})
+	if hits == 0 {
+		t.Fatal("query matched nothing")
+	}
+	if avg > 0 {
+		t.Errorf("Overlap allocated %.0f times per query; want 0", avg)
+	}
+}
