@@ -34,7 +34,7 @@ var (
 	suiteErr  error
 )
 
-func getSuite(b *testing.B) *core.Suite {
+func getSuite(b testing.TB) *core.Suite {
 	suiteOnce.Do(func() {
 		suite, suiteErr = core.NewSuite(core.Small)
 	})

@@ -10,7 +10,6 @@
 //	pgbench serve-sim [flags]
 //	pgbench map-serve [flags]
 //	pgbench soak [-scenario S] [-dur D] [-chaos LIST] [flags]
-//	pgbench bench [-scale small|bench|large] [-json FILE] [-compare BASE.json]
 //	pgbench fleet-worker [-listen ADDR]
 //	pgbench fleet [-nodes ADDRS | -local N]
 package main
@@ -134,8 +133,6 @@ func run(args []string) error {
 		return mapServe(rest)
 	case "soak":
 		return soakCmd(rest)
-	case "bench":
-		return benchCmd(rest)
 	case "fleet":
 		return fleetCmd(rest)
 	case "fleet-worker":
@@ -348,12 +345,6 @@ func usage() {
                                                restart, build-reject); exits
                                                non-zero if any end-of-run
                                                assertion fails
-  pgbench bench [-scale S] [-json FILE]        micro-benchmark the mapping,
-                                               construction and snapshot
-                                               save/load hot paths to JSON
-                                               (-compare BASE.json gates against
-                                               a recorded baseline; -manifest
-                                               names a tolerance manifest)
   pgbench fleet-worker [-listen ADDR]          run one construction-fleet worker
                                                daemon (pair-match RPCs over HTTP)
   pgbench fleet [-nodes ADDRS | -local N]      shard an all-pair build across

@@ -6,101 +6,7 @@ import (
 	"testing"
 
 	"pangenomicsbench/internal/bio"
-	"pangenomicsbench/internal/graph"
 )
-
-// TestMyersLaneGroupMatchesSerial: every lane of a lockstep run must equal
-// the serial Myers64 result, for unequal-length references and queries at
-// every batch size 1..MaxLanes.
-func TestMyersLaneGroupMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	var g MyersLaneGroup
-	for iter := 0; iter < 50; iter++ {
-		n := 1 + rng.Intn(MaxLanes)
-		refs := make([][]byte, n)
-		queries := make([][]byte, n)
-		g.Reset()
-		for l := 0; l < n; l++ {
-			refs[l] = randSeq(rng, rng.Intn(300)) // may be empty
-			queries[l] = randSeq(rng, 1+rng.Intn(MaxMyersQuery))
-			if _, err := g.Add(refs[l], queries[l]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		g.Run(nil)
-		for l := 0; l < n; l++ {
-			want, err := Myers64(refs[l], queries[l], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := g.Result(l); got != want {
-				t.Fatalf("iter %d lane %d/%d: batched %+v != serial %+v", iter, l, n, got, want)
-			}
-		}
-	}
-}
-
-// TestWFALaneGroupMatchesSerial: lockstep wavefronts must retire with the
-// exact WFAEdit distance per lane.
-func TestWFALaneGroupMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var g WFALaneGroup
-	for iter := 0; iter < 30; iter++ {
-		n := 1 + rng.Intn(MaxLanes)
-		as := make([][]byte, n)
-		bs := make([][]byte, n)
-		g.Reset()
-		for l := 0; l < n; l++ {
-			as[l] = randSeq(rng, rng.Intn(120))
-			if rng.Intn(2) == 0 {
-				bs[l] = mutate(rng, as[l], 0.1)
-			} else {
-				bs[l] = randSeq(rng, rng.Intn(120))
-			}
-			g.Add(as[l], bs[l])
-		}
-		g.Run(nil)
-		for l := 0; l < n; l++ {
-			want := WFAEdit(as[l], bs[l], nil)
-			if got := g.Distance(l); got != want {
-				t.Fatalf("iter %d lane %d/%d: batched %d != serial %d (|a|=%d |b|=%d)",
-					iter, l, n, got, want, len(as[l]), len(bs[l]))
-			}
-		}
-	}
-}
-
-// TestGBVLaneGroupMatchesSerial: each lane's interleaved relaxation must
-// reproduce the serial GBV result (distance AND end node — pop order is
-// part of the contract) against independently random graphs.
-func TestGBVLaneGroupMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	var lg GBVLaneGroup
-	for iter := 0; iter < 25; iter++ {
-		n := 1 + rng.Intn(MaxLanes)
-		graphs := make([]*graph.Graph, n)
-		queries := make([][]byte, n)
-		lg.Reset()
-		for l := 0; l < n; l++ {
-			graphs[l] = randomGraph(rng, true)
-			queries[l] = randSeq(rng, 1+rng.Intn(MaxMyersQuery))
-			lg.Add(graphs[l], queries[l], nil)
-		}
-		lg.Run()
-		for l := 0; l < n; l++ {
-			if err := lg.Err(l); err != nil {
-				t.Fatal(err)
-			}
-			want, err := GBV(graphs[l], queries[l], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := lg.Result(l); got != want {
-				t.Fatalf("iter %d lane %d/%d: batched %+v != serial %+v", iter, l, n, got, want)
-			}
-		}
-	}
-}
 
 // TestGBVWorkspaceReusedMatchesFresh: a workspace reused across differently
 // sized problems (stale scratch contents) must still match a fresh run
@@ -173,42 +79,11 @@ func TestGSSWWorkspaceReusedMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestBatchedKernelAllocs pins the zero-allocation contract of the batched
-// kernels (the acceptance target: 0 allocs/op steady state on batched Myers
-// and WFA) and the near-zero contract of the reusable graph-kernel
-// workspaces, in the style of poa_alloc_test.go.
+// TestBatchedKernelAllocs pins the near-zero steady-state allocation
+// contract of the reusable graph-kernel workspaces, in the style of
+// poa_alloc_test.go.
 func TestBatchedKernelAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	refs := make([][]byte, MaxLanes)
-	queries := make([][]byte, MaxLanes)
-	for l := range refs {
-		refs[l] = randSeq(rng, 100+rng.Intn(100))
-		queries[l] = randSeq(rng, 1+rng.Intn(MaxMyersQuery))
-	}
-
-	t.Run("myers-lanes", func(t *testing.T) {
-		var g MyersLaneGroup
-		warmAndPin(t, 0, func() {
-			g.Reset()
-			for l := range refs {
-				if _, err := g.Add(refs[l], queries[l]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			g.Run(nil)
-		})
-	})
-
-	t.Run("wfa-lanes", func(t *testing.T) {
-		var g WFALaneGroup
-		warmAndPin(t, 0, func() {
-			g.Reset()
-			for l := range refs {
-				g.Add(refs[l], queries[l])
-			}
-			g.Run(nil)
-		})
-	})
 
 	t.Run("gbv-workspace", func(t *testing.T) {
 		gr := randomGraph(rng, true)
@@ -259,45 +134,29 @@ func warmAndPin(t *testing.T, limit float64, fn func()) {
 	}
 }
 
-// FuzzMyersLaneBoundaries fuzzes the lane-packing boundaries: unequal-length
-// references and queries carved from raw fuzz bytes must produce per-lane
-// results identical to the serial kernel, whatever the length mix.
-func FuzzMyersLaneBoundaries(f *testing.F) {
-	f.Add([]byte("ACGTACGTACGTACGTAAAACCCCGGGGTTTT"), uint8(3))
-	f.Add([]byte("A"), uint8(1))
-	f.Add([]byte("ACGTNNNNACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"), uint8(16))
-	f.Fuzz(func(t *testing.T, data []byte, lanes uint8) {
-		n := int(lanes%MaxLanes) + 1
-		if len(data) == 0 {
-			return
+// FuzzMyers64MatchesOracle checks the bitvector kernel against the full-DP
+// oracle: for every query length 1..64 carved from the fuzz payload,
+// Myers64 and EditDistanceFull must agree on (Distance, EndRef), whatever
+// the reference (empty, shorter than the query, all-N).
+func FuzzMyers64MatchesOracle(f *testing.F) {
+	f.Add([]byte("ACGTACGTACGTACGTAAAACCCCGGGGTTTT"), []byte("ACGTTCGTACGAACGT"))
+	f.Add([]byte("A"), []byte("A"))
+	f.Add([]byte("ACGTNNNNACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"), []byte("ACGTNNACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"))
+	f.Add([]byte(""), []byte("ACGT"))
+	f.Add([]byte("NNNNNNNNNNNNNNNN"), []byte("NNNNNNNN"))
+	f.Fuzz(func(t *testing.T, ref, q []byte) {
+		if len(q) > MaxMyersQuery {
+			q = q[:MaxMyersQuery]
 		}
-		var g MyersLaneGroup
-		refs := make([][]byte, 0, n)
-		queries := make([][]byte, 0, n)
-		// Carve unequal (ref, query) pairs from the fuzz payload: lane l's
-		// query length cycles 1..64, its ref takes a varying remainder slice.
-		for l := 0; l < n; l++ {
-			qLen := (l*7+len(data))%MaxMyersQuery + 1
-			if qLen > len(data) {
-				qLen = len(data)
-			}
-			q := data[:qLen]
-			ref := data[len(data)*l/n:]
-			if _, err := g.Add(ref, q); err != nil {
-				t.Fatal(err) // qLen is always in [1,64]
-			}
-			refs = append(refs, ref)
-			queries = append(queries, q)
-		}
-		g.Run(nil)
-		for l := 0; l < len(refs); l++ {
-			want, err := Myers64(refs[l], queries[l], nil)
+		for m := 1; m <= len(q); m++ {
+			got, err := Myers64(ref, q[:m], nil)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatal(err) // m is always in [1,64]
 			}
-			if got := g.Result(l); got != want {
-				t.Fatalf("lane %d/%d: batched %+v != serial %+v (|ref|=%d |q|=%d)",
-					l, n, got, want, len(refs[l]), len(queries[l]))
+			want := EditDistanceFull(ref, q[:m])
+			if got.Distance != want.Distance || got.EndRef != want.EndRef {
+				t.Fatalf("|ref|=%d |q|=%d: Myers64 (%d, %d) != full DP (%d, %d)",
+					len(ref), m, got.Distance, got.EndRef, want.Distance, want.EndRef)
 			}
 		}
 	})

@@ -22,17 +22,10 @@ func GBV(g *graph.Graph, query []byte, probe *perf.Probe) (EditResult, error) {
 // GBVWorkspace holds the fixpoint state of one GBV alignment: the priority
 // queue, per-node entry/exit profiles, and the synthetic address space. All
 // buffers are grow-only, so a reused workspace aligns with zero steady-state
-// allocations, and the relaxation is exposed one queue pop at a time (Start
-// then Step) so a lane group can interleave several independent alignments
-// in lockstep. Results are byte-identical to a fresh-allocation run: the
+// allocations. Results are byte-identical to a fresh-allocation run: the
 // manual heap replicates container/heap's sift order exactly, and the
-// address space resets to the same base every Start.
+// address space resets to the same base every Align.
 type GBVWorkspace struct {
-	g     *graph.Graph
-	probe *perf.Probe
-	eq    Peq
-	m     int
-
 	fresh, scratch, merged []int
 	inBuf                  []int // (n+1) entry profiles of m+1 ints each
 	inSet                  []bool
@@ -41,13 +34,7 @@ type GBVWorkspace struct {
 	inQueue                []bool
 	pq                     []gbvItem
 
-	as          perf.AddrSpace
-	stateBase   uint64
-	stateStride uintptr
-
-	best  EditResult
-	steps int
-	done  bool
+	as perf.AddrSpace
 }
 
 // ensureInts returns buf with length n (grow-only, contents unspecified).
@@ -69,27 +56,22 @@ func ensureBools(buf []bool, n int) []bool {
 	return buf
 }
 
-// Start primes the workspace for one alignment of query against g. The
-// relaxation then runs via Step (or all at once via Align).
-func (ws *GBVWorkspace) Start(g *graph.Graph, query []byte, probe *perf.Probe) error {
+// Align runs one full alignment of query against g in the workspace. Zero
+// steady-state allocations once the buffers have grown.
+func (ws *GBVWorkspace) Align(g *graph.Graph, query []byte, probe *perf.Probe) (EditResult, error) {
 	eq, err := NewPeq(query)
 	if err != nil {
-		return err
+		return EditResult{}, err
 	}
 	m := len(query)
 	n := g.NumNodes()
-	ws.g, ws.probe, ws.eq, ws.m = g, probe, eq, m
-	ws.steps = 0
 	if n == 0 {
-		ws.best = EditResult{Distance: m}
-		ws.done = true
-		return nil
+		return EditResult{Distance: m}, nil
 	}
-	ws.done = false
 
 	ws.as.Reset()
-	ws.stateBase = ws.as.Alloc(n * (m + 1) * 8)
-	ws.stateStride = uintptr((m + 1) * 8)
+	stateBase := ws.as.Alloc(n * (m + 1) * 8)
+	stateStride := uintptr((m + 1) * 8)
 
 	// fresh is the free-start profile D[j] = j.
 	ws.fresh = ensureInts(ws.fresh, m+1)
@@ -112,119 +94,86 @@ func (ws *GBVWorkspace) Start(g *graph.Graph, query []byte, probe *perf.Probe) e
 		gbvHeapPush(&ws.pq, gbvItem{graph.NodeID(id), m})
 		ws.inQueue[id] = true
 	}
-	ws.best = EditResult{Distance: m}
-	return nil
-}
+	best := EditResult{Distance: m}
 
-// Step processes one priority-queue pop (one node relaxation), returning
-// false once the fixpoint is reached. One pop is the lockstep unit the GBV
-// lane group interleaves across lanes.
-func (ws *GBVWorkspace) Step() bool {
-	if ws.done || len(ws.pq) == 0 {
-		ws.done = true
-		return false
-	}
-	g, probe, m := ws.g, ws.probe, ws.m
-	it := gbvHeapPop(&ws.pq)
-	id := it.node
-	ws.inQueue[id] = false
-	ws.steps++
-	probe.Op(perf.ScalarInt, 6) // heap pop bookkeeping
-	probe.Frontend(4)           // data-dependent dispatch on queue order
+	for len(ws.pq) > 0 {
+		it := gbvHeapPop(&ws.pq)
+		id := it.node
+		ws.inQueue[id] = false
+		probe.Op(perf.ScalarInt, 6) // heap pop bookkeeping
+		probe.Frontend(4)           // data-dependent dispatch on queue order
 
-	// Merge the entry profile: fresh start ∪ parents' exits.
-	copy(ws.merged, ws.fresh)
-	for _, p := range g.In(id) {
-		if !ws.hasOut[p] {
-			probe.TakeBranch(0x80, false)
-			continue
+		// Merge the entry profile: fresh start ∪ parents' exits.
+		copy(ws.merged, ws.fresh)
+		for _, p := range g.In(id) {
+			if !ws.hasOut[p] {
+				probe.TakeBranch(0x80, false)
+				continue
+			}
+			probe.TakeBranch(0x80, true)
+			probe.Load(uintptr(stateBase)+uintptr(p-1)*stateStride, (m+1)*8)
+			prof := ws.out[p].profile(m, ws.scratch)
+			for j := 0; j <= m; j++ {
+				if prof[j] < ws.merged[j] {
+					probe.TakeBranch(0x81, true)
+					ws.merged[j] = prof[j]
+				} else {
+					probe.TakeBranch(0x81, false)
+				}
+			}
+			probe.Op(perf.ScalarInt, m+1)
 		}
-		probe.TakeBranch(0x80, true)
-		probe.Load(uintptr(ws.stateBase)+uintptr(p-1)*ws.stateStride, (m+1)*8)
-		prof := ws.out[p].profile(m, ws.scratch)
-		for j := 0; j <= m; j++ {
-			if prof[j] < ws.merged[j] {
-				probe.TakeBranch(0x81, true)
-				ws.merged[j] = prof[j]
+
+		in := ws.inBuf[int(id)*(m+1) : int(id+1)*(m+1)]
+		if ws.inSet[id] && equalProfile(in, ws.merged) {
+			probe.TakeBranch(0x82, false)
+			continue // entry unchanged: exit unchanged
+		}
+		probe.TakeBranch(0x82, true)
+		ws.inSet[id] = true
+		copy(in, ws.merged)
+
+		// Step the column through the node's bases.
+		st := fromProfile(ws.merged)
+		seq := g.Seq(id)
+		for i, b := range seq {
+			st.step(eq[bio.Code(b)], m, probe)
+			// Row state read-modify-write: each row's bitvectors live in
+			// the per-node state block.
+			rowAddr := uintptr(stateBase) + uintptr(id-1)*stateStride + uintptr((i*16)%int(stateStride))
+			probe.Load(rowAddr, 16)
+			probe.Store(rowAddr, 16)
+			if st.score < best.Distance {
+				probe.TakeBranch(0x83, true)
+				best = EditResult{Distance: st.score, EndNode: id}
 			} else {
-				probe.TakeBranch(0x81, false)
+				probe.TakeBranch(0x83, false)
 			}
 		}
-		probe.Op(perf.ScalarInt, m+1)
-	}
 
-	in := ws.inBuf[int(id)*(m+1) : int(id+1)*(m+1)]
-	if ws.inSet[id] && equalProfile(in, ws.merged) {
-		probe.TakeBranch(0x82, false)
-		return len(ws.pq) > 0 // entry unchanged: exit unchanged
-	}
-	probe.TakeBranch(0x82, true)
-	ws.inSet[id] = true
-	copy(in, ws.merged)
+		changed := !ws.hasOut[id] || st != ws.out[id]
+		probe.TakeBranch(0x84, changed)
+		if !changed {
+			continue
+		}
+		ws.out[id] = st
+		ws.hasOut[id] = true
+		probe.Store(uintptr(stateBase)+uintptr(id-1)*stateStride, (m+1)*8)
 
-	// Step the column through the node's bases.
-	st := fromProfile(ws.merged)
-	seq := g.Seq(id)
-	for i, b := range seq {
-		st.step(ws.eq[bio.Code(b)], m, probe)
-		// Row state read-modify-write: each row's bitvectors live in
-		// the per-node state block.
-		rowAddr := uintptr(ws.stateBase) + uintptr(id-1)*ws.stateStride + uintptr((i*16)%int(ws.stateStride))
-		probe.Load(rowAddr, 16)
-		probe.Store(rowAddr, 16)
-		if st.score < ws.best.Distance {
-			probe.TakeBranch(0x83, true)
-			ws.best = EditResult{Distance: st.score, EndNode: id}
-		} else {
-			probe.TakeBranch(0x83, false)
+		for _, c := range g.Out(id) {
+			if !ws.inQueue[c] {
+				gbvHeapPush(&ws.pq, gbvItem{c, st.score})
+				ws.inQueue[c] = true
+				probe.Op(perf.ScalarInt, 8)
+			}
 		}
 	}
 
-	changed := !ws.hasOut[id] || st != ws.out[id]
-	probe.TakeBranch(0x84, changed)
-	if !changed {
-		return len(ws.pq) > 0
-	}
-	ws.out[id] = st
-	ws.hasOut[id] = true
-	probe.Store(uintptr(ws.stateBase)+uintptr(id-1)*ws.stateStride, (m+1)*8)
-
-	for _, c := range g.Out(id) {
-		if !ws.inQueue[c] {
-			gbvHeapPush(&ws.pq, gbvItem{c, st.score})
-			ws.inQueue[c] = true
-			probe.Op(perf.ScalarInt, 8)
-		}
-	}
-	return len(ws.pq) > 0
-}
-
-// Done reports whether the relaxation has reached its fixpoint.
-func (ws *GBVWorkspace) Done() bool { return ws.done || len(ws.pq) == 0 }
-
-// Steps returns the number of queue pops processed since Start — the lane
-// group's utilization accounting unit.
-func (ws *GBVWorkspace) Steps() int { return ws.steps }
-
-// Result returns the alignment outcome once Done.
-func (ws *GBVWorkspace) Result() EditResult {
-	best := ws.best
 	// The empty-alignment answer for zero-length nodes is already m.
-	if best.Distance == ws.m {
+	if best.Distance == m {
 		best.EndNode = 0
 	}
-	return best
-}
-
-// Align runs one full alignment in the workspace: Start, Step to fixpoint,
-// Result. Zero steady-state allocations once the buffers have grown.
-func (ws *GBVWorkspace) Align(g *graph.Graph, query []byte, probe *perf.Probe) (EditResult, error) {
-	if err := ws.Start(g, query, probe); err != nil {
-		return EditResult{}, err
-	}
-	for ws.Step() {
-	}
-	return ws.Result(), nil
+	return best, nil
 }
 
 func equalProfile(a, b []int) bool {

@@ -4,28 +4,59 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pangenomicsbench/internal/gensim"
 	"pangenomicsbench/internal/obs"
+	"pangenomicsbench/internal/perf"
 	"pangenomicsbench/internal/pipeline"
 )
 
-// batchServiceFixture is one published giraffe snapshot plus simulated reads
-// for driving the grouped executor path.
-func batchServiceFixture(t *testing.T, nReads, length int) (*Registry, *Snapshot, [][]byte) {
+// rendezvousTool is a real tool whose blockAt-th MapCtx call announces
+// itself on entered and then parks until its context ends — the way a test
+// cancels a batch at a known query without sleeping. blockAt 0 never blocks.
+type rendezvousTool struct {
+	pipeline.ContextTool
+	blockAt int32
+	calls   atomic.Int32
+	entered chan struct{}
+}
+
+func (r *rendezvousTool) MapCtx(ctx context.Context, read []byte, probe *perf.Probe) (pipeline.Result, pipeline.StageTimes, error) {
+	if r.calls.Add(1) == r.blockAt {
+		close(r.entered)
+		<-ctx.Done()
+		return pipeline.Result{}, pipeline.StageTimes{}, ctx.Err()
+	}
+	return r.ContextTool.MapCtx(ctx, read, probe)
+}
+
+// batchServiceFixture is a service over one published giraffe snapshot,
+// simulated reads, and each read's direct serial mapping. MaxBatch equals
+// the read count and BatchWait is far beyond the test's runtime, so
+// len(reads) concurrent queries always form exactly one micro-batch. The
+// service traces into a default recorder (s.tracer).
+func batchServiceFixture(t *testing.T, nReads, length int, blockAt int32) (*Service, *Registry, *rendezvousTool, [][]byte, []pipeline.Result) {
 	t.Helper()
 	pop := testPop(t, 8000, 4)
 	sim, err := pop.SimulateReads(gensim.ReadConfig{Count: nReads, Length: length, SubRate: 0.002, Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
+	giraffe, err := pipeline.NewVgGiraffe(pop.Graph, 15, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reads := make([][]byte, nReads)
+	want := make([]pipeline.Result, nReads)
 	for i, r := range sim {
 		reads[i] = r.Seq
+		want[i], _ = giraffe.Map(r.Seq, nil)
 	}
-	snap, err := NewSnapshot("pop", pop.Graph, DefaultToolConfig(ToolGiraffe))
+	tool := &rendezvousTool{ContextTool: giraffe, blockAt: blockAt, entered: make(chan struct{})}
+	snap, err := NewSnapshotWithTool("pop", pop.Graph, tool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,185 +64,125 @@ func batchServiceFixture(t *testing.T, nReads, length int) (*Registry, *Snapshot
 	if _, err := reg.Publish(snap); err != nil {
 		t.Fatal(err)
 	}
-	return reg, snap, reads
+	s := New(reg, Config{Workers: 1, MaxBatch: nReads, BatchWait: time.Minute, Tracer: obs.NewTracer(obs.TracerConfig{})})
+	return s, reg, tool, reads, want
 }
 
-// TestGroupedQueriesMatchSerial is the serving-tier differential: concurrent
-// non-cancelable queries ride lane groups through Snapshot.MapBatch, and
-// every response must be byte-identical to a direct serial Map of the same
-// read against the same snapshot.
-func TestGroupedQueriesMatchSerial(t *testing.T) {
-	reg, snap, reads := batchServiceFixture(t, 8, 600)
-	want := make([]pipeline.Result, len(reads))
-	for i, read := range reads {
-		r, _, err := snap.Map(context.Background(), read)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
-	}
-
-	s := New(reg, Config{Workers: 1, MaxBatch: 16, BatchWait: 25 * time.Millisecond})
-	defer s.Close()
-
+// mapConcurrently issues one query per read from its own goroutine and
+// returns the responses and errors in read order.
+func mapConcurrently(ctx context.Context, s *Service, reads [][]byte) ([]*Response, []error) {
 	resps := make([]*Response, len(reads))
+	errs := make([]error, len(reads))
 	var wg sync.WaitGroup
 	for i := range reads {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := s.Map(context.Background(), reads[i])
-			if err != nil {
-				t.Errorf("query %d: %v", i, err)
-				return
-			}
-			resps[i] = resp
+			resps[i], errs[i] = s.Map(ctx, reads[i])
 		}(i)
 	}
 	wg.Wait()
+	return resps, errs
+}
+
+// TestGroupedQueriesMatchSerial is the serving-tier differential: queries
+// that ride one micro-batch must each answer byte-identically to a direct
+// serial Map of the same read, with a measured map time that covers the
+// query's own kernel stages. The batch answers as a unit: every trace has a
+// batch.tail stage running from its own map's end to one instant shared by
+// the whole batch, and no query's root span ends before that instant.
+func TestGroupedQueriesMatchSerial(t *testing.T) {
+	s, _, _, reads, want := batchServiceFixture(t, 8, 600, 0)
+	defer s.Close()
+
+	resps, errs := mapConcurrently(context.Background(), s, reads)
 	for i, resp := range resps {
-		if resp == nil {
+		if errs[i] != nil {
+			t.Errorf("query %d: %v", i, errs[i])
 			continue
 		}
 		if resp.Result != want[i] {
 			t.Errorf("query %d: batched %+v != serial %+v", i, resp.Result, want[i])
 		}
-		if resp.MapTime <= 0 {
-			t.Errorf("query %d: no map time attributed", i)
+		if resp.BatchSize != len(reads) {
+			t.Errorf("query %d: rode a batch of %d, want %d", i, resp.BatchSize, len(reads))
+		}
+		if resp.MapTime <= 0 || resp.Stages.Total() > resp.MapTime {
+			t.Errorf("query %d: map time %v does not cover its stages %v", i, resp.MapTime, resp.Stages.Total())
 		}
 	}
-}
 
-// TestGroupedQueryTraceStageSum extends the trace-attribution acceptance
-// test to the batched path: queries sharing one lane-group kernel call must
-// still produce traces whose direct children account for the request latency
-// within the 10% bound — the shared call's wall time is apportioned across
-// the group, never multiply-counted — and whose map spans carry the
-// apportioned per-stage breakdown as children.
-func TestGroupedQueryTraceStageSum(t *testing.T) {
-	reg, _, reads := batchServiceFixture(t, 4, 600)
-	tr := obs.NewTracer(obs.TracerConfig{})
-	// A long BatchWait both gathers the concurrent queries into one batch
-	// and makes the admission stage dominate the request, so the attribution
-	// check is robust to scheduler noise.
-	s := New(reg, Config{Workers: 1, MaxBatch: 8, BatchWait: 50 * time.Millisecond, Tracer: tr})
-	defer s.Close()
-
-	var wg sync.WaitGroup
-	for i := range reads {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := s.Map(context.Background(), reads[i]); err != nil {
-				t.Errorf("query %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	traces := tr.Recorder().Last(len(reads))
+	traces := s.tracer.Recorder().Last(len(reads))
 	if len(traces) != len(reads) {
 		t.Fatalf("recorder retained %d traces, want %d", len(traces), len(reads))
 	}
-	grouped := 0
-	for _, root := range traces {
-		if root.Failed() {
-			t.Fatalf("successful query marked failed: %s", root.Tree())
+	end := func(d obs.SpanData) time.Time { return d.Start.Add(d.Duration) }
+	var answered time.Time
+	for i, root := range traces {
+		mapSpan, okMap := findChild(root, "map")
+		tail, okTail := findChild(root, "batch.tail")
+		if !okMap || !okTail {
+			t.Fatalf("trace %d missing map or batch.tail:\n%s", i, root.Tree())
 		}
-		for _, name := range []string{"admission", "snapshot.acquire", "map"} {
-			if _, ok := findChild(root, name); !ok {
-				t.Errorf("trace missing %q child:\n%s", name, root.Tree())
-			}
+		if i == 0 {
+			answered = end(tail)
 		}
-		mapSpan, _ := findChild(root, "map")
-		if attrValue(mapSpan, "lane_group") != "" {
-			grouped++
-			// The batched path attaches the apportioned kernel stages
-			// post hoc; a giraffe-mapped read exercises all of them.
-			for _, stage := range []string{"seed", "chain", "align"} {
-				if _, ok := findChild(mapSpan, stage); !ok {
-					t.Errorf("grouped map span missing kernel stage %q:\n%s", stage, root.Tree())
-				}
-			}
+		if tail.Start.Before(end(mapSpan)) || !end(tail).Equal(answered) || end(root).Before(answered) {
+			t.Errorf("trace %d: map ends %v, batch.tail %v → %v, root ends %v; batch answered at %v:\n%s",
+				i, end(mapSpan), tail.Start, end(tail), end(root), answered, root.Tree())
 		}
-		sum, dur := root.StageSum(), root.Duration
-		lo, hi := dur-dur/10, dur+dur/10
-		if sum < lo || sum > hi {
-			t.Errorf("stage sum %v outside 10%% of request latency %v:\n%s", sum, dur, root.Tree())
-		}
-	}
-	// The concurrent queries land in one micro-batch (the 50ms BatchWait is
-	// enormous next to their enqueue skew), so at least one lane group of
-	// ≥2 must have formed.
-	if grouped < 2 {
-		t.Errorf("only %d of %d queries rode a lane group", grouped, len(traces))
 	}
 }
 
-// TestGroupCancelReleasesSnapshot is the batched-path cancellation and
-// refcount-drain test: queries sharing one cancelable context form a lane
-// group, a mid-flight cancel sheds the unfinished members with a
-// context.Canceled cause while any completed prefix still answers, and —
-// regardless of where the cancel lands — the batch's single snapshot
-// reference is released, so the registry drains to zero in-flight queries.
+// TestGroupCancelReleasesSnapshot is the batch-level cancellation and
+// refcount-drain test: eight queries sharing one cancelable context ride one
+// micro-batch, and the context is canceled while the third is inside the
+// kernel. The two already mapped answer normally, the third and every later
+// one shed with context.Canceled, the service keeps serving, and the
+// batch's single snapshot reference is released.
 func TestGroupCancelReleasesSnapshot(t *testing.T) {
-	reg, snap, reads := batchServiceFixture(t, 8, 900)
-	s := New(reg, Config{Workers: 1, MaxBatch: 16, BatchWait: time.Millisecond})
-	defer s.Close()
+	s, reg, tool, reads, want := batchServiceFixture(t, 8, 900, 3)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for i := range reads {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := s.Map(ctx, reads[i])
-			switch {
-			case err == nil:
-				if resp == nil || !resp.Result.Mapped && resp.Result.EditDistance == 0 && resp.MapTime == 0 {
-					t.Errorf("query %d: nil-ish success response %+v", i, resp)
-				}
-			case errors.Is(err, context.Canceled):
-				// Shed mid-group or at admission turn — the expected path.
-			default:
-				t.Errorf("query %d: unexpected error %v", i, err)
+	go func() {
+		<-tool.entered
+		cancel()
+	}()
+	resps, errs := mapConcurrently(ctx, s, reads)
+	answered := 0
+	for i, err := range errs {
+		switch {
+		case err == nil:
+			answered++
+			if resps[i].Result != want[i] {
+				t.Errorf("query %d: completed before the cancel with %+v, serial %+v", i, resps[i].Result, want[i])
 			}
-		}(i)
+		case !errors.Is(err, context.Canceled):
+			t.Errorf("query %d: unexpected error %v", i, err)
+		}
 	}
-	time.Sleep(2 * time.Millisecond)
-	cancel()
-	wg.Wait()
-
-	// Every done channel closed and the worker's deferred Release ran: the
-	// registry must drain to zero in-flight queries (the registry's own
-	// reference on the current snapshot is not a query).
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		drained := true
-		for _, info := range reg.Stats() {
-			if info.InFlight != 0 {
-				drained = false
-			}
-		}
-		if drained {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("snapshot references leaked after canceled batch: %+v", reg.Stats())
-		}
-		time.Sleep(time.Millisecond)
+	if answered != 2 {
+		t.Errorf("%d queries answered, want the 2 mapped before the cancel", answered)
 	}
 
-	// The service keeps serving after the canceled group.
-	want, _, err := snap.Map(context.Background(), reads[0])
-	if err != nil {
-		t.Fatal(err)
+	// The service keeps serving after the canceled batch.
+	resps, errs = mapConcurrently(context.Background(), s, reads)
+	for i, resp := range resps {
+		if errs[i] != nil {
+			t.Fatalf("post-cancel query %d: %v", i, errs[i])
+		}
+		if resp.Result != want[i] {
+			t.Errorf("post-cancel query %d: %+v != serial %+v", i, resp.Result, want[i])
+		}
 	}
-	resp, err := s.Map(context.Background(), reads[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Result != want {
-		t.Errorf("post-cancel query: %+v != serial %+v", resp.Result, want)
+
+	// Close joins the worker, so every batch's deferred Release has run: the
+	// registry must hold no in-flight query (its own reference on the
+	// current snapshot is not a query).
+	s.Close()
+	for _, info := range reg.Stats() {
+		if info.InFlight != 0 {
+			t.Errorf("snapshot references leaked after canceled batch: %+v", reg.Stats())
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pangenomicsbench/internal/align"
 	"pangenomicsbench/internal/obs"
 	"pangenomicsbench/internal/perf"
 	"pangenomicsbench/internal/pipeline"
@@ -73,14 +72,15 @@ type Response struct {
 
 // pending is one admitted query awaiting execution.
 type pending struct {
-	ctx  context.Context
-	read []byte
-	enq  time.Time
-	wait time.Duration // admission → execution turn, set by admitTurn
-	span *obs.Span
-	resp *Response
-	err  error
-	done chan struct{}
+	ctx    context.Context
+	read   []byte
+	enq    time.Time
+	wait   time.Duration // admission → execution turn, set by admitTurn
+	mapped time.Time     // when runSerial returned, the start of batch.tail
+	span   *obs.Span
+	resp   *Response
+	err    error
+	done   chan struct{}
 }
 
 // Service is the batched read-mapping executor. Incoming queries are
@@ -271,15 +271,14 @@ func (s *Service) worker() {
 
 // runBatch maps every query of one batch against a single snapshot
 // acquisition. Queries whose context is already done are shed without
-// mapping. The mappable remainder is partitioned into lane groups that
-// share one cancellation domain — the same ctx, or no cancellation at all —
-// and each group of two or more rides a single Snapshot.MapBatch call
-// through the tool's lane-packed kernels; singletons (and all queries under
-// TraceProbes, which need a per-query probe) keep the serial ctx-threaded
-// path. A context firing mid-group stops the batched kernel at its next
-// lane boundary: the completed prefix still answers normally, the rest shed
-// with ctx.Err(). Every pending's done channel closes exactly once, and the
-// single snapshot reference is released when the whole batch has run.
+// mapping and answered at once; each survivor then maps in arrival order on
+// the serial ctx-threaded path, so a context firing mid-batch sheds only its
+// own queries (at their turn, or inside the kernel at its next loop
+// boundary). The survivors answer together when the last has run — a batch
+// is one unit of wake-ups, as it was one unit of dispatch; the wait shows in
+// each trace as the batch.tail stage. Every pending's done channel closes
+// exactly once, and the single snapshot reference is released when the
+// whole batch has run.
 func (s *Service) runBatch(batch []*pending) {
 	s.metrics.Add("mapserve.batches", 1)
 	s.metrics.ObserveValue("mapserve.batch_size", float64(len(batch)))
@@ -291,8 +290,7 @@ func (s *Service) runBatch(batch []*pending) {
 		defer snap.Release()
 	}
 
-	// Shed what cannot map; collect the rest for group formation.
-	run := make([]*pending, 0, len(batch))
+	run := batch[:0]
 	for _, p := range batch {
 		s.metrics.GaugeAdd("mapserve.queue_depth", -1)
 		switch {
@@ -300,49 +298,33 @@ func (s *Service) runBatch(batch []*pending) {
 			s.admitTurn(p, len(batch))
 			p.span.Error(ErrNoSnapshot)
 			p.err = ErrNoSnapshot
-			p.span.End()
-			close(p.done)
+			answer(p)
 		case p.ctx.Err() != nil:
 			s.admitTurn(p, len(batch))
 			s.failDeadline(p, nil, p.ctx.Err())
+			answer(p)
 		default:
 			run = append(run, p)
 		}
 	}
-	if len(run) == 0 {
-		return
+	for _, p := range run {
+		s.runSerial(snap, p, len(batch), acqStart, acqDur)
+		p.mapped = time.Now()
 	}
+	end := time.Now()
+	for _, p := range run {
+		p.span.Stage("batch.tail", p.mapped, end.Sub(p.mapped))
+		answer(p)
+	}
+}
 
-	// TraceProbes attaches one probe per query's map span, which a shared
-	// lane-group call cannot honor — keep every query serial.
-	serialOnly := s.cfg.TraceProbes && s.tracer != nil
-	var group []*pending
-	used := make([]bool, len(run))
-	for i, p0 := range run {
-		if used[i] {
-			continue
-		}
-		used[i] = true
-		if serialOnly {
-			s.runSerial(snap, p0, len(batch), acqStart, acqDur)
-			continue
-		}
-		group = append(group[:0], p0)
-		for j := i + 1; j < len(run) && len(group) < align.MaxLanes; j++ {
-			if used[j] {
-				continue
-			}
-			if run[j].ctx == p0.ctx || (p0.ctx.Done() == nil && run[j].ctx.Done() == nil) {
-				group = append(group, run[j])
-				used[j] = true
-			}
-		}
-		if len(group) == 1 {
-			s.runSerial(snap, p0, len(batch), acqStart, acqDur)
-			continue
-		}
-		s.runGroup(snap, group, len(batch), acqStart, acqDur)
-	}
+// answer hands one query back to its caller. The root span ends here, not
+// after the caller wakes, so request latency excludes the client
+// goroutine's wake-up delay and the span's children account for (nearly)
+// all of it; Map's own End is idempotent.
+func answer(p *pending) {
+	p.span.End()
+	close(p.done)
 }
 
 // admitTurn records a query's turn-for-execution accounting: the admission
@@ -356,17 +338,9 @@ func (s *Service) admitTurn(p *pending, batchSize int) {
 	p.span.SetInt("batch_size", int64(batchSize))
 }
 
-// snapStage annotates a mappable query with the batch's single snapshot
-// acquisition.
-func (s *Service) snapStage(p *pending, snap *Snapshot, acqStart time.Time, acqDur time.Duration) {
-	p.span.Stage("snapshot.acquire", acqStart, acqDur)
-	p.span.Set("snapshot", snap.ID)
-	p.span.SetInt("generation", int64(snap.Generation))
-}
-
-// failDeadline sheds one query with the deadline cause: counters, shed/error
-// span state, root span end, done close. ms is the query's map span when the
-// failure happened inside (or around) the kernel, nil when it never started.
+// failDeadline sheds one query with the deadline cause: counters and
+// shed/error span state. ms is the query's map span when the failure
+// happened inside (or around) the kernel, nil when it never started.
 func (s *Service) failDeadline(p *pending, ms *obs.Span, err error) {
 	s.metrics.Add("mapserve.shed_deadline", 1)
 	ms.Error(err)
@@ -374,13 +348,10 @@ func (s *Service) failDeadline(p *pending, ms *obs.Span, err error) {
 	p.span.Shed("deadline")
 	p.span.Error(err)
 	p.err = err
-	p.span.End()
-	close(p.done)
 }
 
-// finish answers one mapped query: success metrics, the response, root span
-// end, done close. mt is the query's kernel attribution — measured wall time
-// on the serial path, the apportioned stage total on the batched path.
+// finish records one mapped query: success metrics and the response. mt is
+// the measured wall time of the query's kernel call.
 func (s *Service) finish(p *pending, snap *Snapshot, batchSize int, res pipeline.Result, stages pipeline.StageTimes, mt time.Duration) {
 	s.metrics.Add("mapserve.mapped", 1)
 	s.metrics.Observe("mapserve.map", mt)
@@ -398,11 +369,6 @@ func (s *Service) finish(p *pending, snap *Snapshot, batchSize int, res pipeline
 		MapTime:    mt,
 		TraceID:    p.span.TraceID().String(),
 	}
-	// End the root span here, when the response is ready: request latency
-	// then excludes the client goroutine's wake-up delay, so the span's
-	// children account for (nearly) all of it. Map's End is idempotent.
-	p.span.End()
-	close(p.done)
 }
 
 // runSerial maps one query through the ctx-threaded MapCtx path: kernel
@@ -411,11 +377,13 @@ func (s *Service) finish(p *pending, snap *Snapshot, batchSize int, res pipeline
 func (s *Service) runSerial(snap *Snapshot, p *pending, batchSize int, acqStart time.Time, acqDur time.Duration) {
 	s.admitTurn(p, batchSize)
 	if err := p.ctx.Err(); err != nil {
-		// Expired while an earlier group of this batch ran.
+		// Expired while an earlier query of this batch mapped.
 		s.failDeadline(p, nil, err)
 		return
 	}
-	s.snapStage(p, snap, acqStart, acqDur)
+	p.span.Stage("snapshot.acquire", acqStart, acqDur)
+	p.span.Set("snapshot", snap.ID)
+	p.span.SetInt("generation", int64(snap.Generation))
 	ms := p.span.Child("map")
 	ctx := obs.ContextWithSpan(p.ctx, ms)
 	var probe *perf.Probe
@@ -432,59 +400,6 @@ func (s *Service) runSerial(snap *Snapshot, p *pending, batchSize int, acqStart 
 	}
 	ms.End()
 	s.finish(p, snap, batchSize, res, stages, mt)
-}
-
-// runGroup maps one lane group through the snapshot's batched kernels in a
-// single MapBatch call. Per-query stage times come back already apportioned
-// (a shared lane-group kernel call's wall time is divided across the lanes
-// that rode in it), so the map span's stage children never multiply-count
-// another query's work; MapTime is that apportioned total. On a
-// *pipeline.BatchError the completed prefix answers normally and the
-// remaining members shed with the batch's cause.
-func (s *Service) runGroup(snap *Snapshot, group []*pending, batchSize int, acqStart time.Time, acqDur time.Duration) {
-	s.metrics.ObserveValue("mapserve.lane_group", float64(len(group)))
-	reads := make([][]byte, len(group))
-	results := make([]pipeline.Result, len(group))
-	stages := make([]pipeline.StageTimes, len(group))
-	spans := make([]*obs.Span, len(group))
-	for i, p := range group {
-		s.admitTurn(p, batchSize)
-		s.snapStage(p, snap, acqStart, acqDur)
-		reads[i] = p.read
-		ms := p.span.Child("map")
-		ms.SetInt("lane_group", int64(len(group)))
-		spans[i] = ms
-	}
-	t0 := time.Now()
-	n, err := snap.MapBatch(group[0].ctx, reads, results, stages, nil)
-	cause := err
-	var be *pipeline.BatchError
-	if errors.As(err, &be) {
-		cause = be.Err
-	}
-	for i, p := range group {
-		if i >= n {
-			if cause == nil { // unreachable: n < len(group) implies an error
-				cause = context.Canceled
-			}
-			s.failDeadline(p, spans[i], cause)
-			continue
-		}
-		// Post-hoc stage children from the apportioned kernel stage times,
-		// laid out back to back from the group call's start.
-		ms, st, start := spans[i], stages[i], t0
-		for _, sg := range [...]struct {
-			name string
-			d    time.Duration
-		}{{"seed", st.Seed}, {"chain", st.Chain}, {"filter", st.Filter}, {"align", st.Align}} {
-			if sg.d > 0 {
-				ms.Stage(sg.name, start, sg.d)
-				start = start.Add(sg.d)
-			}
-		}
-		ms.End()
-		s.finish(p, snap, batchSize, results[i], st, st.Total())
-	}
 }
 
 // Close stops admissions, drains already-admitted queries (every admitted

@@ -140,14 +140,6 @@ func (s *Snapshot) MapWithProbe(ctx context.Context, read []byte, probe *perf.Pr
 	return s.tool.MapCtx(ctx, read, probe)
 }
 
-// MapBatch maps a batch of reads through the tool's lane-packed batched
-// kernels (pipeline.ContextTool.MapBatch): results are byte-identical to
-// per-read Map calls, and the caller owns every output slice. On a
-// *pipeline.BatchError, results[:n] hold the completed prefix.
-func (s *Snapshot) MapBatch(ctx context.Context, reads [][]byte, results []pipeline.Result, stages []pipeline.StageTimes, probe *perf.Probe) (int, error) {
-	return s.tool.MapBatch(ctx, reads, results, stages, probe)
-}
-
 // Release drops one reference acquired from a Registry. When the last
 // reference of an unpublished (swapped-out) snapshot drops, the registry's
 // retire hook fires — exactly once, and never while queries hold the

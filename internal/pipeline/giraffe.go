@@ -3,8 +3,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"pangenomicsbench/internal/align"
 	"pangenomicsbench/internal/chain"
@@ -21,6 +19,8 @@ import (
 // whose extensions fail — the design that makes Giraffe the fastest
 // Seq2Graph tool (Table 1).
 type VgGiraffe struct {
+	runner[giraffeScratch]
+
 	g   *graph.Graph
 	idx *minimizer.GraphIndex
 	hap *gbwt.Index
@@ -29,8 +29,6 @@ type VgGiraffe struct {
 	nodePos map[graph.NodeID]int
 	// Capture records the GBWT kernel queries.
 	Capture *[]GBWTInput
-
-	pool sync.Pool // *giraffeScratch
 }
 
 // giraffeExt is one haplotype extension candidate; its reference sequence
@@ -41,50 +39,17 @@ type giraffeExt struct {
 	refOff, refLen int
 }
 
-// giraffeFall describes a read whose extensions all failed: the Myers64
-// fallback over its best extension's reference is still owed.
-type giraffeFall struct {
-	refOff, refLen int
-	node           graph.NodeID
-}
-
-// giraffePend is one batch member waiting on the lane-packed fallback.
-type giraffePend struct {
-	idx    int // index into the batch's reads
-	fall   giraffeFall
-	chunks int // fallback chunks not yet applied
-	total  int // accumulated edit distance
-}
-
-// myersChunk is one 64 bp fallback chunk of one pending read.
-type myersChunk struct {
-	pi       int // index into pends
-	off, end int
-}
-
 // giraffeScratch is the per-goroutine working state of the mapping path:
 // seeding and chaining scratch, the extension byte arena (refSeq spans),
-// node-walk buffers, the extension candidates, and the lane-packed Myers
-// fallback group. All buffers are grow-only.
+// node-walk buffers and the extension candidates. All buffers are grow-only.
 type giraffeScratch struct {
 	seed    seedScratch
 	anchors []chain.Anchor
 	cs      chain.Scratch
-	arena   []byte         // refSeq arena; reset per call (per batch)
+	arena   []byte         // refSeq arena; reset per read
 	nodes   []graph.NodeID // forward walk of the current extension
 	preds   []graph.NodeID // backward walk, in discovery order
 	exts    []giraffeExt
-	lanes   align.MyersLaneGroup
-	pends   []giraffePend
-	work    []myersChunk
-}
-
-func (t *VgGiraffe) getScratch() *giraffeScratch {
-	s, _ := t.pool.Get().(*giraffeScratch)
-	if s == nil {
-		s = &giraffeScratch{}
-	}
-	return s
 }
 
 // NewVgGiraffe builds the tool, including its GBWT haplotype index and
@@ -98,53 +63,25 @@ func NewVgGiraffe(g *graph.Graph, k, w int) (*VgGiraffe, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: giraffe: %w", err)
 	}
-	nodePos := make(map[graph.NodeID]int, g.NumNodes())
-	for _, p := range g.Paths() {
-		off := 0
-		for _, id := range p.Nodes {
-			if _, seen := nodePos[id]; !seen {
-				nodePos[id] = off
-			}
-			off += len(g.Seq(id))
-		}
-	}
-	return &VgGiraffe{g: g, idx: idx, hap: hap, nodePos: nodePos}, nil
+	return NewVgGiraffeFromIndexes(g, idx, hap)
 }
 
 // Name implements Tool.
 func (t *VgGiraffe) Name() string { return "VgGiraffe" }
 
-// Map implements Tool.
-func (t *VgGiraffe) Map(read []byte, probe *perf.Probe) (Result, StageTimes) {
-	r, st, _ := t.MapCtx(context.Background(), read, probe)
-	return r, st
-}
-
-// MapCtx implements ContextTool: cancellation is observed between stages and
-// at every cluster of the dominant haplotype-extension loop.
-func (t *VgGiraffe) MapCtx(ctx context.Context, read []byte, probe *perf.Probe) (Result, StageTimes, error) {
-	s := t.getScratch()
-	defer t.pool.Put(s)
-	s.arena = s.arena[:0]
-	var st StageTimes
-	res, _, err := t.mapOne(ctx, s, read, probe, &st, nil)
-	return res, st, err
-}
-
 // mapOne runs one read's seed → chain → filter → align pipeline on the
-// scratch. With fall == nil the Myers64 fallback (for reads whose
-// extensions all fail) runs inline — the serial path. With fall non-nil the
-// fallback is deferred to the caller for lane packing: *fall is filled and
-// the second return is true.
-func (t *VgGiraffe) mapOne(ctx context.Context, s *giraffeScratch, read []byte, probe *perf.Probe, st *StageTimes, fall *giraffeFall) (Result, bool, error) {
+// scratch. Cancellation is observed between stages and at every cluster of
+// the dominant haplotype-extension loop.
+func (t *VgGiraffe) mapOne(ctx context.Context, s *giraffeScratch, read []byte, probe *perf.Probe, st *StageTimes) (Result, error) {
 	done := ctx.Done()
+	s.arena = s.arena[:0]
 	var anchors []chain.Anchor
 	timeStageCtx(ctx, "seed", &st.Seed, func() {
-		s.anchors = s.seed.seedInto(s.anchors[:0], t.idx, read, t.idx.K(), probe)
+		s.anchors = s.seed.seedInto(s.anchors[:0], t.idx, read, probe)
 		anchors = s.anchors
 	})
 	if len(anchors) == 0 {
-		return Result{}, false, nil
+		return Result{}, nil
 	}
 
 	// Clustering over the distance index: anchors get approximate linear
@@ -160,10 +97,10 @@ func (t *VgGiraffe) mapOne(ctx context.Context, s *giraffeScratch, read []byte, 
 		clusters = chain.Filter(clusters, 0.4, 4)
 	})
 	if len(clusters) == 0 {
-		return Result{}, false, nil
+		return Result{}, nil
 	}
 	if stopped(done) {
-		return Result{}, false, ctx.Err()
+		return Result{}, ctx.Err()
 	}
 
 	// Filtering: gapless haplotype extension of every seed of every
@@ -199,14 +136,13 @@ func (t *VgGiraffe) mapOne(ctx context.Context, s *giraffeScratch, read []byte, 
 		}
 	})
 	if canceled {
-		return Result{}, false, ctx.Err()
+		return Result{}, ctx.Err()
 	}
 	if len(s.exts) == 0 {
-		return Result{}, false, nil
+		return Result{}, nil
 	}
 
 	best := Result{EditDistance: 1 << 30}
-	deferred := false
 	timeStageCtx(ctx, "align", &st.Align, func() {
 		// Best extension; full alignment only if every extension failed.
 		bi := 0
@@ -218,11 +154,6 @@ func (t *VgGiraffe) mapOne(ctx context.Context, s *giraffeScratch, read []byte, 
 		e := s.exts[bi]
 		if e.mismatches <= 6 {
 			best = Result{Mapped: true, Node: e.startNode, EditDistance: e.mismatches}
-			return
-		}
-		if fall != nil {
-			*fall = giraffeFall{refOff: e.refOff, refLen: e.refLen, node: e.startNode}
-			deferred = true
 			return
 		}
 		refSeq := s.arena[e.refOff : e.refOff+e.refLen]
@@ -241,114 +172,7 @@ func (t *VgGiraffe) mapOne(ctx context.Context, s *giraffeScratch, read []byte, 
 		}
 		best = Result{Mapped: true, Node: e.startNode, EditDistance: total}
 	})
-	return best, deferred, nil
-}
-
-// MapBatch implements ContextTool: reads run through seed/chain/filter one
-// by one on shared scratch, and every read whose extensions failed joins a
-// lane-packed Myers64 fallback — up to align.MaxLanes 64 bp chunks from
-// any mix of pending reads per kernel call. Results are byte-identical to
-// serial MapCtx; each read's align time includes its reference-length-
-// weighted share of every shared kernel call it rode in.
-func (t *VgGiraffe) MapBatch(ctx context.Context, reads [][]byte, results []Result, stages []StageTimes, probe *perf.Probe) (int, error) {
-	if err := checkBatchArgs(reads, results, stages); err != nil {
-		return 0, err
-	}
-	s := t.getScratch()
-	defer t.pool.Put(s)
-	done := ctx.Done()
-	s.arena = s.arena[:0] // extension spans must survive until phase B
-	s.pends = s.pends[:0]
-	for i, read := range reads {
-		results[i], stages[i] = Result{}, StageTimes{}
-		if stopped(done) {
-			return i, &BatchError{Done: i, Err: ctx.Err()}
-		}
-		var fall giraffeFall
-		res, deferred, err := t.mapOne(ctx, s, read, probe, &stages[i], &fall)
-		if err != nil {
-			return i, &BatchError{Done: i, Err: err}
-		}
-		if !deferred {
-			results[i] = res
-			continue
-		}
-		s.pends = append(s.pends, giraffePend{idx: i, fall: fall})
-	}
-
-	// Phase B: the deferred fallbacks, chunked and lane-packed. The work
-	// list is ordered by read, so pendings finalize in read order and a
-	// cancellation always leaves a valid completed prefix.
-	s.work = s.work[:0]
-	for pi := range s.pends {
-		read := reads[s.pends[pi].idx]
-		n := 0
-		for off := 0; off < len(read); off += align.MaxMyersQuery {
-			end := off + align.MaxMyersQuery
-			if end > len(read) {
-				end = len(read)
-			}
-			s.work = append(s.work, myersChunk{pi: pi, off: off, end: end})
-			n++
-		}
-		s.pends[pi].chunks = n
-		if n == 0 { // unreachable (seeded reads are non-empty), kept safe
-			p := &s.pends[pi]
-			results[p.idx] = Result{Mapped: true, Node: p.fall.node}
-		}
-	}
-	finalized := 0
-	for w := 0; w < len(s.work); w += align.MaxLanes {
-		if stopped(done) {
-			n := len(reads)
-			if finalized < len(s.pends) {
-				n = s.pends[finalized].idx
-			}
-			return n, &BatchError{Done: n, Err: ctx.Err()}
-		}
-		hi := w + align.MaxLanes
-		if hi > len(s.work) {
-			hi = len(s.work)
-		}
-		wave := s.work[w:hi]
-		t0 := time.Now()
-		s.lanes.Reset()
-		var added [align.MaxLanes]bool
-		for wi, wk := range wave {
-			p := &s.pends[wk.pi]
-			refSeq := s.arena[p.fall.refOff : p.fall.refOff+p.fall.refLen]
-			read := reads[p.idx]
-			if _, err := s.lanes.Add(refSeq, read[wk.off:wk.end]); err == nil {
-				added[wi] = true
-			}
-		}
-		s.lanes.Run(probe)
-		wall := time.Since(t0)
-		// Apportion the shared kernel call's wall time by reference length
-		// (each lane's active column count): shares sum to the call's wall
-		// time, so batched stage totals never multiply-count kernel time.
-		sumW := 0
-		for l := 0; l < s.lanes.Len(); l++ {
-			sumW += s.lanes.RefLen(l) + 1
-		}
-		li := 0
-		for wi, wk := range wave {
-			p := &s.pends[wk.pi]
-			if added[wi] {
-				p.total += s.lanes.Result(li).Distance
-				stages[p.idx].Align += wall * time.Duration(s.lanes.RefLen(li)+1) / time.Duration(sumW)
-				li++
-			} else {
-				p.total += wk.end - wk.off // serial kernel-error fallback
-			}
-			p.chunks--
-			if p.chunks == 0 {
-				results[p.idx] = Result{Mapped: true, Node: p.fall.node, EditDistance: p.total}
-				finalized++
-			}
-		}
-	}
-	return len(reads), nil
+	return best, nil
 }
 
 // extendSeedInto walks from a seed's node along haplotypes in both

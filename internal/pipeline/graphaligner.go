@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"pangenomicsbench/internal/align"
 	"pangenomicsbench/internal/chain"
@@ -20,14 +18,14 @@ import (
 // against a small subgraph extracted around the chunk's nearest seed —
 // trading alignment quality for speed as the real tool does.
 type GraphAligner struct {
+	runner[gaScratch]
+
 	g   *graph.Graph
 	idx *minimizer.GraphIndex
 	// Capture records GBV kernel inputs.
 	Capture *[]GBVInput
 	// Radius is the per-chunk subgraph extraction radius.
 	Radius int
-
-	pool sync.Pool // *gaScratch
 }
 
 // subKey identifies one cached subgraph extraction.
@@ -36,47 +34,15 @@ type subKey struct {
 	radius int
 }
 
-// gaPend is one batch member whose chunks are in flight.
-type gaPend struct {
-	idx       int // index into the batch's reads
-	readLen   int
-	firstNode graph.NodeID
-	chunks    int
-	total     int
-	endNode   graph.NodeID
-}
-
-// gaChunk is one 64 bp chunk of one pending read, with its nearest-anchor
-// subgraph resolved at work-list build time (the cursor advance is a pure
-// function of the chunk offset, so precomputing it keeps chunk application
-// order-independent within a read).
-type gaChunk struct {
-	pi       int
-	off, end int
-	sub      *graph.Subgraph
-}
-
-// gaScratch is the per-goroutine working state: seeding scratch, the
-// serial-path GBV workspace, the batched GBV lane group, and a bounded
-// cache of subgraph extractions (chunks of nearby offsets repeatedly
-// extract around the same anchor node; Extract is deterministic, so cache
-// hits change nothing but the allocation count).
+// gaScratch is the per-goroutine working state: seeding scratch, the GBV
+// workspace, and a bounded cache of subgraph extractions (chunks of nearby
+// offsets repeatedly extract around the same anchor node; Extract is
+// deterministic, so cache hits change nothing but the allocation count).
 type gaScratch struct {
 	seed    seedScratch
 	anchors []chain.Anchor
 	gbv     align.GBVWorkspace
-	lanes   align.GBVLaneGroup
 	subs    map[subKey]*graph.Subgraph
-	pends   []gaPend
-	work    []gaChunk
-}
-
-func (t *GraphAligner) getScratch() *gaScratch {
-	s, _ := t.pool.Get().(*gaScratch)
-	if s == nil {
-		s = &gaScratch{subs: make(map[subKey]*graph.Subgraph)}
-	}
-	return s
 }
 
 // subgraph returns the (deterministic) extraction around node, cached.
@@ -85,7 +51,9 @@ func (s *gaScratch) subgraph(g *graph.Graph, node graph.NodeID, radius int) *gra
 	if sub, ok := s.subs[k]; ok {
 		return sub
 	}
-	if len(s.subs) >= 256 {
+	if s.subs == nil {
+		s.subs = make(map[subKey]*graph.Subgraph)
+	} else if len(s.subs) >= 256 {
 		clear(s.subs)
 	}
 	sub := graph.Extract(g, node, radius)
@@ -99,30 +67,30 @@ func NewGraphAligner(g *graph.Graph, k, w int) (*GraphAligner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: graphaligner: %w", err)
 	}
-	return &GraphAligner{g: g, idx: idx, Radius: 192}, nil
+	return NewGraphAlignerFromIndex(g, idx)
 }
 
 // Name implements Tool.
 func (t *GraphAligner) Name() string { return "GraphAligner" }
 
-// Map implements Tool.
-func (t *GraphAligner) Map(read []byte, probe *perf.Probe) (Result, StageTimes) {
-	r, st, _ := t.MapCtx(context.Background(), read, probe)
-	return r, st
-}
-
-// MapCtx implements ContextTool: long reads align in 64 bp chunks, and
+// mapOne runs one read on the scratch: long reads align in 64 bp chunks, and
 // cancellation is observed before every chunk — the finest-grained stop point
 // of the four tools, matching GBV's ~90% share of GraphAligner's runtime.
-func (t *GraphAligner) MapCtx(ctx context.Context, read []byte, probe *perf.Probe) (Result, StageTimes, error) {
-	s := t.getScratch()
-	defer t.pool.Put(s)
+func (t *GraphAligner) mapOne(ctx context.Context, s *gaScratch, read []byte, probe *perf.Probe, st *StageTimes) (Result, error) {
 	done := ctx.Done()
-	var st StageTimes
-	anchors, early := t.seedAndSort(ctx, s, read, probe, &st)
-	if early {
-		return Result{}, st, nil
+	var anchors []chain.Anchor
+	timeStageCtx(ctx, "seed", &st.Seed, func() {
+		s.anchors = s.seed.seedInto(s.anchors[:0], t.idx, read, probe)
+		anchors = s.anchors
+	})
+	if len(anchors) == 0 {
+		return Result{}, nil
 	}
+	// Lightweight clustering: just sort anchors by query position and keep
+	// the densest run — no chaining DP, no graph-distance queries.
+	timeStageCtx(ctx, "chain", &st.Chain, func() {
+		sort.Slice(anchors, func(i, j int) bool { return anchors[i].QPos < anchors[j].QPos })
+	})
 
 	best := Result{EditDistance: 1 << 30}
 	canceled := false
@@ -167,143 +135,7 @@ func (t *GraphAligner) MapCtx(ctx context.Context, read []byte, probe *perf.Prob
 		}
 	})
 	if canceled {
-		return Result{}, st, ctx.Err()
+		return Result{}, ctx.Err()
 	}
-	return best, st, nil
-}
-
-// seedAndSort runs the seed and chain stages into the scratch anchor
-// buffer, returning the read's sorted anchors and whether the read finished
-// early (no seeds). The anchors are valid until the next call on the same
-// scratch.
-func (t *GraphAligner) seedAndSort(ctx context.Context, s *gaScratch, read []byte, probe *perf.Probe, st *StageTimes) ([]chain.Anchor, bool) {
-	var anchors []chain.Anchor
-	timeStageCtx(ctx, "seed", &st.Seed, func() {
-		s.anchors = s.seed.seedInto(s.anchors[:0], t.idx, read, t.idx.K(), probe)
-		anchors = s.anchors
-	})
-	if len(anchors) == 0 {
-		return nil, true
-	}
-	// Lightweight clustering: just sort anchors by query position and keep
-	// the densest run — no chaining DP, no graph-distance queries.
-	timeStageCtx(ctx, "chain", &st.Chain, func() {
-		sort.Slice(anchors, func(i, j int) bool { return anchors[i].QPos < anchors[j].QPos })
-	})
-	return anchors, false
-}
-
-// MapBatch implements ContextTool: the 64 bp chunks of every read in the
-// batch are flattened into one work list and driven through the GBV kernel
-// up to align.MaxLanes at a time — chunks from different reads advance in
-// lockstep through one lane-group call, each against its own subgraph.
-// Results are byte-identical to serial MapCtx (each lane's relaxation pops
-// in serial order); each read's align time is its queue-pop-weighted share
-// of the lane-group calls its chunks rode in.
-func (t *GraphAligner) MapBatch(ctx context.Context, reads [][]byte, results []Result, stages []StageTimes, probe *perf.Probe) (int, error) {
-	if err := checkBatchArgs(reads, results, stages); err != nil {
-		return 0, err
-	}
-	s := t.getScratch()
-	defer t.pool.Put(s)
-	done := ctx.Done()
-	s.pends = s.pends[:0]
-	s.work = s.work[:0]
-	for i, read := range reads {
-		results[i], stages[i] = Result{}, StageTimes{}
-		if stopped(done) {
-			return i, &BatchError{Done: i, Err: ctx.Err()}
-		}
-		anchors, early := t.seedAndSort(ctx, s, read, probe, &stages[i])
-		if early {
-			continue
-		}
-		pi := len(s.pends)
-		p := gaPend{idx: i, readLen: len(read), firstNode: anchors[0].Node}
-		ai := 0
-		for off := 0; off < len(read); off += align.MaxMyersQuery {
-			end := off + align.MaxMyersQuery
-			if end > len(read) {
-				end = len(read)
-			}
-			for ai+1 < len(anchors) && anchors[ai+1].QPos <= off {
-				ai++
-			}
-			// The chunk's subgraph is resolved here (cursor advance is a
-			// pure function of the offset), so the per-read anchors need
-			// not outlive phase A and chunks of different reads can
-			// interleave freely in phase B.
-			sub := s.subgraph(t.g, anchors[ai].Node, t.Radius)
-			s.work = append(s.work, gaChunk{pi: pi, off: off, end: end, sub: sub})
-			p.chunks++
-		}
-		if p.chunks == 0 { // unreachable: a seeded read is non-empty
-			results[i] = Result{EditDistance: 1 << 30}
-			continue
-		}
-		s.pends = append(s.pends, p)
-	}
-
-	finalized := 0
-	finalize := func(p *gaPend) {
-		res := Result{EditDistance: 1 << 30}
-		if p.endNode != 0 || p.total < p.readLen/2 {
-			node := p.endNode
-			if node == 0 {
-				node = p.firstNode
-			}
-			res = Result{Mapped: true, Node: node, EditDistance: p.total}
-		}
-		results[p.idx] = res
-		finalized++
-	}
-	for w := 0; w < len(s.work); w += align.MaxLanes {
-		if stopped(done) {
-			n := len(reads)
-			if finalized < len(s.pends) {
-				n = s.pends[finalized].idx
-			}
-			return n, &BatchError{Done: n, Err: ctx.Err()}
-		}
-		hi := w + align.MaxLanes
-		if hi > len(s.work) {
-			hi = len(s.work)
-		}
-		wave := s.work[w:hi]
-		t0 := time.Now()
-		s.lanes.Reset()
-		for _, wk := range wave {
-			chunk := reads[s.pends[wk.pi].idx][wk.off:wk.end]
-			if t.Capture != nil {
-				*t.Capture = append(*t.Capture, GBVInput{Sub: wk.sub.Graph, Query: chunk})
-			}
-			s.lanes.Add(wk.sub.Graph, chunk, probe)
-		}
-		s.lanes.Run()
-		wall := time.Since(t0)
-		// Queue pops are the per-lane work measure; shares of the shared
-		// call sum to its wall time (no multiply-counting across lanes).
-		sumW := 0
-		for l := 0; l < s.lanes.Len(); l++ {
-			sumW += s.lanes.Steps(l) + 1
-		}
-		for wi, wk := range wave {
-			p := &s.pends[wk.pi]
-			if err := s.lanes.Err(wi); err != nil {
-				p.total += wk.end - wk.off
-			} else {
-				r := s.lanes.Result(wi)
-				p.total += r.Distance
-				if r.EndNode != 0 {
-					p.endNode = wk.sub.Orig[r.EndNode-1]
-				}
-			}
-			stages[p.idx].Align += wall * time.Duration(s.lanes.Steps(wi)+1) / time.Duration(sumW)
-			p.chunks--
-			if p.chunks == 0 {
-				finalize(p)
-			}
-		}
-	}
-	return len(reads), nil
+	return best, nil
 }

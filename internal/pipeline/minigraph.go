@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"pangenomicsbench/internal/align"
 	"pangenomicsbench/internal/chain"
@@ -19,6 +18,8 @@ import (
 // level alignment. Mode "cr" maps whole assemblies (larger gaps → more
 // GWFA work per bridge), mode "lr" maps long reads.
 type Minigraph struct {
+	runner[mgScratch]
+
 	g   *graph.Graph
 	idx *minimizer.GraphIndex
 	// ChromosomeMode selects the -cr configuration (assembly mapping).
@@ -28,8 +29,6 @@ type Minigraph struct {
 	// GWFATime accumulates time spent inside the GWFA kernel (to report
 	// the kernel fraction of the chaining stage, Fig. 2).
 	GWFATime *StageTimes
-
-	pool sync.Pool // *mgScratch
 }
 
 // mgScratch is the per-goroutine working state: seeding and chaining
@@ -44,21 +43,13 @@ type mgScratch struct {
 	gwfa    align.GWFAWorkspace
 }
 
-func (t *Minigraph) getScratch() *mgScratch {
-	s, _ := t.pool.Get().(*mgScratch)
-	if s == nil {
-		s = &mgScratch{}
-	}
-	return s
-}
-
 // NewMinigraph builds the tool.
 func NewMinigraph(g *graph.Graph, k, w int, chromosomeMode bool) (*Minigraph, error) {
 	idx, err := minimizer.NewGraphIndex(g, k, w)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: minigraph: %w", err)
 	}
-	return &Minigraph{g: g, idx: idx, ChromosomeMode: chromosomeMode}, nil
+	return NewMinigraphFromIndex(g, idx, chromosomeMode)
 }
 
 // Name implements Tool.
@@ -69,54 +60,14 @@ func (t *Minigraph) Name() string {
 	return "Minigraph-lr"
 }
 
-// Map implements Tool.
-func (t *Minigraph) Map(read []byte, probe *perf.Probe) (Result, StageTimes) {
-	r, st, _ := t.MapCtx(context.Background(), read, probe)
-	return r, st
-}
-
-// MapCtx implements ContextTool: cancellation is observed before every GWFA
-// anchor bridge — the dominant cost of minigraph's chaining stage — and
-// before the final base-level alignment.
-func (t *Minigraph) MapCtx(ctx context.Context, read []byte, probe *perf.Probe) (Result, StageTimes, error) {
-	s := t.getScratch()
-	defer t.pool.Put(s)
-	var st StageTimes
-	r, err := t.mapOne(ctx, s, read, probe, &st)
-	return r, st, err
-}
-
-// MapBatch implements ContextTool: reads run serially over one shared
-// scratch — GWFA's wavefront scatters across per-node state, so the batch
-// win is the reused workspace (warm per-diagonal maps across every bridge
-// of every read), not lane packing. Results are byte-identical to per-read
-// MapCtx.
-func (t *Minigraph) MapBatch(ctx context.Context, reads [][]byte, results []Result, stages []StageTimes, probe *perf.Probe) (int, error) {
-	if err := checkBatchArgs(reads, results, stages); err != nil {
-		return 0, err
-	}
-	s := t.getScratch()
-	defer t.pool.Put(s)
-	done := ctx.Done()
-	for i, read := range reads {
-		results[i], stages[i] = Result{}, StageTimes{}
-		if stopped(done) {
-			return i, &BatchError{Done: i, Err: ctx.Err()}
-		}
-		r, err := t.mapOne(ctx, s, read, probe, &stages[i])
-		if err != nil {
-			return i, &BatchError{Done: i, Err: err}
-		}
-		results[i] = r
-	}
-	return len(reads), nil
-}
-
+// mapOne runs one read on the scratch: cancellation is observed before
+// every GWFA anchor bridge — the dominant cost of minigraph's chaining stage
+// — and before the final base-level alignment.
 func (t *Minigraph) mapOne(ctx context.Context, s *mgScratch, read []byte, probe *perf.Probe, st *StageTimes) (Result, error) {
 	done := ctx.Done()
 	var anchors []chain.Anchor
 	timeStageCtx(ctx, "seed", &st.Seed, func() {
-		s.anchors = s.seed.seedInto(s.anchors[:0], t.idx, read, t.idx.K(), probe)
+		s.anchors = s.seed.seedInto(s.anchors[:0], t.idx, read, probe)
 		anchors = s.anchors
 	})
 	if len(anchors) == 0 {

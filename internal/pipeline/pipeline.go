@@ -12,9 +12,14 @@ package pipeline
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"sync"
 	"time"
 
+	"pangenomicsbench/internal/chain"
 	"pangenomicsbench/internal/graph"
+	"pangenomicsbench/internal/minimizer"
 	"pangenomicsbench/internal/obs"
 	"pangenomicsbench/internal/perf"
 	"pangenomicsbench/internal/seqmap"
@@ -46,23 +51,135 @@ type Tool interface {
 // observed at a loop boundary (per cluster, chunk, or bridge), abandoning the
 // rest of the read. All four tools in this package implement it; Map is
 // MapCtx with context.Background(). The serve-mode mapping executor relies
-// on this to stop work mid-batch when a query's deadline expires.
+// on this to stop a query when its deadline expires.
 //
 // MapBatch maps reads[i] into the caller-owned results[i] and stages[i]
 // (both must be at least len(reads) long) and returns the number of leading
-// reads completed. Results are byte-identical to calling MapCtx once per
-// read at any batch size; the batched path differs only in execution —
-// per-tool scratch is reused across the batch and the Myers/GBV kernel
-// calls of several reads interleave lane-packed through one kernel
-// invocation. Each read's stage times are its own work plus its
-// apportioned share of any shared kernel call, so the per-batch sum of
-// stage totals tracks the batch's wall time (no multiply-counting). When
-// ctx is canceled mid-batch, MapBatch returns (n, *BatchError) with
-// results[:n] and stages[:n] valid and the rest unmapped.
+// reads completed. It is the MapCtx loop on one warm scratch: results are
+// byte-identical to calling MapCtx once per read at any batch size, and
+// each read's stage times are measured around its own work. When ctx is
+// canceled mid-batch, MapBatch returns (n, *BatchError) with results[:n]
+// and stages[:n] valid and the rest unmapped.
 type ContextTool interface {
 	Tool
 	MapCtx(ctx context.Context, read []byte, probe *perf.Probe) (Result, StageTimes, error)
 	MapBatch(ctx context.Context, reads [][]byte, results []Result, stages []StageTimes, probe *perf.Probe) (int, error)
+}
+
+// runner defines the three mapping entry points once, over a tool's single
+// mapOne. Each tool embeds a runner of its scratch type and binds mapOne in
+// its constructor; the pool keeps one grow-only scratch per goroutine warm,
+// which is what holds the steady-state path near zero allocations.
+type runner[S any] struct {
+	pool sync.Pool // *warm[S]
+	one  func(ctx context.Context, s *S, read []byte, probe *perf.Probe, st *StageTimes) (Result, error)
+}
+
+// warm is one pooled scratch plus the StageTimes MapCtx lends to mapOne:
+// the call through runner.one is indirect, so a local StageTimes would
+// escape to the heap once per read.
+type warm[S any] struct {
+	scratch S
+	st      StageTimes
+}
+
+func (r *runner[S]) get() *warm[S] {
+	w, _ := r.pool.Get().(*warm[S])
+	if w == nil {
+		w = new(warm[S])
+	}
+	return w
+}
+
+// Map implements Tool.
+func (r *runner[S]) Map(read []byte, probe *perf.Probe) (Result, StageTimes) {
+	res, st, _ := r.MapCtx(context.Background(), read, probe)
+	return res, st
+}
+
+// MapCtx implements ContextTool.
+func (r *runner[S]) MapCtx(ctx context.Context, read []byte, probe *perf.Probe) (Result, StageTimes, error) {
+	w := r.get()
+	defer r.pool.Put(w)
+	w.st = StageTimes{}
+	res, err := r.one(ctx, &w.scratch, read, probe, &w.st)
+	return res, w.st, err
+}
+
+// MapBatch implements ContextTool.
+func (r *runner[S]) MapBatch(ctx context.Context, reads [][]byte, results []Result, stages []StageTimes, probe *perf.Probe) (int, error) {
+	if err := checkBatchArgs(reads, results, stages); err != nil {
+		return 0, err
+	}
+	w := r.get()
+	defer r.pool.Put(w)
+	done := ctx.Done()
+	for i, read := range reads {
+		results[i], stages[i] = Result{}, StageTimes{}
+		if stopped(done) {
+			return i, &BatchError{Done: i, Err: ctx.Err()}
+		}
+		res, err := r.one(ctx, &w.scratch, read, probe, &stages[i])
+		if err != nil {
+			return i, &BatchError{Done: i, Err: err}
+		}
+		results[i] = res
+	}
+	return len(reads), nil
+}
+
+// BatchError is the typed error of a MapBatch call that stopped before
+// mapping every read (cancellation or deadline mid-batch). Done is the
+// number of leading reads whose results and stage times are valid — the
+// same count MapBatch returns — and Err is the cause (ctx.Err()), reachable
+// through errors.Is/As via Unwrap.
+type BatchError struct {
+	Done int
+	Err  error
+}
+
+func (e *BatchError) Error() string {
+	return fmt.Sprintf("pipeline: batch stopped after %d reads: %v", e.Done, e.Err)
+}
+
+// Unwrap exposes the cause, so errors.Is(err, context.Canceled) works.
+func (e *BatchError) Unwrap() error { return e.Err }
+
+var errBatchSlices = errors.New("pipeline: MapBatch results/stages shorter than reads")
+
+// checkBatchArgs validates the caller-owned output slices of MapBatch.
+func checkBatchArgs(reads [][]byte, results []Result, stages []StageTimes) error {
+	if len(results) < len(reads) || len(stages) < len(reads) {
+		return errBatchSlices
+	}
+	return nil
+}
+
+// seedScratch holds the reusable buffers of the shared seeding stage: the
+// minimizer rolling state and the minimizer output slice.
+type seedScratch struct {
+	msc minimizer.Scratch
+	ms  []minimizer.Minimizer
+}
+
+// seedInto is the allocation-free seeding stage: minimizers of the read,
+// under the scheme (k, w) the index was built with, looked up in the graph
+// index, anchors appended to dst.
+func (s *seedScratch) seedInto(dst []chain.Anchor, idx *minimizer.GraphIndex, read []byte, probe *perf.Probe) []chain.Anchor {
+	k := idx.K()
+	ms, err := s.msc.ComputeInto(s.ms[:0], read, k, idx.W(), probe)
+	s.ms = ms
+	if err != nil {
+		return dst
+	}
+	for _, m := range ms {
+		for _, loc := range idx.Lookup(m.Hash) {
+			dst = append(dst, chain.Anchor{
+				QPos: m.Pos, Node: loc.Node, Offset: loc.Offset, Len: k,
+			})
+		}
+	}
+	return dst
 }
 
 // stopped reports whether a context's done channel has fired. Mapping loops

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pangenomicsbench/internal/gensim"
+	"pangenomicsbench/internal/minimizer"
 	"pangenomicsbench/internal/seqmap"
 )
 
@@ -210,5 +211,40 @@ func TestToolsOnUnmappableRead(t *testing.T) {
 	for _, tool := range tools {
 		res, _ := tool.Map(junk, nil)
 		_ = res // must simply not crash; mapping may or may not succeed
+	}
+}
+
+// TestSeedingUsesIndexWindow pins the seeding stage to the minimizer scheme
+// its index was built with: read minimizers taken with any other window
+// either miss index entries (narrower index window) or look up hashes the
+// index never stored (wider). For an error-free read off a haplotype path
+// every read minimizer is a path minimizer, so all of them must hit.
+func TestSeedingUsesIndexWindow(t *testing.T) {
+	p := testPop(t)
+	const k = 15
+	hap := p.Graph.Paths()[1]
+	read := p.Graph.PathSeq(hap)[4000:4150]
+	for _, w := range []int{5, 10, 20} {
+		tool, err := NewVgGiraffe(p.Graph, k, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s seedScratch
+		s.seedInto(nil, tool.idx, read, nil)
+		want, err := minimizer.Compute(read, k, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.ms) != len(want) {
+			t.Errorf("w=%d: seeded with %d read minimizers, the index scheme yields %d", w, len(s.ms), len(want))
+		}
+		for _, m := range s.ms {
+			if len(tool.idx.Lookup(m.Hash)) == 0 {
+				t.Errorf("w=%d: read minimizer at %d is not in the index", w, m.Pos)
+			}
+		}
+		if res, _ := tool.Map(read, nil); !res.Mapped {
+			t.Errorf("w=%d: giraffe did not map an error-free haplotype read", w)
+		}
 	}
 }

@@ -74,7 +74,9 @@ func NewVgGiraffeFromIndexes(g *graph.Graph, idx *minimizer.GraphIndex, hap *gbw
 			off += len(g.Seq(id))
 		}
 	}
-	return &VgGiraffe{g: g, idx: idx, hap: hap, nodePos: nodePos}, nil
+	t := &VgGiraffe{g: g, idx: idx, hap: hap, nodePos: nodePos}
+	t.one = t.mapOne
+	return t, nil
 }
 
 // NewVgMapFromIndex builds Vg Map around a prebuilt minimizer index.
@@ -82,7 +84,9 @@ func NewVgMapFromIndex(g *graph.Graph, idx *minimizer.GraphIndex) (*VgMap, error
 	if err := checkIndexed("vg map", g, idx); err != nil {
 		return nil, err
 	}
-	return &VgMap{g: g, idx: idx, sc: bio.DefaultScoring, Radius: 0}, nil
+	t := &VgMap{g: g, idx: idx, sc: bio.DefaultScoring, Radius: 0}
+	t.one = t.mapOne
+	return t, nil
 }
 
 // NewGraphAlignerFromIndex builds GraphAligner around a prebuilt minimizer
@@ -91,7 +95,9 @@ func NewGraphAlignerFromIndex(g *graph.Graph, idx *minimizer.GraphIndex) (*Graph
 	if err := checkIndexed("graphaligner", g, idx); err != nil {
 		return nil, err
 	}
-	return &GraphAligner{g: g, idx: idx, Radius: 192}, nil
+	t := &GraphAligner{g: g, idx: idx, Radius: 192}
+	t.one = t.mapOne
+	return t, nil
 }
 
 // NewMinigraphFromIndex builds Minigraph around a prebuilt minimizer index.
@@ -99,5 +105,7 @@ func NewMinigraphFromIndex(g *graph.Graph, idx *minimizer.GraphIndex, chromosome
 	if err := checkIndexed("minigraph", g, idx); err != nil {
 		return nil, err
 	}
-	return &Minigraph{g: g, idx: idx, ChromosomeMode: chromosomeMode}, nil
+	t := &Minigraph{g: g, idx: idx, ChromosomeMode: chromosomeMode}
+	t.one = t.mapOne
+	return t, nil
 }

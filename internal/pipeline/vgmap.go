@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"pangenomicsbench/internal/align"
 	"pangenomicsbench/internal/bio"
@@ -19,6 +18,8 @@ import (
 // (Fig. 2) and the tool is the slowest of the four (Table 1) because GSSW
 // computes full DP matrices.
 type VgMap struct {
+	runner[vgmapScratch]
+
 	g   *graph.Graph
 	idx *minimizer.GraphIndex
 	sc  bio.Scoring
@@ -26,8 +27,6 @@ type VgMap struct {
 	Capture *[]GSSWInput
 	// Radius is the subgraph extraction radius in bp around a seed hit.
 	Radius int
-
-	pool sync.Pool // *vgmapScratch
 }
 
 // vgmapScratch is the per-goroutine working state: seeding and chaining
@@ -41,79 +40,25 @@ type vgmapScratch struct {
 	gssw    align.GSSWWorkspace
 }
 
-func (t *VgMap) getScratch() *vgmapScratch {
-	s, _ := t.pool.Get().(*vgmapScratch)
-	if s == nil {
-		s = &vgmapScratch{}
-	}
-	return s
-}
-
 // NewVgMap builds the tool over a pangenome graph.
 func NewVgMap(g *graph.Graph, k, w int) (*VgMap, error) {
 	idx, err := minimizer.NewGraphIndex(g, k, w)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: vg map: %w", err)
 	}
-	return &VgMap{g: g, idx: idx, sc: bio.DefaultScoring, Radius: 0}, nil
+	return NewVgMapFromIndex(g, idx)
 }
 
 // Name implements Tool.
 func (t *VgMap) Name() string { return "VgMap" }
 
-// seedGraph is the shared seeding stage: minimizers of the read looked up
-// in the graph index.
-func seedGraph(idx *minimizer.GraphIndex, read []byte, k int, probe *perf.Probe) []chain.Anchor {
-	var s seedScratch
-	return s.seedInto(nil, idx, read, k, probe)
-}
-
-// Map implements Tool.
-func (t *VgMap) Map(read []byte, probe *perf.Probe) (Result, StageTimes) {
-	r, st, _ := t.MapCtx(context.Background(), read, probe)
-	return r, st
-}
-
-// MapCtx implements ContextTool: cancellation is observed between stages and
-// before every per-chain GSSW alignment, the tool's dominant cost.
-func (t *VgMap) MapCtx(ctx context.Context, read []byte, probe *perf.Probe) (Result, StageTimes, error) {
-	s := t.getScratch()
-	defer t.pool.Put(s)
-	var st StageTimes
-	r, err := t.mapOne(ctx, s, read, probe, &st)
-	return r, st, err
-}
-
-// MapBatch implements ContextTool: reads run serially over one shared
-// scratch — the GSSW kernel is a whole-graph striped DP, so the batch win
-// is the reused workspace (zero per-read kernel matrix allocations), not
-// lane packing. Results are byte-identical to per-read MapCtx.
-func (t *VgMap) MapBatch(ctx context.Context, reads [][]byte, results []Result, stages []StageTimes, probe *perf.Probe) (int, error) {
-	if err := checkBatchArgs(reads, results, stages); err != nil {
-		return 0, err
-	}
-	s := t.getScratch()
-	defer t.pool.Put(s)
-	done := ctx.Done()
-	for i, read := range reads {
-		results[i], stages[i] = Result{}, StageTimes{}
-		if stopped(done) {
-			return i, &BatchError{Done: i, Err: ctx.Err()}
-		}
-		r, err := t.mapOne(ctx, s, read, probe, &stages[i])
-		if err != nil {
-			return i, &BatchError{Done: i, Err: err}
-		}
-		results[i] = r
-	}
-	return len(reads), nil
-}
-
+// mapOne runs one read on the scratch: cancellation is observed between
+// stages and before every per-chain GSSW alignment, the tool's dominant cost.
 func (t *VgMap) mapOne(ctx context.Context, s *vgmapScratch, read []byte, probe *perf.Probe, st *StageTimes) (Result, error) {
 	done := ctx.Done()
 	var anchors []chain.Anchor
 	timeStageCtx(ctx, "seed", &st.Seed, func() {
-		s.anchors = s.seed.seedInto(s.anchors[:0], t.idx, read, t.idx.K(), probe)
+		s.anchors = s.seed.seedInto(s.anchors[:0], t.idx, read, probe)
 		anchors = s.anchors
 	})
 	if len(anchors) == 0 {
