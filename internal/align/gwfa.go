@@ -1,37 +1,37 @@
 package align
 
 import (
+	"slices"
+
 	"pangenomicsbench/internal/bio"
 	"pangenomicsbench/internal/graph"
 	"pangenomicsbench/internal/perf"
 )
 
-// gwfaKey identifies one diagonal of one node's DP matrix (Fig. 4e: every
+// gwfaPoint is one wavefront point: the furthest query offset q reached on
+// diagonal k (= q − node offset) of one node's DP matrix (Fig. 4e: every
 // node has its own matrix; diagonals expand across edges into child nodes).
-type gwfaKey struct {
-	node graph.NodeID
-	k    int32 // diagonal = queryPos - nodeOffset
-}
-
 type gwfaPoint struct {
-	key gwfaKey
-	q   int32
+	node graph.NodeID
+	k, q int32
 }
 
-// GWFAWorkspace holds the reusable wavefront state of GWFA: the per-diagonal
-// maps (cleared, not reallocated, between calls — Go keeps their buckets),
-// the point/key scan slices, the query code buffer, and the synthetic
-// address space. A reused workspace bridges a gap with zero steady-state
-// allocations once its maps have grown to the working-set size. Distances
-// are identical to the fresh-allocation path; the reported EndNode may
-// differ on exact ties because map iteration order is unspecified either
-// way (the mapping pipelines consume only Distance).
+// GWFAWorkspace holds the reusable wavefront state of GWFA. Every node the
+// wavefront touches gets one dense furthest-reaching row (diagonals
+// [−len(node), len(query)], −1 = unreached) carved from a grow-only arena;
+// row maps a node to its row and is reset through the touched list, so a
+// run costs the region it reaches, not the graph. The wavefronts themselves
+// are append-only point slices. A warm workspace bridges a gap with zero
+// allocations, and the whole result — EndNode and EndRef included — is a
+// function of the inputs alone: points are visited in append order, so a
+// tie between equally distant ends always resolves the same way.
 type GWFAWorkspace struct {
-	furthest, cur, next map[gwfaKey]int32
-	pts                 []gwfaPoint
-	keys                []gwfaKey
-	qc                  []byte
-	as                  perf.AddrSpace
+	row       []int          // by node id: 1 + arena index of the node's diagonal 0; 0 = untouched
+	touched   []graph.NodeID // nodes holding a row this run
+	arena     []int32        // furthest query offset per (touched node, diagonal)
+	cur, next []gwfaPoint
+	qc        []byte
+	as        perf.AddrSpace
 }
 
 // GWFA is the Graph Wavefront Algorithm used by Minigraph to bridge gaps
@@ -50,32 +50,52 @@ func GWFA(g *graph.Graph, start graph.NodeID, query []byte, probe *perf.Probe) (
 // the exclusive end offset of the alignment within EndNode — the
 // (EndNode, EndRef) pair is the resume point for the next piece.
 func GWFAAt(g *graph.Graph, start graph.NodeID, startOff int, query []byte, probe *perf.Probe) (EditResult, error) {
-	return gwfaCore(nil, g, start, startOff, query, probe)
+	return gwfaCore(nil, g, start, startOff, query, len(query), probe)
 }
 
 // Align runs GWFA from offset 0 of start reusing the workspace's buffers.
 func (ws *GWFAWorkspace) Align(g *graph.Graph, start graph.NodeID, query []byte, probe *perf.Probe) (EditResult, error) {
-	return gwfaCore(ws, g, start, 0, query, probe)
+	return gwfaCore(ws, g, start, 0, query, len(query), probe)
 }
 
-// prepare returns the (furthest, cur) maps for one run: the workspace's
-// cleared maps when ws is non-nil, fresh maps otherwise.
-func (ws *GWFAWorkspace) prepare() (map[gwfaKey]int32, map[gwfaKey]int32) {
-	if ws == nil {
-		return make(map[gwfaKey]int32), make(map[gwfaKey]int32)
-	}
-	if ws.furthest == nil {
-		ws.furthest = make(map[gwfaKey]int32)
-		ws.cur = make(map[gwfaKey]int32)
-		ws.next = make(map[gwfaKey]int32)
-	}
-	clear(ws.furthest)
-	clear(ws.cur)
-	clear(ws.next)
-	return ws.furthest, ws.cur
+// AlignAt is GWFAAt on the workspace's buffers with a distance bound: a
+// distance ≤ bound is reported exactly, with its resume point; anything
+// larger stops after bound+1 wavefronts and reports Distance bound+1 (and
+// no resume point), so a caller that only asks "within budget?" never pays
+// for the full distance of a divergent gap.
+func (ws *GWFAWorkspace) AlignAt(g *graph.Graph, start graph.NodeID, startOff int, query []byte, bound int, probe *perf.Probe) (EditResult, error) {
+	return gwfaCore(ws, g, start, startOff, query, bound, probe)
 }
 
-func gwfaCore(ws *GWFAWorkspace, g *graph.Graph, start graph.NodeID, startOff int, query []byte, probe *perf.Probe) (EditResult, error) {
+// begin readies the workspace for a run over a graph of numNodes nodes:
+// rows of the previous run are released through its touched list.
+func (ws *GWFAWorkspace) begin(numNodes int) {
+	for _, n := range ws.touched {
+		ws.row[n] = 0
+	}
+	if len(ws.row) <= numNodes {
+		ws.row = make([]int, numNodes+1)
+	}
+	ws.touched = ws.touched[:0]
+	ws.arena = ws.arena[:0]
+	ws.next = ws.next[:0]
+}
+
+// carve gives node (of length nodeLen) its furthest-reaching row for a
+// query of m bases and returns the row[node] value.
+func (ws *GWFAWorkspace) carve(node graph.NodeID, nodeLen, m int) int {
+	lo := len(ws.arena)
+	hi := lo + nodeLen + m + 1
+	ws.arena = slices.Grow(ws.arena, hi-lo)[:hi]
+	for i := lo; i < hi; i++ {
+		ws.arena[i] = -1
+	}
+	ws.row[node] = lo + nodeLen + 1
+	ws.touched = append(ws.touched, node)
+	return ws.row[node]
+}
+
+func gwfaCore(ws *GWFAWorkspace, g *graph.Graph, start graph.NodeID, startOff int, query []byte, bound int, probe *perf.Probe) (EditResult, error) {
 	if !g.Valid(start) {
 		return EditResult{}, errInvalidStart(start)
 	}
@@ -85,21 +105,19 @@ func gwfaCore(ws *GWFAWorkspace, g *graph.Graph, start graph.NodeID, startOff in
 	if l := len(g.Seq(start)); startOff > l {
 		startOff = l
 	}
+	if bound < 0 {
+		bound = 0
+	}
 	m := int32(len(query))
 	if m == 0 {
 		return EditResult{Distance: 0, EndNode: start, EndRef: startOff}, nil
 	}
-	var qc []byte
-	var as *perf.AddrSpace
-	if ws != nil {
-		ws.qc = bio.AppendCodes(ws.qc[:0], query)
-		qc = ws.qc
-		ws.as.Reset()
-		as = &ws.as
-	} else {
-		qc = bio.Encode2Bit(query)
-		as = perf.NewAddrSpace()
+	if ws == nil {
+		ws = new(GWFAWorkspace)
 	}
+	ws.qc = bio.AppendCodes(ws.qc[:0], query)
+	qc := ws.qc
+	ws.as.Reset()
 	// Wavefront state is scattered across per-node structures, so its
 	// footprint grows with the graph region the wavefront reaches
 	// (§5.2: chromosome-scale gaps cover more nodes → more memory
@@ -108,116 +126,90 @@ func gwfaCore(ws *GWFAWorkspace, g *graph.Graph, start graph.NodeID, startOff in
 	if wfFoot < 1<<14 {
 		wfFoot = 1 << 14
 	}
-	wfBase := as.Alloc(int(wfFoot))
+	wfBase := ws.as.Alloc(int(wfFoot))
+	ws.begin(g.NumNodes())
 
-	// furthest[key] = furthest query offset reached on that diagonal at any
-	// score so far (monotone; used to prune dominated points).
-	furthest, cur := ws.prepare()
-
-	improve := func(wf map[gwfaKey]int32, key gwfaKey, q int32) bool {
-		probe.Load(uintptr(wfBase)+uintptr((uint64(uint32(key.node))*64+uint64(uint32(key.k))*8)%wfFoot), 8)
+	// improve offers query offset q on diagonal k of node to the wavefront
+	// being built (ws.next): it is kept only when it reaches further than
+	// anything seen on that diagonal at any score so far.
+	improve := func(node graph.NodeID, k, q int32) {
+		probe.Load(uintptr(wfBase)+uintptr((uint64(uint32(node))*64+uint64(uint32(k))*8)%wfFoot), 8)
 		// Per-point bookkeeping: diagonal/offset arithmetic, bounds checks,
-		// hash/index computation of the per-node wavefront slot.
+		// index computation of the per-node wavefront slot.
 		probe.Op(perf.ScalarInt, 14)
 		probe.Dep(1) // offset comparison chain
 		// No branch recorded here: the real GWFA computes new wavefront
-		// offsets with unconditional max operations; the dominance check
-		// below is an artifact of this map-based implementation.
-		if old, ok := furthest[key]; ok && old >= q {
-			return false
+		// offsets with unconditional max operations.
+		at := ws.row[node]
+		if at == 0 {
+			at = ws.carve(node, len(g.Seq(node)), int(m))
 		}
-		furthest[key] = q
-		if old, ok := wf[key]; !ok || q > old {
-			wf[key] = q
+		if f := &ws.arena[at-1+int(k)]; *f < q {
+			*f = q
+			ws.next = append(ws.next, gwfaPoint{node, k, q})
+			probe.Store(uintptr(wfBase)+uintptr((uint64(uint32(node))*64+uint64(uint32(k))*8+8)%wfFoot), 8)
 		}
-		probe.Store(uintptr(wfBase)+uintptr((uint64(uint32(key.node))*64+uint64(uint32(key.k))*8+8)%wfFoot), 8)
-		return true
 	}
 
-	// extend pushes a point as far as exact matches allow, expanding into
-	// children at node ends; returns true if the query end was reached.
-	// endKey records the diagonal where the query end was hit, so the
-	// caller can report the exact (node, offset) end position.
-	var endKey gwfaKey
-	var extend func(wf map[gwfaKey]int32, key gwfaKey, q int32) bool
-	extend = func(wf map[gwfaKey]int32, key gwfaKey, q int32) bool {
-		seq := g.Seq(key.node)
-		off := q - key.k
-		matched := 0
-		for int(off) < len(seq) && q < m && bio.Code(seq[off]) == qc[q] {
-			off++
-			q++
-			matched++
-		}
-		// Extension cost: load + compare + advance per matched base (the
-		// comparison loop body), one exit branch per extension run.
-		probe.Op(perf.ScalarInt, 4*matched+4)
-		probe.Load(uintptr(wfBase)+uintptr(uint64(q)%wfFoot), 4)
-		probe.TakeBranch(0xa1, matched > 0)
-		if old, ok := wf[key]; !ok || q > old {
-			wf[key] = q
-			furthest[key] = maxI32(furthest[key], q)
-		}
-		if q == m {
-			endKey = key
-			return true
-		}
-		if int(off) == len(seq) {
-			// Diagonal expansion into children (blue diagonal, Fig. 4e).
-			for _, c := range g.Out(key.node) {
-				ck := gwfaKey{c, q}
-				probe.Op(perf.ScalarInt, 4)
-				if improve(wf, ck, q) {
-					if extend(wf, ck, q) {
-						return true
-					}
+	improve(start, -int32(startOff), 0) // diagonal 0 shifted to startOff
+	for s := 0; ; s++ {
+		// Extend pass: push every point of the new wavefront as far as exact
+		// matches allow. A diagonal that reaches its node's end expands into
+		// the children (blue diagonal, Fig. 4e), whose points are appended
+		// and extended later in this same pass. Points a later offer
+		// overtook on their own diagonal are dropped in place.
+		kept := 0
+		for i := 0; i < len(ws.next); i++ {
+			pt := ws.next[i]
+			f := ws.row[pt.node] - 1 + int(pt.k)
+			if ws.arena[f] > pt.q {
+				continue
+			}
+			seq := g.Seq(pt.node)
+			off := pt.q - pt.k
+			matched := 0
+			for int(off) < len(seq) && pt.q < m && bio.Code(seq[off]) == qc[pt.q] {
+				off++
+				pt.q++
+				matched++
+			}
+			// Extension cost: load + compare + advance per matched base (the
+			// comparison loop body), one exit branch per extension run.
+			probe.Op(perf.ScalarInt, 4*matched+4)
+			probe.Load(uintptr(wfBase)+uintptr(uint64(pt.q)%wfFoot), 4)
+			probe.TakeBranch(0xa1, matched > 0)
+			ws.arena[f] = pt.q
+			if pt.q == m {
+				return EditResult{Distance: s, EndNode: pt.node, EndRef: int(off)}, nil
+			}
+			if int(off) == len(seq) {
+				for _, c := range g.Out(pt.node) {
+					probe.Op(perf.ScalarInt, 4)
+					improve(c, pt.q, pt.q)
 				}
 			}
+			ws.next[kept] = pt
+			kept++
 		}
-		return false
-	}
-
-	k0 := gwfaKey{start, -int32(startOff)} // diagonal 0 shifted to startOff
-	if improve(cur, k0, 0); extend(cur, k0, 0) {
-		return EditResult{Distance: 0, EndNode: endKey.node, EndRef: int(m - endKey.k)}, nil
-	}
-
-	for s := 1; ; s++ {
-		var next map[gwfaKey]int32
-		var pts []gwfaPoint
-		if ws != nil {
-			next = ws.next
-			clear(next)
-			pts = ws.pts[:0]
-		} else {
-			next = make(map[gwfaKey]int32)
+		if s >= bound {
+			return EditResult{Distance: bound + 1, EndNode: start, EndRef: startOff}, nil
 		}
-		for key, q := range cur {
-			pts = append(pts, gwfaPoint{key, q})
-		}
-		if ws != nil {
-			ws.pts = pts
-		}
-		if len(pts) == 0 {
+		if kept == 0 {
 			// Wavefront died (fully dominated): distance is bounded by
 			// inserting the whole remaining query; fall back to worst case.
 			return EditResult{Distance: int(m), EndNode: start, EndRef: startOff}, nil
 		}
-		for _, pt := range pts {
-			seq := g.Seq(pt.key.node)
-			off := pt.q - pt.key.k
-			L := int32(len(seq))
-			// Mismatch: advance both (same diagonal).
-			if off < L && pt.q < m {
-				improve(next, pt.key, pt.q+1)
+		ws.cur, ws.next = ws.next[:kept], ws.cur[:0]
+
+		// Next wavefront: one more edit from every surviving point.
+		for _, pt := range ws.cur {
+			inNode := pt.q-pt.k < int32(len(g.Seq(pt.node)))
+			if inNode {
+				improve(pt.node, pt.k, pt.q+1) // mismatch: advance both
 			}
-			// Insertion: consume query only (diagonal k+1).
-			if pt.q < m {
-				improve(next, gwfaKey{pt.key.node, pt.key.k + 1}, pt.q+1)
-			}
-			// Deletion: consume node base only (diagonal k-1).
-			if off < L {
-				improve(next, gwfaKey{pt.key.node, pt.key.k - 1}, pt.q)
+			improve(pt.node, pt.k+1, pt.q+1) // insertion: consume query only
+			if inNode {
+				improve(pt.node, pt.k-1, pt.q) // deletion: consume node base only
 			}
 			// Per-point wavefront arithmetic: three-way max, bounds
 			// clipping, node-length lookups. These carry a dependency
@@ -226,34 +218,7 @@ func gwfaCore(ws *GWFAWorkspace, g *graph.Graph, start graph.NodeID, startOff in
 			probe.Op(perf.ScalarInt, 16)
 			probe.Dep(3)
 		}
-		// Extend pass over the new wavefront.
-		var keys []gwfaKey
-		if ws != nil {
-			keys = ws.keys[:0]
-		}
-		for key := range next {
-			keys = append(keys, key)
-		}
-		if ws != nil {
-			ws.keys = keys
-		}
-		for _, key := range keys {
-			if extend(next, key, next[key]) {
-				return EditResult{Distance: s, EndNode: endKey.node, EndRef: int(m - endKey.k)}, nil
-			}
-		}
-		if ws != nil {
-			ws.cur, ws.next = next, cur
-		}
-		cur = next
 	}
-}
-
-func maxI32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 type errInvalidStart graph.NodeID

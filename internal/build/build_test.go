@@ -1,6 +1,7 @@
 package build
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -144,6 +145,9 @@ func TestMinigraphCactusDeterministic(t *testing.T) {
 	}
 	if r1.Stats != r2.Stats {
 		t.Fatalf("MC stats differ across identical runs:\n%+v\n%+v", r1.Stats, r2.Stats)
+	}
+	if !bytes.Equal(gfaBytes(t, r1.Graph), gfaBytes(t, r2.Graph)) {
+		t.Fatal("MC graphs differ across identical runs")
 	}
 }
 

@@ -377,6 +377,8 @@ func mapChunk(g *graph.Graph, idx *minimizer.GraphIndex, sub []byte, chunkLo int
 
 	var gwfaTime time.Duration
 	var plan []planItem
+	// One wavefront workspace for every gap and piece of the chunk.
+	var ws align.GWFAWorkspace
 	first := best.Anchors[0]
 	if first.QPos >= cfg.MinNovel {
 		plan = append(plan, planItem{qLo: chunkLo, qHi: chunkLo + first.QPos, dist: -1})
@@ -389,10 +391,14 @@ func mapChunk(g *graph.Graph, idx *minimizer.GraphIndex, sub []byte, chunkLo int
 		}
 		gapLo, gapHi := prev.QPos+prev.Len, cur.QPos
 		if gapHi > gapLo {
-			gseq := sub[gapLo:gapHi]
-			budget := int(cfg.Divergence * float64(len(gseq)))
+			budget := int(cfg.Divergence * float64(gapHi-gapLo))
 			t0 := time.Now()
-			dist := gapDist(g, prev.Node, gseq, budget, probe)
+			// Bridge from where the anchor starts, with the query extended
+			// back over the anchor: its k exact matches cost nothing and
+			// carry the wavefront across a node boundary the anchor
+			// straddles, so the gap itself is measured from the anchor's
+			// end in whichever node that falls.
+			dist := gapDist(&ws, g, prev.Node, prev.Offset, sub[prev.QPos:gapHi], budget, probe)
 			gwfaTime += time.Since(t0)
 			if dist > budget && gapHi-gapLo >= cfg.MinNovel {
 				plan = append(plan, planItem{qLo: chunkLo + gapLo, qHi: chunkLo + gapHi, dist: dist})
@@ -407,32 +413,27 @@ func mapChunk(g *graph.Graph, idx *minimizer.GraphIndex, sub []byte, chunkLo int
 	return plan, gwfaTime
 }
 
-// gapDist measures the GWFA distance of the whole inter-anchor gap gseq
-// starting at node start, walking the gap in mcGWFACap-sized pieces and
-// resuming each piece at the exact (node, offset) where the previous one
-// ended (align.GWFAAt). The divergence decision therefore covers the span
-// it declares novel, instead of judging the entire gap by its first
-// 2000 bp. Measurement stops early once the accumulated distance exceeds
-// budget — the caller's novelty threshold — so a divergent gap costs at
-// most one extra piece, keeping the old cap's cost bound; the returned
-// value is then a lower bound that already decides the comparison.
-func gapDist(g *graph.Graph, start graph.NodeID, gseq []byte, budget int, probe *perf.Probe) int {
-	dist, off := 0, 0
-	for lo := 0; lo < len(gseq); lo += mcGWFACap {
-		hi := lo + mcGWFACap
-		if hi > len(gseq) {
-			hi = len(gseq)
+// gapDist measures the GWFA distance of gseq against the graph from offset
+// off of node start, walking it in mcGWFACap-sized pieces and resuming each
+// piece at the exact (node, offset) where the previous one ended, so the
+// divergence decision covers the span it declares novel instead of judging
+// a long gap by its first 2000 bp. The caller only asks whether the
+// distance exceeds budget — its novelty threshold — so every piece is
+// bounded by what is left of the budget and measurement stops the moment
+// it is spent: a divergent gap costs budget+1 wavefronts, not its full
+// distance, and the returned value is then budget+1.
+func gapDist(ws *align.GWFAWorkspace, g *graph.Graph, start graph.NodeID, off int, gseq []byte, budget int, probe *perf.Probe) int {
+	dist := 0
+	for lo := 0; lo < len(gseq) && dist <= budget; lo += mcGWFACap {
+		piece := gseq[lo:min(lo+mcGWFACap, len(gseq))]
+		r, err := ws.AlignAt(g, start, off, piece, budget-dist, probe)
+		if err != nil {
+			// Only an invalid start node errs, and anchors and resume
+			// points always name graph nodes.
+			return budget + 1
 		}
-		piece := gseq[lo:hi]
-		if r, gerr := align.GWFAAt(g, start, off, piece, probe); gerr == nil {
-			dist += r.Distance
-			start, off = r.EndNode, r.EndRef
-		} else {
-			dist += len(piece)
-		}
-		if dist > budget {
-			break
-		}
+		dist += r.Distance
+		start, off = r.EndNode, r.EndRef
 	}
 	return dist
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pangenomicsbench/internal/align"
 	"pangenomicsbench/internal/gfa"
 	"pangenomicsbench/internal/graph"
 	"pangenomicsbench/internal/minimizer"
@@ -171,6 +172,103 @@ func flipBase(b byte) byte {
 	}
 }
 
+// backboneGraph is the graph MinigraphCactus holds after its first
+// assembly: backbone segmented into one path, and the minimizer index over
+// it. walk[i] is the node of backbone[i*SegmentLen:].
+func backboneGraph(t *testing.T, backbone []byte, cfg MCConfig) (*graph.Graph, *minimizer.GraphIndex, []graph.NodeID) {
+	t.Helper()
+	g := graph.New()
+	walk := segmentWalk(g, backbone, cfg.SegmentLen)
+	if err := g.AddPath("backbone", walk); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := minimizer.NewGraphIndex(g, cfg.K, cfg.W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, idx, walk
+}
+
+// bridgedNovel returns the plan's novel items that a GWFA bridge declared
+// (dist ≥ 0), as opposed to unanchored chunk heads and tails (dist −1).
+func bridgedNovel(plan []planItem) []planItem {
+	var out []planItem
+	for _, item := range plan {
+		if item.node == 0 && item.dist >= 0 {
+			out = append(out, item)
+		}
+	}
+	return out
+}
+
+// TestMCBridgedGapNovelty is the truth test of the bridging decision, which
+// the structural tests cannot see (a bridge measured against the wrong part
+// of the graph still builds a valid, deterministic graph — just a bloated
+// one). A haplotype that differs from the backbone by SNPs alone, at a
+// third of the Divergence threshold, must have every gap bridged as a
+// match; planting one 300 bp insertion must turn exactly the gap that
+// spans it novel.
+func TestMCBridgedGapNovelty(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	backbone := randSeqMC(rng, 8000)
+	cfg := DefaultMCConfig()
+	g, idx, _ := backboneGraph(t, backbone, cfg)
+
+	snps := append([]byte(nil), backbone...)
+	for pos := 20; pos < len(snps); pos += 47 { // ~2% against Divergence 6%
+		snps[pos] = flipBase(snps[pos])
+	}
+	plan, _ := mapChunk(g, idx, snps, 0, cfg, nil)
+	matched := 0
+	for _, item := range plan {
+		if item.node != 0 {
+			matched++
+		}
+	}
+	// One bridge per MinSpan stride; SNPs may stretch a few strides.
+	if want := len(snps) / cfg.MinSpan / 2; matched < want {
+		t.Fatalf("only %d anchors bridged across %d bp, want ≥ %d", matched, len(snps), want)
+	}
+	if novel := bridgedNovel(plan); len(novel) != 0 {
+		t.Fatalf("SNP-only haplotype: %d bridged gaps declared novel, first %+v", len(novel), novel[0])
+	}
+
+	const insAt, insLen = 4000, 300
+	withIns := append(append(append([]byte(nil), snps[:insAt]...), randSeqMC(rng, insLen)...), snps[insAt:]...)
+	plan, _ = mapChunk(g, idx, withIns, 0, cfg, nil)
+	novel := bridgedNovel(plan)
+	if len(novel) != 1 {
+		t.Fatalf("one planted insertion made %d bridged gaps novel: %+v", len(novel), novel)
+	}
+	if it := novel[0]; it.qLo > insAt || it.qHi < insAt+insLen {
+		t.Fatalf("novel gap [%d,%d) does not span the insertion [%d,%d)", it.qLo, it.qHi, insAt, insAt+insLen)
+	}
+}
+
+// TestMCBridgeFromAnchorNearNodeEnd pins the straddling-anchor case: an
+// anchor starting 2 bases before the end of its 512 bp node (so its k-mer
+// and the whole gap lie in the successor) is bridged with no more than the
+// edits actually planted in the gap.
+func TestMCBridgeFromAnchorNearNodeEnd(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	backbone := randSeqMC(rng, 4000)
+	cfg := DefaultMCConfig()
+	g, _, walk := backboneGraph(t, backbone, cfg)
+
+	const node, off, gapLen, edits = 2, 510, 180, 3
+	qPos := node*cfg.SegmentLen + off
+	query := append([]byte(nil), backbone[qPos:qPos+cfg.K+gapLen]...)
+	for i := 0; i < edits; i++ {
+		pos := cfg.K + 30 + 50*i
+		query[pos] = flipBase(query[pos])
+	}
+	var ws align.GWFAWorkspace
+	budget := int(cfg.Divergence * gapLen)
+	if d := gapDist(&ws, g, walk[node], off, query, budget, nil); d > edits {
+		t.Fatalf("gap with %d substitutions bridged from (node %d, offset %d) at distance %d", edits, walk[node], off, d)
+	}
+}
+
 // TestMCGapDivergenceScaledToSpan pins the GWFA-cap mismatch: a >2000 bp
 // inter-anchor gap that is ~99% identical to the graph overall, with its
 // edits concentrated inside the first 2000 bp, used to be declared novel in
@@ -186,14 +284,7 @@ func TestMCGapDivergenceScaledToSpan(t *testing.T) {
 	// gap exceeds the 2000 bp GWFA cap even though anchors are dense.
 	cfg.MinSpan = 5000
 
-	g := graph.New()
-	if err := g.AddPath("backbone", segmentWalk(g, backbone, cfg.SegmentLen)); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := minimizer.NewGraphIndex(g, cfg.K, cfg.W)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, idx, _ := backboneGraph(t, backbone, cfg)
 
 	// Assembly chunk: the backbone with ~160 substitutions concentrated in
 	// [600, 1900) — ~8% divergence over the capped 2000 bp prefix of the
@@ -302,14 +393,15 @@ func TestGapDistMeasuresWholeGap(t *testing.T) {
 	}
 	// The whole sequence as a gap from its first node: near-zero distance
 	// even though it spans >4 cap pieces.
-	d := gapDist(g, walk[0], seq, len(seq), nil)
+	var ws align.GWFAWorkspace
+	d := gapDist(&ws, g, walk[0], 0, seq, len(seq), nil)
 	if d > len(seq)/100 {
 		t.Fatalf("identical 9 kbp gap measured distance %d", d)
 	}
-	// A divergent gap stops early but still exceeds the budget.
+	// A divergent gap stops the moment the budget is spent.
 	div := randSeqMC(rng, 9000)
 	budget := 9000 * 6 / 100
-	if d := gapDist(g, walk[0], div, budget, nil); d <= budget {
-		t.Fatalf("random 9 kbp gap measured distance %d, want > %d", d, budget)
+	if d := gapDist(&ws, g, walk[0], 0, div, budget, nil); d != budget+1 {
+		t.Fatalf("random 9 kbp gap measured distance %d, want budget+1 = %d", d, budget+1)
 	}
 }

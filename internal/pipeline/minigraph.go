@@ -33,9 +33,8 @@ type Minigraph struct {
 
 // mgScratch is the per-goroutine working state: seeding and chaining
 // scratch plus the reusable GWFA wavefront workspace, so every anchor
-// bridge and final alignment reuses the per-diagonal maps instead of
-// reallocating them (GWFA runs many times per read — the dominant
-// per-read allocation source of this tool).
+// bridge and final alignment reuses the wavefront rows and point slices
+// instead of reallocating them (GWFA runs many times per read).
 type mgScratch struct {
 	seed    seedScratch
 	anchors []chain.Anchor
