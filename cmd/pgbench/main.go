@@ -335,7 +335,7 @@ func usage() {
   pgbench serve-sim [flags]                    replay a multi-tenant build trace
                                                against the serve-mode service
   pgbench map-serve [flags]                    replay a read-query trace against
-                                               the batched mapping service with a
+                                               the mapping service with a
                                                mid-trace snapshot hot-swap
                                                (-store DIR persists snapshots and
                                                enables -restart-at warm restarts)

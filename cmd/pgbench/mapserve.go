@@ -20,13 +20,12 @@ import (
 	"pangenomicsbench/internal/store"
 )
 
-// mapServe replays a deterministic read-query trace against the batched
-// map-serve query service: the serve-mode construction service builds the
-// cohort graph, publishes it as a mapserve snapshot, and — mid-trace — an
+// mapServe replays a deterministic read-query trace against the map-serve
+// query service: the serve-mode construction service builds the cohort
+// graph, publishes it as a mapserve snapshot, and — mid-trace — an
 // equivalent rebuild hot-swaps in while clients keep querying. Reports
-// throughput, exact tail latency, the batch-size distribution, shed rates,
-// and verifies that repeated (byte-identical) reads mapped identically
-// across the swap.
+// throughput, exact tail latency and shed rates, and verifies that repeated
+// (byte-identical) reads mapped identically across the swap.
 func mapServe(args []string) error {
 	fs := newFlagSet("map-serve")
 	pf := addPopFlags(fs, 20_000, 5)
@@ -35,8 +34,6 @@ func mapServe(args []string) error {
 	readLen := fs.Int("read-len", 150, "query read length (bp)")
 	repeat := fs.Float64("repeat", 0.2, "fraction of queries re-issuing an earlier read byte-for-byte")
 	workers := fs.Int("workers", 0, "mapping worker slots (0 = GOMAXPROCS)")
-	maxBatch := fs.Int("batch", 32, "micro-batch size cap")
-	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "micro-batch max wait")
 	queueDepth := fs.Int("queue", 1024, "admission queue depth")
 	timeout := fs.Duration("timeout", 0, "per-query deadline (0 = none)")
 	toolName := fs.String("tool", "giraffe", "mapping tool: giraffe, vgmap, graphaligner or minigraph-lr")
@@ -147,8 +144,8 @@ func mapServe(args []string) error {
 	}
 	cohort := serve.Request{Tool: serve.ToolPGGB, Cohort: names, PGGB: build.DefaultPGGBConfig(), MC: build.DefaultMCConfig()}
 
-	fmt.Printf("map-serve: %d assemblies (%d bp ref), scenario=%s, tool=%s, %d queries, %d clients, batch≤%d/%v, queue=%d\n",
-		len(names), *pf.refLen, sc.Name, toolCfg.Kind, len(trace), nclients, *maxBatch, *batchWait, *queueDepth)
+	fmt.Printf("map-serve: %d assemblies (%d bp ref), scenario=%s, tool=%s, %d queries, %d clients, queue=%d\n",
+		len(names), *pf.refLen, sc.Name, toolCfg.Kind, len(trace), nclients, *queueDepth)
 
 	// Boot: warm-start from the store's last published generation when one
 	// exists (construction skipped entirely), cold-build otherwise. Either
@@ -191,8 +188,6 @@ func mapServe(args []string) error {
 
 	mapCfg := mapserve.Config{
 		Workers:    *workers,
-		MaxBatch:   *maxBatch,
-		BatchWait:  *batchWait,
 		QueueDepth: *queueDepth,
 		Metrics:    metrics,
 		Tracer:     tracer,
@@ -329,9 +324,6 @@ func mapServe(args []string) error {
 	fmt.Printf("repeat queries: %d verified, %d spanned a hot-swap, %d mismatched\n", repeats, crossGen, mismatches)
 
 	snap := metrics.Snapshot()
-	if bs, ok := snap.Values["mapserve.batch_size"]; ok {
-		fmt.Printf("batch size: mean=%.1f max=%.0f over %d batches\n", bs.Mean(), bs.Max, bs.Count)
-	}
 	shed := snap.Counters["mapserve.shed_queue"] + snap.Counters["mapserve.shed_deadline"]
 	fmt.Printf("shed: %d queue, %d deadline (%.1f%% of trace)\n",
 		snap.Counters["mapserve.shed_queue"], snap.Counters["mapserve.shed_deadline"],

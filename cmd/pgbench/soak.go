@@ -26,8 +26,6 @@ func soakCmd(args []string) error {
 	fleetNodes := fs.Int("fleet", 0, "route the build tier through an in-process construction fleet of N workers (worker-kill chaos needs ≥ 2)")
 	clients := fs.Int("clients", 8, "concurrent query clients")
 	workers := fs.Int("workers", 0, "mapping worker slots (0 = GOMAXPROCS)")
-	maxBatch := fs.Int("batch", 32, "micro-batch size cap")
-	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "micro-batch max wait")
 	queueDepth := fs.Int("queue", 256, "admission queue depth")
 	toolName := fs.String("tool", "giraffe", "mapping tool: giraffe, vgmap, graphaligner or minigraph-lr")
 	storePath := fs.String("store", "", "snapshot store directory (a temp dir is created when -chaos includes restart and -store is empty)")
@@ -115,8 +113,6 @@ func soakCmd(args []string) error {
 		Clients:     *clients,
 		Tool:        toolCfg,
 		Workers:     *workers,
-		MaxBatch:    *maxBatch,
-		BatchWait:   *batchWait,
 		QueueDepth:  *queueDepth,
 		Chaos:       chaos,
 		FleetNodes:  *fleetNodes,

@@ -1,6 +1,6 @@
 // Mapserve: the build-then-serve handoff end to end. The serve-mode
 // construction service builds a cohort graph and its OnResult hook publishes
-// the finished graph into a mapserve snapshot registry; the batched query
+// the finished graph into a mapserve snapshot registry; the query
 // service maps reads against the current snapshot; a cohort rebuild then
 // hot-swaps a new generation in while queries keep flowing — in-flight
 // queries finish on the old snapshot, new ones land on the new, and
@@ -72,11 +72,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Query side: the batched executor over the registry.
+	// Query side: the executor over the registry.
 	metrics := perf.NewMetrics()
-	svc := mapserve.New(reg, mapserve.Config{
-		Workers: 4, MaxBatch: 8, BatchWait: time.Millisecond, Metrics: metrics,
-	})
+	svc := mapserve.New(reg, mapserve.Config{Workers: 4, Metrics: metrics})
 	defer svc.Close()
 
 	reads, err := pop.SimulateReads(gensim.ReadConfig{Count: 32, Length: 150, SubRate: 0.002, Seed: 7})
@@ -140,8 +138,8 @@ func main() {
 	fmt.Printf("\ndeterminism across the swap: %d/%d identical reads mapped identically\n", same, len(reads))
 
 	snap := metrics.Snapshot()
-	if bs, ok := snap.Values["mapserve.batch_size"]; ok {
-		fmt.Printf("batching: %d queries in %d batches (mean %.1f per batch)\n",
-			snap.Counters["mapserve.mapped"], bs.Count, bs.Mean())
-	}
+	fmt.Printf("served: %d queries, mean queue wait %v, mean map time %v\n",
+		snap.Counters["mapserve.mapped"],
+		snap.Latencies["mapserve.queue_wait"].Mean().Round(time.Microsecond),
+		snap.Latencies["mapserve.map"].Mean().Round(time.Microsecond))
 }

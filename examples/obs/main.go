@@ -1,6 +1,6 @@
 // Obs: the observability substrate end to end. A traced build-then-serve
 // stack — the serve-mode builder publishes a cohort graph into a mapserve
-// registry, the batched query service maps a read burst against it — runs
+// registry, the query service maps a read burst against it — runs
 // with the obs admin server attached, then scrapes its own endpoints
 // (/healthz, /metrics, /snapshots, /traces) over HTTP and prints the
 // slowest query's span tree.
@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"pangenomicsbench/internal/build"
 	"pangenomicsbench/internal/gensim"
@@ -83,8 +82,7 @@ func main() {
 		log.Fatal(err)
 	}
 	svc := mapserve.New(reg, mapserve.Config{
-		Workers: 2, MaxBatch: 8, BatchWait: time.Millisecond,
-		Metrics: metrics, Tracer: tracer,
+		Workers: 2, Metrics: metrics, Tracer: tracer,
 	})
 	defer svc.Close()
 	fmt.Printf("mapping %d reads...\n\n", len(reads))
@@ -129,7 +127,7 @@ func main() {
 	fmt.Printf("GET /metrics → %d series, e.g.:\n", series)
 	for _, line := range promLines {
 		if strings.HasPrefix(line, "mapserve_mapped_total") ||
-			strings.HasPrefix(line, "mapserve_batch_size_count") ||
+			strings.HasPrefix(line, "mapserve_queue_wait_seconds_count") ||
 			strings.HasPrefix(line, "serve_requests_total") {
 			fmt.Println("  " + line)
 		}

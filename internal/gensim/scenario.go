@@ -122,7 +122,7 @@ var catalog = map[string]Scenario{
 		Name:    "ultralong-hifi",
 		Summary: "HiFi-like reads stretched to 8 kb with a realistic indel component",
 		FailureMode: "GWFA 2000 bp piecewise bridging (≥4 resume points per gap), per-read " +
-			"kernel time skew inside micro-batches",
+			"kernel time skew across the query workers",
 		Reads: func(c ReadConfig) ReadConfig {
 			c.Length = 8_000
 			c.SubRate = 0.004

@@ -25,18 +25,14 @@ var (
 
 // Config parameterizes a Service.
 type Config struct {
-	// Workers bounds concurrently executing batches; ≤0 uses GOMAXPROCS.
+	// Workers bounds concurrently executing queries; ≤0 uses GOMAXPROCS.
 	Workers int
-	// MaxBatch caps queries per micro-batch; ≤0 uses 32.
-	MaxBatch int
-	// BatchWait bounds how long a forming batch waits for more queries
-	// after its first; ≤0 uses 2ms. A full batch dispatches immediately.
-	BatchWait time.Duration
-	// QueueDepth bounds queued-but-undispatched queries; a full queue sheds
-	// new queries with ErrOverloaded. ≤0 uses 1024.
+	// QueueDepth bounds admitted queries waiting for a worker; a full queue
+	// sheds new queries with ErrOverloaded, so at most QueueDepth queries
+	// wait while Workers execute. ≤0 uses 1024.
 	QueueDepth int
-	// Metrics receives service counters, latencies and the batch-size
-	// histogram; nil disables recording.
+	// Metrics receives service counters, latencies and the queue-depth
+	// gauge; nil disables recording.
 	Metrics *perf.Metrics
 	// Tracer records one span tree per query — admission wait, snapshot
 	// acquire, kernel map with per-stage breakdown — into its flight
@@ -57,10 +53,12 @@ type Response struct {
 	// SnapshotID / Generation identify the snapshot that served the query.
 	SnapshotID string
 	Generation uint64
-	// BatchSize is the size of the micro-batch the query rode in.
+	// BatchSize is always 1: queries are dispatched one at a time. The field
+	// outlives the micro-batcher only because benchmark/ still reads it;
+	// Benchmark v2 (ROADMAP item 2) removes it.
 	BatchSize int
-	// QueueWait is time from admission to batch execution; MapTime the
-	// in-kernel mapping time.
+	// QueueWait is time from admission to a worker taking the query; MapTime
+	// the in-kernel mapping time.
 	QueueWait, MapTime time.Duration
 	// TraceID identifies this query's trace ("" with tracing disabled) —
 	// the join key between flight-log events and /traces?trace_id=. Shed
@@ -72,32 +70,35 @@ type Response struct {
 
 // pending is one admitted query awaiting execution.
 type pending struct {
-	ctx    context.Context
-	read   []byte
-	enq    time.Time
-	wait   time.Duration // admission → execution turn, set by admitTurn
-	mapped time.Time     // when runSerial returned, the start of batch.tail
-	span   *obs.Span
-	resp   *Response
-	err    error
-	done   chan struct{}
+	ctx  context.Context
+	read []byte
+	enq  time.Time
+	span *obs.Span
+	resp *Response
+	err  error
+	done chan struct{}
 }
 
-// Service is the batched read-mapping executor. Incoming queries are
-// admitted into a bounded queue, micro-batched by count and max-wait
-// deadline, and dispatched on a bounded worker pool. Each batch acquires the
-// registry's current snapshot exactly once — amortizing snapshot/index
-// access across the batch the way the paper's mapping tools amortize seeding
-// — so a hot-swap between batches is invisible to in-flight queries.
+// Service is the read-mapping executor. Incoming queries are admitted into a
+// bounded queue that a fixed pool of workers pulls from one query at a time.
+// Each query acquires the registry's current snapshot for exactly as long as
+// it maps, so a hot-swap is invisible to in-flight queries and a retired
+// snapshot is pinned only by the queries still running on it.
 type Service struct {
 	cfg     Config
 	metrics *perf.Metrics
 	tracer  *obs.Tracer
 	reg     *Registry
 
-	queue   chan *pending
-	batches chan []*pending
-	stop    chan struct{}
+	// slots is the admission bound: a query holds one from admission until a
+	// worker takes it, so queue (same capacity) never blocks a sender. It is
+	// a semaphore of its own because the queue-depth gauge must rise only
+	// after a slot is held and fall before it is given back — counted around
+	// the queue's own send and receive, a query just taken and one just
+	// admitted overlap and the gauge reads past QueueDepth.
+	slots chan struct{}
+	queue chan *pending
+	stop  chan struct{}
 
 	closeMu sync.RWMutex
 	closed  bool
@@ -106,8 +107,7 @@ type Service struct {
 	// — the fault-injection hook soak runs use to synthesize shed storms.
 	chaosShed atomic.Bool
 
-	dispatcherDone chan struct{}
-	workers        sync.WaitGroup
+	workers sync.WaitGroup
 }
 
 // New starts a service mapping queries against reg's current snapshot.
@@ -118,28 +118,20 @@ func New(reg *Registry, cfg Config) *Service {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 32
-	}
-	if cfg.BatchWait <= 0 {
-		cfg.BatchWait = 2 * time.Millisecond
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
 	}
 	s := &Service{
-		cfg:            cfg,
-		metrics:        cfg.Metrics,
-		tracer:         cfg.Tracer,
-		reg:            reg,
-		queue:          make(chan *pending, cfg.QueueDepth),
-		batches:        make(chan []*pending, cfg.Workers),
-		stop:           make(chan struct{}),
-		dispatcherDone: make(chan struct{}),
+		cfg:     cfg,
+		metrics: cfg.Metrics,
+		tracer:  cfg.Tracer,
+		reg:     reg,
+		slots:   make(chan struct{}, cfg.QueueDepth),
+		queue:   make(chan *pending, cfg.QueueDepth),
+		stop:    make(chan struct{}),
 	}
-	go s.dispatch()
+	s.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		s.workers.Add(1)
 		go s.worker()
 	}
 	return s
@@ -158,9 +150,11 @@ func (s *Service) Map(ctx context.Context, read []byte) (*Response, error) {
 	if len(read) == 0 {
 		return nil, errors.New("mapserve: empty read")
 	}
+	// enq is taken the instant the root span starts and the span is annotated
+	// only afterwards, so the admission stage begins where the request does.
 	sp := s.tracer.StartRoot("mapserve.query")
-	sp.SetInt("read_len", int64(len(read)))
 	p := &pending{ctx: ctx, read: read, enq: time.Now(), span: sp, done: make(chan struct{})}
+	sp.SetInt("read_len", int64(len(read)))
 
 	s.closeMu.RLock()
 	if s.closed {
@@ -179,8 +173,9 @@ func (s *Service) Map(ctx context.Context, read []byte) (*Response, error) {
 		return errResp(sp), ErrOverloaded
 	}
 	select {
-	case s.queue <- p:
+	case s.slots <- struct{}{}:
 		s.metrics.GaugeAdd("mapserve.queue_depth", 1)
+		s.queue <- p
 		s.closeMu.RUnlock()
 	default:
 		s.closeMu.RUnlock()
@@ -193,10 +188,10 @@ func (s *Service) Map(ctx context.Context, read []byte) (*Response, error) {
 
 	<-p.done
 	sp.End()
-	if p.err != nil && p.resp == nil {
+	if p.err != nil {
 		return errResp(sp), p.err
 	}
-	return p.resp, p.err
+	return p.resp, nil
 }
 
 // errResp carries a failed query's trace id back to the caller — nil when
@@ -208,139 +203,104 @@ func errResp(sp *obs.Span) *Response {
 	return &Response{TraceID: sp.TraceID().String()}
 }
 
-// dispatch forms micro-batches: the first query of a batch starts a
-// BatchWait timer, and the batch dispatches when it reaches MaxBatch or the
-// timer fires, whichever comes first.
-func (s *Service) dispatch() {
-	defer close(s.dispatcherDone)
-	defer close(s.batches)
-	for {
-		var first *pending
-		select {
-		case first = <-s.queue:
-		case <-s.stop:
-			s.drain()
-			return
-		}
-		batch := append(make([]*pending, 0, s.cfg.MaxBatch), first)
-		timer := time.NewTimer(s.cfg.BatchWait)
-	fill:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case p := <-s.queue:
-				batch = append(batch, p)
-			case <-timer.C:
-				break fill
-			case <-s.stop:
-				break fill
-			}
-		}
-		timer.Stop()
-		s.batches <- batch
-	}
-}
-
-// drain flushes queries admitted before Close into final batches. Close
-// excludes new admissions first, so the queue can only shrink here.
-func (s *Service) drain() {
-	batch := make([]*pending, 0, s.cfg.MaxBatch)
+// worker maps queued queries one at a time. After Close it empties what was
+// admitted before the stop without blocking: Close excludes new admissions
+// first, so the queue can only shrink here.
+func (s *Service) worker() {
+	defer s.workers.Done()
 	for {
 		select {
 		case p := <-s.queue:
-			batch = append(batch, p)
-			if len(batch) == s.cfg.MaxBatch {
-				s.batches <- batch
-				batch = make([]*pending, 0, s.cfg.MaxBatch)
+			s.run(p)
+		case <-s.stop:
+			for {
+				select {
+				case p := <-s.queue:
+					s.run(p)
+				default:
+					return
+				}
 			}
-		default:
-			if len(batch) > 0 {
-				s.batches <- batch
-			}
-			return
 		}
 	}
 }
 
-// worker executes batches.
-func (s *Service) worker() {
-	defer s.workers.Done()
-	for batch := range s.batches {
-		s.runBatch(batch)
-	}
-}
-
-// runBatch maps every query of one batch against a single snapshot
-// acquisition. Queries whose context is already done are shed without
-// mapping and answered at once; each survivor then maps in arrival order on
-// the serial ctx-threaded path, so a context firing mid-batch sheds only its
-// own queries (at their turn, or inside the kernel at its next loop
-// boundary). The survivors answer together when the last has run — a batch
-// is one unit of wake-ups, as it was one unit of dispatch; the wait shows in
-// each trace as the batch.tail stage. Every pending's done channel closes
-// exactly once, and the single snapshot reference is released when the
-// whole batch has run.
-func (s *Service) runBatch(batch []*pending) {
-	s.metrics.Add("mapserve.batches", 1)
-	s.metrics.ObserveValue("mapserve.batch_size", float64(len(batch)))
-
-	acqStart := time.Now()
-	snap := s.reg.Acquire()
-	acqDur := time.Since(acqStart)
-	if snap != nil {
-		defer snap.Release()
-	}
-
-	run := batch[:0]
-	for _, p := range batch {
-		s.metrics.GaugeAdd("mapserve.queue_depth", -1)
-		switch {
-		case snap == nil:
-			s.admitTurn(p, len(batch))
-			p.span.Error(ErrNoSnapshot)
-			p.err = ErrNoSnapshot
-			answer(p)
-		case p.ctx.Err() != nil:
-			s.admitTurn(p, len(batch))
-			s.failDeadline(p, nil, p.ctx.Err())
-			answer(p)
-		default:
-			run = append(run, p)
-		}
-	}
-	for _, p := range run {
-		s.runSerial(snap, p, len(batch), acqStart, acqDur)
-		p.mapped = time.Now()
-	}
-	end := time.Now()
-	for _, p := range run {
-		p.span.Stage("batch.tail", p.mapped, end.Sub(p.mapped))
-		answer(p)
-	}
-}
-
-// answer hands one query back to its caller. The root span ends here, not
-// after the caller wakes, so request latency excludes the client
+// run executes one query and answers it exactly once. The root span ends
+// here, not after the caller wakes, so request latency excludes the client
 // goroutine's wake-up delay and the span's children account for (nearly)
 // all of it; Map's own End is idempotent.
-func answer(p *pending) {
+func (s *Service) run(p *pending) {
+	s.metrics.GaugeAdd("mapserve.queue_depth", -1)
+	<-s.slots
+	turn := time.Now()
+	wait := turn.Sub(p.enq)
+	s.metrics.Observe("mapserve.queue_wait", wait)
+	p.span.Stage("admission", p.enq, wait)
+
+	if snap := s.reg.Acquire(); snap == nil {
+		p.err = ErrNoSnapshot
+		p.span.Error(p.err)
+	} else {
+		p.span.Stage("snapshot.acquire", turn, time.Since(turn))
+		s.mapOn(snap, p, wait)
+		snap.Release()
+	}
 	p.span.End()
 	close(p.done)
 }
 
-// admitTurn records a query's turn-for-execution accounting: the admission
-// trace stage covers enqueue → this query's turn (batch assembly plus any
-// earlier queries of the batch), so a query's direct children sum to its
-// request latency.
-func (s *Service) admitTurn(p *pending, batchSize int) {
-	p.wait = time.Since(p.enq)
-	s.metrics.Observe("mapserve.queue_wait", p.wait)
-	p.span.Stage("admission", p.enq, p.wait)
-	p.span.SetInt("batch_size", int64(batchSize))
+// mapOn maps p against the snapshot it holds through the ctx-threaded MapCtx
+// path: kernel stage timers annotate the map span live through the context,
+// and TraceProbes can attach a per-query probe. A context that ended while
+// the query was queued sheds it without mapping; one that ends inside the
+// kernel stops it at its next loop boundary. Either way the query sheds with
+// the deadline cause.
+func (s *Service) mapOn(snap *Snapshot, p *pending, wait time.Duration) {
+	if err := p.ctx.Err(); err != nil {
+		s.failDeadline(p, nil, err)
+		return
+	}
+	// The map span opens first and closes last: annotating the root and
+	// allocating the response are the executor's own work, and inside the
+	// span they are map self time rather than holes between a traced
+	// query's stages.
+	ms := p.span.Child("map")
+	p.span.Set("snapshot", snap.ID)
+	p.span.SetInt("generation", int64(snap.Generation))
+	ctx := obs.ContextWithSpan(p.ctx, ms)
+	var probe *perf.Probe
+	if s.cfg.TraceProbes && ms != nil {
+		probe = perf.NewProbe()
+		ms.AttachProbe(probe)
+	}
+	resp := &Response{
+		SnapshotID: snap.ID,
+		Generation: snap.Generation,
+		BatchSize:  1,
+		QueueWait:  wait,
+		TraceID:    p.span.TraceID().String(),
+	}
+	var err error
+	t0 := time.Now()
+	resp.Result, resp.Stages, err = snap.MapWithProbe(ctx, p.read, probe)
+	resp.MapTime = time.Since(t0)
+	if err != nil {
+		s.failDeadline(p, ms, err)
+		return
+	}
+	ms.End()
+	s.metrics.Add("mapserve.mapped", 1)
+	s.metrics.Observe("mapserve.map", resp.MapTime)
+	s.metrics.Observe("mapserve.stage.seed", resp.Stages.Seed)
+	s.metrics.Observe("mapserve.stage.chain", resp.Stages.Chain)
+	s.metrics.Observe("mapserve.stage.filter", resp.Stages.Filter)
+	s.metrics.Observe("mapserve.stage.align", resp.Stages.Align)
+	p.resp = resp
 }
 
 // failDeadline sheds one query with the deadline cause: counters and
 // shed/error span state. ms is the query's map span when the failure
-// happened inside (or around) the kernel, nil when it never started.
+// happened inside the kernel, nil when it never started.
 func (s *Service) failDeadline(p *pending, ms *obs.Span, err error) {
 	s.metrics.Add("mapserve.shed_deadline", 1)
 	ms.Error(err)
@@ -348,58 +308,6 @@ func (s *Service) failDeadline(p *pending, ms *obs.Span, err error) {
 	p.span.Shed("deadline")
 	p.span.Error(err)
 	p.err = err
-}
-
-// finish records one mapped query: success metrics and the response. mt is
-// the measured wall time of the query's kernel call.
-func (s *Service) finish(p *pending, snap *Snapshot, batchSize int, res pipeline.Result, stages pipeline.StageTimes, mt time.Duration) {
-	s.metrics.Add("mapserve.mapped", 1)
-	s.metrics.Observe("mapserve.map", mt)
-	s.metrics.Observe("mapserve.stage.seed", stages.Seed)
-	s.metrics.Observe("mapserve.stage.chain", stages.Chain)
-	s.metrics.Observe("mapserve.stage.filter", stages.Filter)
-	s.metrics.Observe("mapserve.stage.align", stages.Align)
-	p.resp = &Response{
-		Result:     res,
-		Stages:     stages,
-		SnapshotID: snap.ID,
-		Generation: snap.Generation,
-		BatchSize:  batchSize,
-		QueueWait:  p.wait,
-		MapTime:    mt,
-		TraceID:    p.span.TraceID().String(),
-	}
-}
-
-// runSerial maps one query through the ctx-threaded MapCtx path: kernel
-// stage timers annotate the map span live through the context, and
-// TraceProbes can attach a per-query probe.
-func (s *Service) runSerial(snap *Snapshot, p *pending, batchSize int, acqStart time.Time, acqDur time.Duration) {
-	s.admitTurn(p, batchSize)
-	if err := p.ctx.Err(); err != nil {
-		// Expired while an earlier query of this batch mapped.
-		s.failDeadline(p, nil, err)
-		return
-	}
-	p.span.Stage("snapshot.acquire", acqStart, acqDur)
-	p.span.Set("snapshot", snap.ID)
-	p.span.SetInt("generation", int64(snap.Generation))
-	ms := p.span.Child("map")
-	ctx := obs.ContextWithSpan(p.ctx, ms)
-	var probe *perf.Probe
-	if s.cfg.TraceProbes && ms != nil {
-		probe = perf.NewProbe()
-		ms.AttachProbe(probe)
-	}
-	t0 := time.Now()
-	res, stages, err := snap.MapWithProbe(ctx, p.read, probe)
-	mt := time.Since(t0)
-	if err != nil {
-		s.failDeadline(p, ms, err)
-		return
-	}
-	ms.End()
-	s.finish(p, snap, batchSize, res, stages, mt)
 }
 
 // Close stops admissions, drains already-admitted queries (every admitted
@@ -413,7 +321,6 @@ func (s *Service) Close() {
 	s.closed = true
 	s.closeMu.Unlock()
 	close(s.stop)
-	<-s.dispatcherDone
 	s.workers.Wait()
 }
 

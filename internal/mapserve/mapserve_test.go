@@ -3,6 +3,8 @@ package mapserve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +17,7 @@ import (
 // blockingTool is a stub ContextTool whose MapCtx parks until released —
 // the deterministic way to keep workers busy for admission-control tests.
 type blockingTool struct {
-	gate    chan struct{} // MapCtx blocks until this closes (nil = no block)
+	gate    chan struct{} // MapCtx blocks until this closes or yields one token (nil = no block)
 	started chan struct{} // one send per MapCtx entry, if non-nil
 }
 
@@ -94,147 +96,11 @@ func TestMapBeforePublish(t *testing.T) {
 	}
 }
 
-// TestBatching verifies micro-batch formation: with one worker parked on the
-// first batch, a burst of queries coalesces into shared batches, bounded by
-// MaxBatch, and the batch-size histogram records them.
-func TestBatching(t *testing.T) {
-	tool := &blockingTool{gate: make(chan struct{}), started: make(chan struct{}, 64)}
-	m := perf.NewMetrics()
-	s, _ := stubService(t, tool, Config{
-		Workers: 1, MaxBatch: 4, BatchWait: 20 * time.Millisecond, QueueDepth: 64, Metrics: m,
-	})
-
-	// First query occupies the single worker (blocked on the gate).
-	firstDone := make(chan struct{})
-	go func() {
-		defer close(firstDone)
-		if _, err := s.Map(context.Background(), []byte("AAAA")); err != nil {
-			t.Errorf("first query: %v", err)
-		}
-	}()
-	<-tool.started
-
-	// Burst of 8 while the worker is parked: the dispatcher batches them
-	// into groups of ≤4 behind the in-flight batch.
-	var wg sync.WaitGroup
-	sizes := make(chan int, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := s.Map(context.Background(), []byte("CCCC"))
-			if err != nil {
-				t.Errorf("burst query: %v", err)
-				return
-			}
-			sizes <- resp.BatchSize
-		}()
-	}
-	// Give the dispatcher time to form full batches, then open the gate.
-	time.Sleep(50 * time.Millisecond)
-	close(tool.gate)
-	wg.Wait()
-	<-firstDone
-	s.Close()
-	close(sizes)
-
-	maxSize := 0
-	for sz := range sizes {
-		if sz > 4 {
-			t.Errorf("batch size %d exceeds MaxBatch 4", sz)
-		}
-		if sz > maxSize {
-			maxSize = sz
-		}
-	}
-	if maxSize < 2 {
-		t.Errorf("no query rode a shared batch (max size %d)", maxSize)
-	}
-	snap := m.Snapshot()
-	hist := snap.Values["mapserve.batch_size"]
-	if hist.Count == 0 || hist.Max > 4 {
-		t.Errorf("batch-size histogram %+v", hist)
-	}
-	g := snap.Gauges["mapserve.queue_depth"]
-	if g.Value != 0 {
-		t.Errorf("queue depth gauge did not return to zero: %d", g.Value)
-	}
-	if g.Watermark < 1 {
-		t.Errorf("queue depth watermark = %d, want ≥1", g.Watermark)
-	}
-	if snap.Counters["mapserve.mapped"] != 9 {
-		t.Errorf("mapped = %d, want 9", snap.Counters["mapserve.mapped"])
-	}
-}
-
-// TestQueueShedding fills the pipeline behind a parked worker until
-// admission sheds with ErrOverloaded, then verifies every admitted query
-// still completes.
-func TestQueueShedding(t *testing.T) {
-	tool := &blockingTool{gate: make(chan struct{}), started: make(chan struct{}, 64)}
-	m := perf.NewMetrics()
-	s, _ := stubService(t, tool, Config{
-		Workers: 1, MaxBatch: 1, BatchWait: time.Millisecond, QueueDepth: 2, Metrics: m,
-	})
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	admitted, shed := 0, 0
-	// Keep issuing queries until one sheds. The worker never finishes, so
-	// queue capacity (2) + the dispatcher's formed batches bound admissions.
-	for i := 0; i < 32 && shed == 0; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := s.Map(context.Background(), []byte("GGGG"))
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				admitted++
-			case errors.Is(err, ErrOverloaded):
-				shed++
-			default:
-				t.Errorf("unexpected error: %v", err)
-			}
-		}()
-		time.Sleep(5 * time.Millisecond)
-		mu.Lock()
-		shedNow := shed
-		mu.Unlock()
-		if shedNow > 0 {
-			break
-		}
-	}
-	close(tool.gate)
-	wg.Wait()
-	s.Close()
-
-	if shed == 0 {
-		t.Fatal("bounded queue never shed under a parked worker")
-	}
-	if admitted == 0 {
-		t.Fatal("no queries completed after the gate opened")
-	}
-	if got := m.Counter("mapserve.shed_queue"); got != int64(shed) {
-		t.Errorf("shed_queue = %d, want %d", got, shed)
-	}
-}
-
-// TestDeadlineShedding covers deadline-aware admission control: a query
-// whose context expires while queued is shed without mapping, and a deadline
-// firing mid-map stops the kernel and fails only that query.
-func TestDeadlineShedding(t *testing.T) {
-	gate := make(chan struct{})
-	tool := &blockingTool{gate: gate, started: make(chan struct{}, 8)}
-	m := perf.NewMetrics()
-	s, _ := stubService(t, tool, Config{
-		Workers: 1, MaxBatch: 1, BatchWait: time.Millisecond, QueueDepth: 8, Metrics: m,
-	})
-	defer s.Close()
-
-	// Park the worker, then enqueue a query with an already-canceled context:
-	// it must be shed at execution, not mapped.
+// parkWorker issues one query from its own goroutine and returns once the
+// service's single worker is inside the tool, blocked on its gate; the
+// returned channel closes when that query has answered.
+func parkWorker(t *testing.T, s *Service, tool *blockingTool) <-chan struct{} {
+	t.Helper()
 	parked := make(chan struct{})
 	go func() {
 		defer close(parked)
@@ -243,36 +109,111 @@ func TestDeadlineShedding(t *testing.T) {
 		}
 	}()
 	<-tool.started
+	return parked
+}
 
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	shedDone := make(chan error, 1)
-	go func() {
-		_, err := s.Map(canceled, []byte("CCCC"))
-		shedDone <- err
-	}()
-
-	// A live-deadline query behind it: its deadline fires mid-map (inside
-	// the gate wait), so MapCtx returns ctx.Err().
-	deadlineDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-		defer cancel()
-		_, err := s.Map(ctx, []byte("TTTT"))
-		deadlineDone <- err
-	}()
-
-	time.Sleep(60 * time.Millisecond) // let the mid-map deadline expire
-	close(gate)
-	<-parked
-	if err := <-shedDone; !errors.Is(err, context.Canceled) {
-		t.Errorf("queued canceled query: %v, want context.Canceled", err)
+// awaitQueued yields until n admitted queries wait in the service's queue —
+// the event a test needs before it can rely on the (n+1)-th being shed or on
+// the queue's order.
+func awaitQueued(s *Service, n int) {
+	for len(s.queue) < n {
+		runtime.Gosched()
 	}
-	if err := <-deadlineDone; !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("mid-map deadline query: %v, want context.DeadlineExceeded", err)
+}
+
+// TestQueueShedding pins the admission bound: with the single worker parked,
+// exactly QueueDepth further queries are admitted and the next one sheds with
+// ErrOverloaded; every admitted query still completes once the worker frees,
+// and the queue-depth gauge peaks at QueueDepth and drains to zero.
+func TestQueueShedding(t *testing.T) {
+	tool := &blockingTool{gate: make(chan struct{}), started: make(chan struct{}, 8)}
+	m := perf.NewMetrics()
+	s, _ := stubService(t, tool, Config{Workers: 1, QueueDepth: 2, Metrics: m})
+	parked := parkWorker(t, s, tool)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Map(context.Background(), []byte("GGGG")); err != nil {
+				t.Errorf("queued query: %v", err)
+			}
+		}()
+	}
+	awaitQueued(s, 2)
+	if _, err := s.Map(context.Background(), []byte("GGGG")); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("query behind a full queue: %v, want ErrOverloaded", err)
+	}
+
+	close(tool.gate)
+	wg.Wait()
+	<-parked
+	s.Close()
+
+	if got := m.Counter("mapserve.mapped"); got != 3 {
+		t.Errorf("mapped = %d, want the 3 admitted (1 executing + QueueDepth 2)", got)
+	}
+	if got := m.Counter("mapserve.shed_queue"); got != 1 {
+		t.Errorf("shed_queue = %d, want 1", got)
+	}
+	if depth, peak := m.Gauge("mapserve.queue_depth"); depth != 0 || peak != 2 {
+		t.Errorf("queue depth gauge = %d (watermark %d), want 0 (watermark 2)", depth, peak)
+	}
+}
+
+// TestDeadlineShedding covers deadline-aware admission control: a query
+// whose deadline passed while it was queued is shed at its turn without
+// mapping, and a context ending mid-map stops the kernel and fails only that
+// query.
+func TestDeadlineShedding(t *testing.T) {
+	tool := &blockingTool{gate: make(chan struct{}), started: make(chan struct{}, 8)}
+	m := perf.NewMetrics()
+	s, _ := stubService(t, tool, Config{Workers: 1, QueueDepth: 8, Metrics: m})
+	defer s.Close()
+	parked := parkWorker(t, s, tool)
+
+	// Queued behind the parked worker, in this order: a query whose deadline
+	// has already passed, then one the test cancels once it is in the tool.
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	expiredDone := make(chan error, 1)
+	go func() {
+		_, err := s.Map(expired, []byte("CCCC"))
+		expiredDone <- err
+	}()
+	awaitQueued(s, 1)
+	midMap, cancelMidMap := context.WithCancel(context.Background())
+	defer cancelMidMap()
+	midMapDone := make(chan error, 1)
+	go func() {
+		_, err := s.Map(midMap, []byte("TTTT"))
+		midMapDone <- err
+	}()
+	awaitQueued(s, 2)
+
+	tool.gate <- struct{}{} // release the parked query only
+	<-parked
+	if err := <-expiredDone; !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("query expired in the queue: %v, want context.DeadlineExceeded", err)
+	}
+	<-tool.started // the third query is inside the tool, waiting on the gate
+	cancelMidMap()
+	if err := <-midMapDone; !errors.Is(err, context.Canceled) {
+		t.Errorf("query canceled mid-map: %v, want context.Canceled", err)
+	}
+	select {
+	case <-tool.started:
+		t.Error("the query that expired in the queue still reached the tool")
+	default:
 	}
 	if got := m.Counter("mapserve.shed_deadline"); got != 2 {
 		t.Errorf("shed_deadline = %d, want 2", got)
+	}
+
+	close(tool.gate)
+	if _, err := s.Map(context.Background(), []byte("GGGG")); err != nil {
+		t.Errorf("query after the two sheds: %v", err)
 	}
 }
 
@@ -280,7 +221,7 @@ func TestDeadlineShedding(t *testing.T) {
 // later ones.
 func TestCloseDrains(t *testing.T) {
 	tool := &blockingTool{}
-	s, _ := stubService(t, tool, Config{Workers: 2, MaxBatch: 4, BatchWait: time.Millisecond})
+	s, _ := stubService(t, tool, Config{Workers: 2})
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -300,7 +241,7 @@ func TestCloseDrains(t *testing.T) {
 }
 
 // TestServedIdenticalColdWarmConcurrent is the mapping-determinism
-// acceptance test: the same reads served through the batched executor —
+// acceptance test: the same reads served through the executor —
 // cold, warm, and fully concurrently — produce results identical to direct
 // single-threaded tool.Map calls.
 func TestServedIdenticalColdWarmConcurrent(t *testing.T) {
@@ -329,7 +270,7 @@ func TestServedIdenticalColdWarmConcurrent(t *testing.T) {
 	if _, err := reg.Publish(snap); err != nil {
 		t.Fatal(err)
 	}
-	s := New(reg, Config{Workers: 4, MaxBatch: 8, BatchWait: time.Millisecond})
+	s := New(reg, Config{Workers: 4})
 	defer s.Close()
 
 	check := func(phase string, concurrent bool) {
@@ -371,10 +312,12 @@ func TestServedIdenticalColdWarmConcurrent(t *testing.T) {
 }
 
 // TestHotSwapDuringTraffic is the hot-swap acceptance test (run under -race
-// in CI): concurrent queries race repeated snapshot publications; no query
-// may fail, every query's result must match the direct mapping, and
-// generations observed by queries must be coherent (monotonically available,
-// old snapshots retiring only after their queries finish).
+// in CI): a publisher swaps equivalent snapshots in continuously while
+// closed-loop clients query, each query holding its own snapshot reference.
+// No query may fail or be shed, every result must match the direct mapping,
+// each response names a pair the publisher really published, a client never
+// sees the generation go backwards, every swapped-out snapshot retires
+// exactly once, and after Close only the current generation is live.
 func TestHotSwapDuringTraffic(t *testing.T) {
 	pop := testPop(t, 8000, 4)
 	reads, err := pop.SimulateReads(gensim.ReadConfig{Count: 12, Length: 150, SubRate: 0.002, Seed: 13})
@@ -392,57 +335,97 @@ func TestHotSwapDuringTraffic(t *testing.T) {
 		want[i], _ = ref.Map(r.Seq, nil)
 	}
 
-	reg := &Registry{}
-	first, err := NewSnapshot("gen", pop.Graph, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var retireMu sync.Mutex
+	retired := map[uint64]int{}
+	reg := &Registry{OnRetire: func(sn *Snapshot) {
+		retireMu.Lock()
+		retired[sn.Generation]++
+		retireMu.Unlock()
+	}}
+	// publish installs a fresh snapshot over the same graph and tool config,
+	// so identical reads must keep mapping identically; its ID names the
+	// generation it expects, which is what clients check responses against.
+	const swaps = 8
+	publish := func(n int) error {
+		snap, err := NewSnapshot(fmt.Sprintf("gen-%d", n), pop.Graph, cfg)
+		if err != nil {
+			return err
+		}
+		gen, err := reg.Publish(snap)
+		if err == nil && gen != uint64(n) {
+			err = fmt.Errorf("publication %d got generation %d", n, gen)
+		}
+		return err
 	}
-	if _, err := reg.Publish(first); err != nil {
+	if err := publish(1); err != nil {
 		t.Fatal(err)
 	}
 	m := perf.NewMetrics()
-	s := New(reg, Config{Workers: 4, MaxBatch: 4, BatchWait: 500 * time.Microsecond, Metrics: m})
-	defer s.Close()
+	s := New(reg, Config{Workers: 4, Metrics: m})
 
-	const swaps = 5
-	const rounds = 6
+	// Clients query until the publisher is done, then one more full pass.
+	published := make(chan struct{})
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			for round := 0; round < rounds; round++ {
+			var lastGen uint64
+			for last := false; !last; {
+				select {
+				case <-published:
+					last = true
+				default:
+				}
 				for i := range reads {
 					resp, err := s.Map(context.Background(), reads[i].Seq)
 					if err != nil {
-						t.Errorf("client %d round %d read %d: %v", c, round, i, err)
+						t.Errorf("client %d read %d: %v", c, i, err)
 						return
 					}
 					if resp.Result != want[i] {
 						t.Errorf("client %d read %d on gen %d: %+v != %+v",
 							c, i, resp.Generation, resp.Result, want[i])
 					}
+					if resp.SnapshotID != fmt.Sprintf("gen-%d", resp.Generation) {
+						t.Errorf("client %d: response pairs snapshot %q with generation %d",
+							c, resp.SnapshotID, resp.Generation)
+					}
+					if resp.Generation < lastGen || resp.Generation > swaps+1 {
+						t.Errorf("client %d: generation %d after %d (published 1..%d)",
+							c, resp.Generation, lastGen, swaps+1)
+					}
+					lastGen = resp.Generation
 				}
+			}
+			if lastGen != swaps+1 {
+				t.Errorf("client %d ended on generation %d, want %d", c, lastGen, swaps+1)
 			}
 		}(c)
 	}
-	// Publisher: equivalent snapshots (same graph, same tool config) swap in
-	// mid-traffic, so identical reads must keep mapping identically.
-	for i := 0; i < swaps; i++ {
-		snap, err := NewSnapshot("gen", pop.Graph, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := reg.Publish(snap); err != nil {
-			t.Fatal(err)
+	for n := 2; n <= swaps+1; n++ {
+		if err := publish(n); err != nil {
+			t.Error(err)
+			break
 		}
 	}
+	close(published)
 	wg.Wait()
+	s.Close()
 
-	if got := reg.Generation(); got != swaps+1 {
-		t.Fatalf("generation = %d, want %d", got, swaps+1)
-	}
 	if shed := m.Counter("mapserve.shed_queue") + m.Counter("mapserve.shed_deadline"); shed != 0 {
-		t.Fatalf("%d queries shed during hot-swap traffic", shed)
+		t.Errorf("%d queries shed during hot-swap traffic", shed)
+	}
+	for gen := uint64(1); gen <= swaps; gen++ {
+		if retired[gen] != 1 {
+			t.Errorf("generation %d retired %d times, want exactly once", gen, retired[gen])
+		}
+	}
+	if retired[swaps+1] != 0 {
+		t.Errorf("current generation %d retired", swaps+1)
+	}
+	live := reg.Stats()
+	if len(live) != 1 || !live[0].Current || live[0].Generation != swaps+1 || live[0].InFlight != 0 {
+		t.Errorf("live snapshots after Close: %+v, want only generation %d, current, idle", live, swaps+1)
 	}
 }

@@ -5,7 +5,7 @@
 // split): a Snapshot bundles one graph with the precomputed indexes of one
 // mapping tool, a reference-counted Registry hot-swaps snapshots atomically
 // so a finished cohort rebuild publishes without blocking in-flight queries,
-// and a batched executor micro-batches incoming read queries onto a bounded
+// and an executor hands incoming read queries one at a time to a bounded
 // worker pool with deadline-aware admission control.
 package mapserve
 

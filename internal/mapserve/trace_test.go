@@ -3,9 +3,9 @@ package mapserve
 import (
 	"context"
 	"errors"
-	"sync"
+	"math"
+	"sort"
 	"testing"
-	"time"
 
 	"pangenomicsbench/internal/gensim"
 	"pangenomicsbench/internal/obs"
@@ -37,6 +37,11 @@ func attrValue(d obs.SpanData, key string) string {
 // (admission → snapshot.acquire → map) account for the request latency —
 // their durations sum to within 10% of the root span's — and whose map span
 // carries the kernel's per-stage breakdown as children.
+//
+// A request here is tens of microseconds, so one timer interrupt landing
+// between two stages is a quarter of it. The bound is therefore held by the
+// median of nine sequential queries: what the executor leaves uncovered on
+// every request moves the median, a single interrupted request does not.
 func TestTracedQueryStageSum(t *testing.T) {
 	pop := testPop(t, 8000, 4)
 	reads, err := pop.SimulateReads(gensim.ReadConfig{Count: 1, Length: 150, SubRate: 0.002, Seed: 7})
@@ -52,55 +57,55 @@ func TestTracedQueryStageSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTracer(obs.TracerConfig{})
-	// A long BatchWait makes the admission stage dominate the request, so
-	// the attribution check is robust to scheduler noise around wake-ups.
-	s := New(reg, Config{Workers: 1, MaxBatch: 4, BatchWait: 25 * time.Millisecond, Tracer: tr})
+	s := New(reg, Config{Workers: 1, Tracer: tr})
 	defer s.Close()
 
-	if _, err := s.Map(context.Background(), reads[0].Seq); err != nil {
-		t.Fatal(err)
-	}
-
-	traces := tr.Recorder().Last(1)
-	if len(traces) != 1 {
-		t.Fatalf("recorder retained %d traces, want 1", len(traces))
-	}
-	root := traces[0]
-	if root.Name != "mapserve.query" {
-		t.Fatalf("root span %q, want mapserve.query", root.Name)
-	}
-	if root.Failed() {
-		t.Fatalf("successful query marked failed: %s", root.Tree())
-	}
-	for _, name := range []string{"admission", "snapshot.acquire", "map"} {
-		if _, ok := findChild(root, name); !ok {
-			t.Errorf("trace missing %q child:\n%s", name, root.Tree())
+	const queries = 9
+	for i := 0; i < queries; i++ {
+		if _, err := s.Map(context.Background(), reads[0].Seq); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got := attrValue(root, "snapshot"); got != "pop" {
-		t.Errorf("snapshot attr %q, want pop", got)
+	traces := tr.Recorder().Last(queries)
+	if len(traces) != queries {
+		t.Fatalf("recorder retained %d traces, want %d", len(traces), queries)
 	}
-	if got := attrValue(root, "generation"); got != "1" {
-		t.Errorf("generation attr %q, want 1", got)
-	}
-
-	// The kernel's stage timers annotate the map span through the context
-	// the executor threads into MapCtx.
-	mapSpan, _ := findChild(root, "map")
-	for _, stage := range []string{"seed", "chain", "align"} {
-		if _, ok := findChild(mapSpan, stage); !ok {
-			t.Errorf("map span missing kernel stage %q:\n%s", stage, root.Tree())
+	for _, root := range traces {
+		if root.Name != "mapserve.query" {
+			t.Fatalf("root span %q, want mapserve.query", root.Name)
+		}
+		if root.Failed() {
+			t.Fatalf("successful query marked failed: %s", root.Tree())
+		}
+		for _, name := range []string{"admission", "snapshot.acquire", "map"} {
+			if _, ok := findChild(root, name); !ok {
+				t.Errorf("trace missing %q child:\n%s", name, root.Tree())
+			}
+		}
+		if got := attrValue(root, "snapshot"); got != "pop" {
+			t.Errorf("snapshot attr %q, want pop", got)
+		}
+		if got := attrValue(root, "generation"); got != "1" {
+			t.Errorf("generation attr %q, want 1", got)
+		}
+		// The kernel's stage timers annotate the map span through the
+		// context the executor threads into MapCtx.
+		mapSpan, _ := findChild(root, "map")
+		for _, stage := range []string{"seed", "chain", "align"} {
+			if _, ok := findChild(mapSpan, stage); !ok {
+				t.Errorf("map span missing kernel stage %q:\n%s", stage, root.Tree())
+			}
 		}
 	}
 
 	// Attribution: direct children must account for the request latency.
-	sum, dur := root.StageSum(), root.Duration
-	if diff := (sum - dur); diff < 0 {
-		diff = -diff
+	uncovered := func(root obs.SpanData) float64 {
+		return math.Abs(float64(root.StageSum()-root.Duration)) / float64(root.Duration)
 	}
-	lo, hi := dur-dur/10, dur+dur/10
-	if sum < lo || sum > hi {
-		t.Errorf("stage sum %v outside 10%% of request latency %v:\n%s", sum, dur, root.Tree())
+	sort.Slice(traces, func(i, j int) bool { return uncovered(traces[i]) < uncovered(traces[j]) })
+	if root := traces[queries/2]; uncovered(root) > 0.10 {
+		t.Errorf("median request: stage sum %v outside 10%% of request latency %v:\n%s",
+			root.StageSum(), root.Duration, root.Tree())
 	}
 }
 
@@ -109,24 +114,11 @@ func TestTracedQueryStageSum(t *testing.T) {
 // both produce shed/error traces that the flight recorder's exemplar set
 // retains even after successful traffic scrolls them out of the ring.
 func TestShedTracesDistinctCountersAndExemplars(t *testing.T) {
-	gate := make(chan struct{})
-	tool := &blockingTool{gate: gate, started: make(chan struct{}, 8)}
+	tool := &blockingTool{gate: make(chan struct{}), started: make(chan struct{}, 8)}
 	m := perf.NewMetrics()
 	tr := obs.NewTracer(obs.TracerConfig{Capacity: 2, Metrics: m})
-	s, _ := stubService(t, tool, Config{
-		Workers: 1, MaxBatch: 1, BatchWait: time.Millisecond, QueueDepth: 1,
-		Metrics: m, Tracer: tr,
-	})
-
-	// Park the single worker on the gate.
-	parked := make(chan struct{})
-	go func() {
-		defer close(parked)
-		if _, err := s.Map(context.Background(), []byte("AAAA")); err != nil {
-			t.Errorf("parked query: %v", err)
-		}
-	}()
-	<-tool.started
+	s, _ := stubService(t, tool, Config{Workers: 1, QueueDepth: 1, Metrics: m, Tracer: tr})
+	parked := parkWorker(t, s, tool)
 
 	// A queued query with an already-canceled context sheds on deadline at
 	// its execution turn.
@@ -137,41 +129,22 @@ func TestShedTracesDistinctCountersAndExemplars(t *testing.T) {
 		_, err := s.Map(canceled, []byte("CCCC"))
 		deadlineDone <- err
 	}()
+	awaitQueued(s, 1)
 
-	// Spam queries behind the parked worker until admission sheds one.
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	shed := 0
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := s.Map(context.Background(), []byte("GGGG"))
-			if errors.Is(err, ErrOverloaded) {
-				mu.Lock()
-				shed++
-				mu.Unlock()
-			}
-		}()
-		time.Sleep(2 * time.Millisecond)
-		mu.Lock()
-		done := shed > 0
-		mu.Unlock()
-		if done {
-			break
-		}
+	// It fills the queue, so the next query sheds at admission.
+	if _, err := s.Map(context.Background(), []byte("GGGG")); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("query behind a full queue: %v, want ErrOverloaded", err)
 	}
 
-	close(gate)
-	wg.Wait()
+	close(tool.gate)
 	<-parked
 	if err := <-deadlineDone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled query: %v, want context.Canceled", err)
 	}
 
 	// Distinct counters per shed cause.
-	if got := m.Counter("mapserve.shed_queue"); got != int64(shed) || shed == 0 {
-		t.Errorf("shed_queue = %d, want %d (>0)", got, shed)
+	if got := m.Counter("mapserve.shed_queue"); got != 1 {
+		t.Errorf("shed_queue = %d, want 1", got)
 	}
 	if got := m.Counter("mapserve.shed_deadline"); got != 1 {
 		t.Errorf("shed_deadline = %d, want 1", got)
@@ -240,7 +213,7 @@ func benchmarkMap(b *testing.B, tr *obs.Tracer) {
 	if _, err := reg.Publish(snap); err != nil {
 		b.Fatal(err)
 	}
-	s := New(reg, Config{Workers: 2, MaxBatch: 8, BatchWait: 100 * time.Microsecond, Tracer: tr})
+	s := New(reg, Config{Workers: 2, Tracer: tr})
 	defer s.Close()
 	read := []byte("ACGTACGTACGTACGT")
 	b.ReportAllocs()

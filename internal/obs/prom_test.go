@@ -59,7 +59,7 @@ func TestPromTextFormat(t *testing.T) {
 	m.Observe("mapserve.map", 4*time.Millisecond)
 	m.Observe("mapserve.map", 6*time.Millisecond)
 	for _, v := range []float64{1, 2, 3, 5, 30} {
-		m.ObserveValue("mapserve.batch_size", v)
+		m.ObserveValue("example.sizes", v)
 	}
 
 	text := PromText(m.Snapshot())
@@ -80,15 +80,15 @@ func TestPromTextFormat(t *testing.T) {
 	if got := series["mapserve_map_seconds_sum"]; got < 0.0099 || got > 0.0101 {
 		t.Errorf("map_seconds_sum = %v, want ~0.01", got)
 	}
-	if got := series[`mapserve_batch_size_bucket{le="+Inf"}`]; got != 5 {
+	if got := series[`example_sizes_bucket{le="+Inf"}`]; got != 5 {
 		t.Errorf("+Inf bucket = %v, want 5", got)
 	}
 
 	// Histogram buckets must be cumulative (monotonic in le order).
 	var les []int
 	for name := range series {
-		if strings.HasPrefix(name, "mapserve_batch_size_bucket{le=\"") && !strings.Contains(name, "+Inf") {
-			raw := strings.TrimSuffix(strings.TrimPrefix(name, "mapserve_batch_size_bucket{le=\""), "\"}")
+		if strings.HasPrefix(name, "example_sizes_bucket{le=\"") && !strings.Contains(name, "+Inf") {
+			raw := strings.TrimSuffix(strings.TrimPrefix(name, "example_sizes_bucket{le=\""), "\"}")
 			le, err := strconv.Atoi(raw)
 			if err != nil {
 				t.Fatalf("bucket le %q: %v", raw, err)
@@ -99,13 +99,13 @@ func TestPromTextFormat(t *testing.T) {
 	sort.Ints(les)
 	prev := -1.0
 	for _, le := range les {
-		cur := series[fmt.Sprintf("mapserve_batch_size_bucket{le=%q}", strconv.Itoa(le))]
+		cur := series[fmt.Sprintf("example_sizes_bucket{le=%q}", strconv.Itoa(le))]
 		if cur < prev {
 			t.Fatalf("bucket le=%d count %v < previous %v (not cumulative)", le, cur, prev)
 		}
 		prev = cur
 	}
-	if prev > series[`mapserve_batch_size_bucket{le="+Inf"}`] {
+	if prev > series[`example_sizes_bucket{le="+Inf"}`] {
 		t.Fatal("finite buckets exceed +Inf bucket")
 	}
 

@@ -84,9 +84,12 @@ func (t *Tracer) StartRoot(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	s := &Span{name: name, start: time.Now(), id: newSpanID(), traceID: newTraceID()}
+	s := &Span{name: name, tracer: t, id: newSpanID(), traceID: newTraceID()}
 	s.root = s
-	s.tracer = t
+	// Stamped last: the span's own allocation (and any GC assist it draws)
+	// happens before the request's clock starts, not inside it where no
+	// child stage could account for it.
+	s.start = time.Now()
 	return s
 }
 

@@ -1,6 +1,6 @@
 // Package soak is the chaos/soak harness of the serving tiers: it replays a
 // catalog scenario (internal/gensim.Scenario) against the full
-// build-then-serve stack — construction service, snapshot registry, batched
+// build-then-serve stack — construction service, snapshot registry,
 // map-serve executor — for a configured duration, injecting deliberate
 // faults mid-run (forced hot-swaps, shed storms, kill-and-warm-restart of
 // the query tier, build-tier outages) and asserting at the end that the
@@ -95,13 +95,10 @@ type Config struct {
 	// Tool selects the mapping tool of published snapshots (zero value uses
 	// giraffe defaults).
 	Tool mapserve.ToolConfig
-	// Workers / MaxBatch / BatchWait / QueueDepth parameterize the map-serve
-	// executor exactly as mapserve.Config does (zero = that package's
-	// defaults, except QueueDepth which uses 256 so watermark assertions
-	// bite at soak scale).
+	// Workers / QueueDepth parameterize the map-serve executor exactly as
+	// mapserve.Config does (zero = that package's defaults, except
+	// QueueDepth which uses 256 so watermark assertions bite at soak scale).
 	Workers    int
-	MaxBatch   int
-	BatchWait  time.Duration
 	QueueDepth int
 	// Chaos lists the fault injections, fired in order at even fractions of
 	// Duration.
@@ -333,8 +330,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	mapCfg := mapserve.Config{
 		Workers:    cfg.Workers,
-		MaxBatch:   cfg.MaxBatch,
-		BatchWait:  cfg.BatchWait,
 		QueueDepth: cfg.QueueDepth,
 		Metrics:    metrics,
 		Tracer:     tracer,
@@ -616,6 +611,8 @@ dispatch:
 	// End-of-run assertions.
 	chaosShed := res.Metrics.Counters["mapserve.shed_chaos"]
 	res.Report.CheckLost(res.Lost)
+	res.Report.Add("query-errors", res.Failed == 0,
+		"%d queries failed with an error other than a shed", res.Failed)
 	res.Report.CheckGaugeReturnsToZero(res.Metrics, "mapserve.queue_depth")
 	res.Report.CheckGaugeWatermark(res.Metrics, "mapserve.queue_depth", int64(cfg.QueueDepth))
 	res.Report.CheckShedRate(res.Issued, res.Shed, chaosShed, cfg.MaxShedRate)
