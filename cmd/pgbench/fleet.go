@@ -18,13 +18,13 @@ import (
 	"pangenomicsbench/internal/perf"
 )
 
-// fleetWorkerCmd runs one fleet worker daemon: a ref-counted shard cache
-// behind the pair-match wire protocol, serving until SIGINT/SIGTERM.
+// fleetWorkerCmd runs one fleet worker daemon: a pair cache behind the
+// pair-match wire protocol, serving until SIGINT/SIGTERM.
 func fleetWorkerCmd(args []string) error {
 	fs := newFlagSet("fleet-worker")
 	listen := fs.String("listen", "127.0.0.1:9471", "worker RPC listen address")
 	name := fs.String("name", "", "worker name reported in heartbeats (default: the listen address)")
-	cacheMB := fs.Int("cache-mb", 32, "shard cache capacity (MiB); a coordinator config push may override it")
+	cacheMB := fs.Int("cache-mb", 32, "pair cache capacity (MiB)")
 	of := addObsFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -66,8 +66,8 @@ func fleetWorkerCmd(args []string) error {
 // fleetFromSpec builds a running coordinator from a node spec: "local:N"
 // spins N in-process loopback workers; anything else is a comma-separated
 // list of fleet-worker daemon addresses.
-func fleetFromSpec(spec string, cacheBytes int, metrics *perf.Metrics, tracer *obs.Tracer) (*fleet.Coordinator, error) {
-	coord := fleet.NewCoordinator(fleet.Config{Metrics: metrics, CacheBytes: cacheBytes})
+func fleetFromSpec(spec string, metrics *perf.Metrics, tracer *obs.Tracer) (*fleet.Coordinator, error) {
+	coord := fleet.NewCoordinator(fleet.Config{Metrics: metrics})
 	if n, ok := strings.CutPrefix(spec, "local:"); ok {
 		count, err := strconv.Atoi(n)
 		if err != nil || count < 1 {
@@ -116,7 +116,6 @@ func fleetCmd(args []string) error {
 	pf := addPopFlags(fs, 20_000, 6)
 	nodes := fs.String("nodes", "", "comma-separated fleet-worker daemon addresses")
 	local := fs.Int("local", 0, "spin up N in-process loopback workers instead of -nodes")
-	cacheMB := fs.Int("cache-mb", 32, "per-worker shard cache budget pushed with the catalog (MiB)")
 	linger := fs.Duration("linger", 0, "keep the process (and -obs endpoint) alive this long after the build, for scraping")
 	of := addObsFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -140,7 +139,7 @@ func fleetCmd(args []string) error {
 	names, seqs := pop.AssemblyView()
 	metrics := perf.NewMetrics()
 	tracer := obs.NewTracer(obs.TracerConfig{Metrics: metrics})
-	coord, err := fleetFromSpec(spec, *cacheMB<<20, metrics, tracer)
+	coord, err := fleetFromSpec(spec, metrics, tracer)
 	if err != nil {
 		return err
 	}

@@ -220,7 +220,7 @@ func serveSim(args []string) error {
 	}
 	var coord *fleet.Coordinator
 	if *fleetSpec != "" {
-		if coord, err = fleetFromSpec(*fleetSpec, *cacheMB<<20, metrics, tracer); err != nil {
+		if coord, err = fleetFromSpec(*fleetSpec, metrics, tracer); err != nil {
 			return err
 		}
 		defer coord.Close()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"pangenomicsbench/internal/align"
@@ -32,8 +33,7 @@ type PairStats struct {
 	WFATime      time.Duration
 }
 
-// Add merges o into s (the all-vs-all aggregate; serve-mode also uses it
-// to aggregate cached per-pair stats).
+// Add merges o into s (the all-vs-all aggregate).
 func (s *PairStats) Add(o PairStats) {
 	s.Anchors += o.Anchors
 	s.Windows += o.Windows
@@ -224,13 +224,7 @@ func PairMatches(ia int, a []byte, ib int, b []byte, k, w int, probe *perf.Probe
 	}
 	flush(len(anchors))
 
-	// Canonical order: by A position, then B position.
-	sort.Slice(blocks, func(i, j int) bool {
-		if blocks[i].PosA != blocks[j].PosA {
-			return blocks[i].PosA < blocks[j].PosA
-		}
-		return blocks[i].PosB < blocks[j].PosB
-	})
+	sortBlocks(blocks)
 	st.Blocks = len(blocks)
 	for _, blk := range blocks {
 		st.MatchedBases += blk.Len
@@ -253,15 +247,61 @@ func PairMatches(ia int, a []byte, ib int, b []byte, k, w int, probe *perf.Probe
 // (probe != nil) executes the pairs serially — the same rule the kernel
 // registry applies to instrumented kernel runs.
 func AllPairMatches(ctx context.Context, seqs [][]byte, k, w, workers int, probe *perf.Probe) ([]MatchBlock, PairStats, error) {
+	return matchPairs(ctx, len(seqs), workers, probe, func(i, j int, pr *perf.Probe) ([]MatchBlock, PairStats, error) {
+		return PairMatches(i, seqs[i], j, seqs[j], k, w, pr)
+	})
+}
+
+// CohortMatches is AllPairMatches over a cohort of named assemblies whose
+// pair results come from pair — a PairCache, or a fleet of remote workers.
+// Each unordered pair is handed to pair in canonical orientation: a < b by
+// name, seqA and seqB their sequences. pair returns the blocks in that
+// orientation (SeqA = 0 names a), which CohortMatches does not mutate, and
+// whether they were reused. The blocks are remapped into cohort indices and
+// merged in canonical pair order, so for a deterministic pair the result
+// equals AllPairMatches(ctx, seqs, …) whatever the order of names. hits
+// counts the pairs pair reported as reused. workers and ctx are as for
+// AllPairMatches.
+func CohortMatches(ctx context.Context, names []string, seqs [][]byte, workers int,
+	pair func(ctx context.Context, a, b string, seqA, seqB []byte) ([]MatchBlock, PairStats, bool, error),
+) (blocks []MatchBlock, stats PairStats, hits int, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := len(seqs)
-	type pairJob struct{ i, j int }
-	var jobs []pairJob
+	var reused atomic.Int64
+	blocks, stats, err = matchPairs(ctx, len(names), workers, nil, func(i, j int, _ *perf.Probe) ([]MatchBlock, PairStats, error) {
+		swapped := names[i] > names[j]
+		a, b, seqA, seqB := names[i], names[j], seqs[i], seqs[j]
+		if swapped {
+			a, b, seqA, seqB = b, a, seqB, seqA
+		}
+		canonical, st, hit, err := pair(ctx, a, b, seqA, seqB)
+		if err != nil {
+			return nil, PairStats{}, err
+		}
+		if hit {
+			reused.Add(1)
+		}
+		return remapBlocks(canonical, i, j, swapped), st, nil
+	})
+	if err != nil {
+		return nil, PairStats{}, 0, err
+	}
+	return blocks, stats, int(reused.Load()), nil
+}
+
+// matchPairs runs match over every unordered pair (i<j) of n sequences on
+// forEach and merges the blocks and stats in canonical pair order ((0,1),
+// (0,2), …, (n-2,n-1)), so the result does not depend on workers or
+// scheduling. The first failed pair in that order fails the whole run.
+func matchPairs(ctx context.Context, n, workers int, probe *perf.Probe, match func(i, j int, probe *perf.Probe) ([]MatchBlock, PairStats, error)) ([]MatchBlock, PairStats, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var jobs [][2]int
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			jobs = append(jobs, pairJob{i, j})
+			jobs = append(jobs, [2]int{i, j})
 		}
 	}
 	results := make([][]MatchBlock, len(jobs))
@@ -270,8 +310,7 @@ func AllPairMatches(ctx context.Context, seqs [][]byte, k, w, workers int, probe
 
 	err := forEach(ctx, len(jobs), workers, probe, func() func(int, *perf.Probe) {
 		return func(ji int, pr *perf.Probe) {
-			job := jobs[ji]
-			results[ji], stats[ji], errs[ji] = PairMatches(job.i, seqs[job.i], job.j, seqs[job.j], k, w, pr)
+			results[ji], stats[ji], errs[ji] = match(jobs[ji][0], jobs[ji][1], pr)
 		}
 	})
 	if err != nil {
@@ -288,4 +327,32 @@ func AllPairMatches(ctx context.Context, seqs [][]byte, k, w, workers int, probe
 		agg.Add(stats[ji])
 	}
 	return out, agg, nil
+}
+
+// remapBlocks converts one pair's canonical blocks (indices 0/1 in
+// name-sorted orientation) into cohort indices i/j, swapping the A/B roles
+// when the cohort lists the pair in reverse name order and then restoring
+// sorted (PosA, PosB) order. Unswapped blocks are already in that order.
+func remapBlocks(canonical []MatchBlock, i, j int, swapped bool) []MatchBlock {
+	out := make([]MatchBlock, len(canonical))
+	for bi, blk := range canonical {
+		if swapped {
+			blk.PosA, blk.PosB = blk.PosB, blk.PosA
+		}
+		out[bi] = MatchBlock{SeqA: i, PosA: blk.PosA, SeqB: j, PosB: blk.PosB, Len: blk.Len}
+	}
+	if swapped {
+		sortBlocks(out)
+	}
+	return out
+}
+
+// sortBlocks puts blocks in canonical order: by A position, then B position.
+func sortBlocks(blocks []MatchBlock) {
+	sort.Slice(blocks, func(i, j int) bool {
+		if blocks[i].PosA != blocks[j].PosA {
+			return blocks[i].PosA < blocks[j].PosA
+		}
+		return blocks[i].PosB < blocks[j].PosB
+	})
 }

@@ -20,12 +20,6 @@ type Config struct {
 	// DeadAfter is how long a node may go unheard before it is marked dead
 	// and its tasks are routed elsewhere; ≤0 uses 3×HeartbeatEvery.
 	DeadAfter time.Duration
-	// CacheBytes is the per-worker shard-cache budget pushed with the
-	// catalog; ≤0 leaves each worker's own default in place.
-	CacheBytes int
-	// Parallel bounds concurrently dispatched pair tasks in AllPairMatches;
-	// ≤0 uses 4× the node count.
-	Parallel int
 	// Metrics receives fleet counters and gauges (nodes live, tasks,
 	// reassignments, remote cache hits); nil disables recording.
 	Metrics *perf.Metrics
@@ -191,11 +185,10 @@ func (c *Coordinator) configPush(idx, n int) ConfigPush {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return ConfigPush{
-		Names:      append([]string(nil), c.names...),
-		Seqs:       append([][]byte(nil), c.seqs...),
-		CacheBytes: c.cfg.CacheBytes,
-		Range:      RangeOf(idx, n),
-		Version:    c.version,
+		Names:   append([]string(nil), c.names...),
+		Seqs:    append([][]byte(nil), c.seqs...),
+		Range:   RangeOf(idx, n),
+		Version: c.version,
 	}
 }
 
@@ -447,118 +440,27 @@ func (c *Coordinator) Match(ctx context.Context, a, b string, k, w int) ([]build
 	return nil, build.PairStats{}, false, ErrNoLiveNodes
 }
 
-// RemapBlocks converts one pair's canonical match blocks (indices 0/1 in
-// sorted-name orientation) into cohort coordinates i/j, swapping the
-// A/B roles when the cohort order is reversed and restoring canonical
-// (PosA, PosB) block order afterwards.
-func RemapBlocks(canonical []build.MatchBlock, i, j int, swapped bool) []build.MatchBlock {
-	out := make([]build.MatchBlock, len(canonical))
-	for bi, blk := range canonical {
-		if swapped {
-			blk.PosA, blk.PosB = blk.PosB, blk.PosA
-		}
-		out[bi] = build.MatchBlock{SeqA: i, PosA: blk.PosA, SeqB: j, PosB: blk.PosB, Len: blk.Len}
-	}
-	if swapped {
-		sort.Slice(out, func(a, b int) bool {
-			if out[a].PosA != out[b].PosA {
-				return out[a].PosA < out[b].PosA
-			}
-			return out[a].PosB < out[b].PosB
-		})
-	}
-	return out
-}
-
 // AllPairMatches runs every unordered pair of the named cohort through the
-// fleet and merges the per-pair blocks in canonical pair order — the
-// distributed counterpart of build.AllPairMatches, byte-identical to it
-// for the same inputs. Cohort assemblies must already be registered.
-// The returned hit count is the number of pairs served from worker shard
-// caches.
+// fleet with build.CohortMatches, 4 dispatches in flight per node — the
+// distributed counterpart of build.AllPairMatches, byte-identical to it for
+// the same inputs. Cohort assemblies must already be registered. The
+// returned hit count is the number of pairs served from worker caches.
 func (c *Coordinator) AllPairMatches(ctx context.Context, cohort []string, k, w int) ([]build.MatchBlock, build.PairStats, int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	seqs := make([][]byte, len(cohort))
 	c.mu.Lock()
-	for _, name := range cohort {
-		if _, ok := c.byName[name]; !ok {
+	for i, name := range cohort {
+		idx, ok := c.byName[name]
+		if !ok {
 			c.mu.Unlock()
 			return nil, build.PairStats{}, 0, fmt.Errorf("fleet: assembly %q not registered", name)
 		}
+		seqs[i] = c.seqs[idx]
 	}
 	c.mu.Unlock()
-
-	type pairJob struct{ i, j int }
-	var jobs []pairJob
-	for i := 0; i < len(cohort); i++ {
-		for j := i + 1; j < len(cohort); j++ {
-			jobs = append(jobs, pairJob{i, j})
-		}
-	}
-	results := make([][]build.MatchBlock, len(jobs))
-	stats := make([]build.PairStats, len(jobs))
-	hits := make([]bool, len(jobs))
-	errs := make([]error, len(jobs))
-
-	parallel := c.cfg.Parallel
-	if parallel <= 0 {
-		parallel = 4 * len(c.snapshotNodes())
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-	if parallel > len(jobs) {
-		parallel = len(jobs)
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for wk := 0; wk < parallel; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				ji := next
-				next++
-				mu.Unlock()
-				if ji >= len(jobs) || ctx.Err() != nil {
-					return
-				}
-				job := jobs[ji]
-				nameI, nameJ := cohort[job.i], cohort[job.j]
-				swapped := nameI > nameJ
-				blocks, st, hit, err := c.Match(ctx, nameI, nameJ, k, w)
-				if err != nil {
-					errs[ji] = err
-					continue
-				}
-				results[ji] = RemapBlocks(blocks, job.i, job.j, swapped)
-				stats[ji] = st
-				hits[ji] = hit
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, build.PairStats{}, 0, err
-	}
-
-	var out []build.MatchBlock
-	var agg build.PairStats
-	nHits := 0
-	for ji := range jobs {
-		if errs[ji] != nil {
-			return nil, agg, nHits, errs[ji]
-		}
-		out = append(out, results[ji]...)
-		agg.Add(stats[ji])
-		if hits[ji] {
-			nHits++
-		}
-	}
-	return out, agg, nHits, nil
+	return build.CohortMatches(ctx, cohort, seqs, 4*len(c.snapshotNodes()),
+		func(ctx context.Context, a, b string, _, _ []byte) ([]build.MatchBlock, build.PairStats, bool, error) {
+			return c.Match(ctx, a, b, k, w)
+		})
 }
 
 // FederatedNodes returns the last heartbeat-scraped metric snapshot per

@@ -3,8 +3,10 @@
 // coordinator/worker fleet. A Coordinator owns a node registry with
 // heartbeats and per-node config push; each Worker owns a contiguous key
 // range of the canonical pair-hash space and serves pair-match RPCs out of
-// its own ref-counted, single-flight shard cache, so overlapping cohorts
-// skip redundant quadratic matching across processes, not just within one.
+// its own build.PairCache, so overlapping cohorts skip redundant quadratic
+// matching across processes, not just within one. The coordinator fans a
+// cohort out with build.CohortMatches, the same pair loop, remap and merge
+// a single-process serve build runs.
 //
 // Determinism contract: a pair's match blocks depend only on the two
 // sequences and the (w,k)-minimizer scheme (build.PairMatches is
@@ -147,14 +149,13 @@ type MatchResponse struct {
 }
 
 // ConfigPush is the coordinator→worker capability/config push: the full
-// assembly catalog the worker may be asked to match, the shard cache
-// budget, and (informationally) the key range this worker currently owns.
+// assembly catalog the worker may be asked to match and (informationally)
+// the key range this worker currently owns.
 type ConfigPush struct {
-	Names      []string `json:"names"`
-	Seqs       [][]byte `json:"seqs"`
-	CacheBytes int      `json:"cache_bytes,omitempty"`
-	Range      KeyRange `json:"range"`
-	Version    int      `json:"version"`
+	Names   []string `json:"names"`
+	Seqs    [][]byte `json:"seqs"`
+	Range   KeyRange `json:"range"`
+	Version int      `json:"version"`
 }
 
 // PingReply is one heartbeat's worth of worker state: identity, workload

@@ -133,12 +133,16 @@ func TestFleetShardCacheCrossRequest(t *testing.T) {
 
 // gated wraps a transport and stalls Match calls until the gate closes —
 // the deterministic way to keep a build in flight while a node dies.
+// arrived closes when the first Match call reaches the gate.
 type gated struct {
 	Transport
-	gate chan struct{}
+	gate    chan struct{}
+	arrived chan struct{}
+	once    sync.Once
 }
 
 func (g *gated) Match(ctx context.Context, req MatchRequest) (*MatchResponse, error) {
+	g.once.Do(func() { close(g.arrived) })
 	select {
 	case <-g.gate:
 	case <-ctx.Done():
@@ -164,7 +168,7 @@ func TestFleetWorkerKillMidBuild(t *testing.T) {
 	}
 	victim := NewLocalNode(NewWorker("node-0", 0), 0)
 	survivor := NewLocalNode(NewWorker("node-1", 0), 0)
-	gate := &gated{Transport: victim, gate: make(chan struct{})}
+	gate := &gated{Transport: victim, gate: make(chan struct{}), arrived: make(chan struct{})}
 	if err := c.AddNode("node-0", gate); err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +191,9 @@ func TestFleetWorkerKillMidBuild(t *testing.T) {
 		done <- result{blocks, err}
 	}()
 
-	// The build is now stalled on the victim's gated pairs: kill the node,
-	// then open the gate so the stalled RPCs fail like a dropped daemon.
-	time.Sleep(30 * time.Millisecond)
+	// Once the build stalls on the victim's gated pairs, kill the node, then
+	// open the gate so the stalled RPCs fail like a dropped daemon.
+	<-gate.arrived
 	victim.Kill()
 	close(gate.gate)
 

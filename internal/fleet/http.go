@@ -44,6 +44,17 @@ type httpError struct {
 
 const codeUnknownAssembly = "unknown-assembly"
 
+// Request body limits; a larger body gets 413. The largest /match body any
+// caller sends is two assembly names and two ints — under 100 bytes for the
+// names gensim generates — so 64 KiB admits names of up to ~32 KiB. The
+// largest /configure body is the whole catalog, its sequences base64'd in
+// JSON (4/3 of the raw bytes): ~270 KB for serve-sim's default 10 × 20 kb
+// cohort over a fleet. 64 MiB admits a ~48 MB catalog.
+const (
+	maxMatchBody     = 64 << 10
+	maxConfigureBody = 64 << 20
+)
+
 // Handler exposes w over the fleet wire protocol.
 func Handler(w *Worker) http.Handler {
 	mux := http.NewServeMux()
@@ -53,8 +64,7 @@ func Handler(w *Worker) http.Handler {
 			return
 		}
 		var push ConfigPush
-		if err := json.NewDecoder(r.Body).Decode(&push); err != nil {
-			writeErr(rw, http.StatusBadRequest, err, "decode", w)
+		if !decodeBody(rw, r, maxConfigureBody, &push, w) {
 			return
 		}
 		if err := w.Configure(push); err != nil {
@@ -69,8 +79,7 @@ func Handler(w *Worker) http.Handler {
 			return
 		}
 		var req MatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(rw, http.StatusBadRequest, err, "decode", w)
+		if !decodeBody(rw, r, maxMatchBody, &req, w) {
 			return
 		}
 		ctx := r.Context()
@@ -79,10 +88,13 @@ func Handler(w *Worker) http.Handler {
 		}
 		resp, err := w.Match(ctx, req)
 		if err != nil {
+			// Match fails only on what the request asked for: a
+			// non-canonical pair, an invalid (k, w), an assembly the
+			// catalog lacks, or a caller that went away.
 			if errors.Is(err, ErrUnknownAssembly) {
 				writeErr(rw, http.StatusConflict, err, codeUnknownAssembly, w)
 			} else {
-				writeErr(rw, http.StatusInternalServerError, err, "match", w)
+				writeErr(rw, http.StatusBadRequest, err, "match", w)
 			}
 			return
 		}
@@ -108,6 +120,23 @@ func Handler(w *Worker) http.Handler {
 		fmt.Fprintln(rw, "ok")
 	})
 	return mux
+}
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes. On
+// failure it serves 413 for an oversized body, 400 otherwise, and returns
+// false.
+func decodeBody(rw http.ResponseWriter, r *http.Request, limit int64, v any, w *Worker) bool {
+	err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(rw, status, err, "decode", w)
+	return false
 }
 
 // writeErr serves one JSON error body, counting it under the worker's
@@ -147,7 +176,16 @@ func (s *WorkerServer) Start(addr string) (string, error) {
 		return "", fmt.Errorf("fleet: listen %s: %w", addr, err)
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: Handler(s.W), ReadHeaderTimeout: 5 * time.Second}
+	// ReadTimeout admits a maxConfigureBody push at 2.3 MB/s or faster;
+	// WriteTimeout bounds one /match, a cache-miss PairMatches included;
+	// IdleTimeout drops keep-alive connections a coordinator abandoned.
+	s.srv = &http.Server{
+		Handler:           Handler(s.W),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 	go func() { _ = s.srv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }

@@ -1,14 +1,50 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pangenomicsbench/internal/build"
 	"pangenomicsbench/internal/perf"
 )
+
+// FuzzHandler posts arbitrary bodies to the worker daemon's /match and
+// /configure endpoints. The handler must never panic, and no body may get a
+// 5xx: malformed or oversized input is the caller's error.
+func FuzzHandler(f *testing.F) {
+	seq := []byte(strings.Repeat("ACGTTGCAAGCTTACG", 20))
+	f.Add(false, []byte(`{"a":"a","b":"b","k":15,"w":10}`))
+	f.Add(false, []byte(`{"a":"b","b":"a","k":15,"w":10}`))
+	f.Add(false, []byte(`{"a":"a","b":"b","k":0,"w":-1}`))
+	f.Add(false, []byte(`{"a":"a","b":"zz","k":15,"w":10}`))
+	f.Add(false, []byte(`{"a":`))
+	f.Add(false, []byte(`{"a":"`+strings.Repeat("x", maxMatchBody)+`","b":"y"}`))
+	f.Add(true, []byte(`{"names":["c","d"],"seqs":["QUNHVA==","QUNHVA=="],"version":2}`))
+	f.Add(true, []byte(`{"names":["c"],"seqs":[]}`))
+	f.Add(true, []byte(`{"names":[""],"seqs":[""]}`))
+	f.Add(true, []byte(`[1,2,3]`))
+	f.Fuzz(func(t *testing.T, configure bool, body []byte) {
+		w := NewWorker("fuzz", 0)
+		if err := w.Configure(ConfigPush{Names: []string{"a", "b"}, Seqs: [][]byte{seq, seq[7:]}, Version: 1}); err != nil {
+			t.Fatal(err)
+		}
+		path := "/match"
+		if configure {
+			path = "/configure"
+		}
+		rec := httptest.NewRecorder()
+		Handler(w).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("POST %s %q: HTTP %d %s", path, body, rec.Code, rec.Body)
+		}
+	})
+}
 
 // TestHTTPWorkerEndToEnd drives two real worker daemons over loopback TCP:
 // config push, sharded matching, heartbeats, and the unknown-assembly

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"strconv"
@@ -13,37 +12,14 @@ import (
 	"pangenomicsbench/internal/perf"
 )
 
-// cacheKey identifies one canonical pair-match computation in a worker's
-// shard cache (the cross-process counterpart of serve's pair cache).
-type cacheKey struct {
-	a, b string
-	k, w int
-}
-
-// cacheEntry is one cached pair result with single-flight and pinning:
-// ready closes when the owner publishes or fails, refs > 0 blocks
-// eviction while a request is still reading the blocks.
-type cacheEntry struct {
-	key    cacheKey
-	ready  chan struct{}
-	err    error
-	blocks []build.MatchBlock
-	stats  build.PairStats
-	cost   int
-	refs   int
-	elem   *list.Element // non-nil while unpinned and evictable
-}
-
-// entryCost approximates a cached entry's bytes (5 ints per block + header).
-const entryCost = 40
-
 // Worker executes pair-match RPCs for the shard of the canonical pair-hash
 // space the coordinator routes to it. It holds the pushed assembly catalog
-// and a size-bounded, ref-counted, single-flight cache of its shard's pair
-// results, so overlapping cohorts hit across builds and across processes.
-// All methods are safe for concurrent use.
+// and a build.PairCache of its shard's pair results, so overlapping cohorts
+// hit across builds and across processes. All methods are safe for
+// concurrent use.
 type Worker struct {
-	name string
+	name  string
+	cache *build.PairCache
 
 	// obsMu guards the observability hooks, which SetObs may swap while
 	// Match RPCs are in flight (the daemon wires them after construction).
@@ -51,41 +27,29 @@ type Worker struct {
 	metrics *perf.Metrics
 	tracer  *obs.Tracer
 
-	mu         sync.Mutex
-	catalog    map[string][]byte
-	version    int // last ConfigPush.Version applied
-	owned      KeyRange
-	capacity   int
-	size       int
-	entries    map[cacheKey]*cacheEntry
-	lru        *list.List // front = most recent; unpinned ready entries only
-	tasks      int64
-	hits       int64
-	misses     int64
-	evictions  int64
-	assemblies int
+	mu      sync.Mutex
+	catalog map[string][]byte
+	version int // last ConfigPush.Version applied
+	owned   KeyRange
 }
 
 // NewWorker returns a named worker with an empty catalog and the given
-// shard-cache capacity in bytes (≤0 uses 32 MiB).
+// pair-cache capacity in bytes (≤0 uses 32 MiB).
 func NewWorker(name string, cacheBytes int) *Worker {
 	if cacheBytes <= 0 {
 		cacheBytes = 32 << 20
 	}
 	return &Worker{
-		name:     name,
-		catalog:  map[string][]byte{},
-		capacity: cacheBytes,
-		entries:  map[cacheKey]*cacheEntry{},
-		lru:      list.New(),
+		name:    name,
+		cache:   build.NewPairCache(cacheBytes, nil, ""),
+		catalog: map[string][]byte{},
 	}
 }
 
 // Configure applies one coordinator config push: the assembly catalog is
-// replaced wholesale (pushes are cumulative snapshots, not deltas), and
-// the cache budget and owned range are updated. Stale pushes (a version
-// below the last applied one) are ignored, so a delayed re-push cannot
-// roll the catalog back.
+// replaced wholesale (pushes are cumulative snapshots, not deltas), and the
+// owned range is updated. Stale pushes (a version below the last applied
+// one) are ignored, so a delayed re-push cannot roll the catalog back.
 func (w *Worker) Configure(push ConfigPush) error {
 	if len(push.Names) != len(push.Seqs) {
 		return fmt.Errorf("fleet: config push has %d names but %d seqs", len(push.Names), len(push.Seqs))
@@ -103,13 +67,8 @@ func (w *Worker) Configure(push ConfigPush) error {
 		cat[n] = push.Seqs[i]
 	}
 	w.catalog = cat
-	w.assemblies = len(cat)
 	w.version = push.Version
 	w.owned = push.Range
-	if push.CacheBytes > 0 {
-		w.capacity = push.CacheBytes
-		w.evictLocked()
-	}
 	return nil
 }
 
@@ -135,7 +94,7 @@ func (w *Worker) MetricsSnapshot() perf.MetricsSnapshot {
 	return m.Snapshot()
 }
 
-// Match resolves one canonical pair through the shard cache, computing it
+// Match resolves one canonical pair through the pair cache, computing it
 // with build.PairMatches on a miss. Concurrent requests for the same
 // uncomputed pair share one execution. The returned blocks are in
 // canonical orientation (SeqA = 0 names req.A, SeqB = 1 names req.B) and
@@ -178,141 +137,60 @@ func (w *Worker) Match(ctx context.Context, req MatchRequest) (*MatchResponse, e
 	return resp, nil
 }
 
-// match is the shard-cache path behind Match; sp (possibly nil) receives
+// match is the pair-cache path behind Match. The catalog is read only on a
+// miss, so a cached pair is served without it; sp (possibly nil) receives
 // the kernel stage breakdown on a compute.
 func (w *Worker) match(ctx context.Context, req MatchRequest, sp *obs.Span) (*MatchResponse, error) {
 	if req.A >= req.B {
 		return nil, fmt.Errorf("fleet: non-canonical pair %q, %q (want A < B)", req.A, req.B)
 	}
-	key := cacheKey{a: req.A, b: req.B, k: req.K, w: req.W}
-	for {
+	blocks, stats, hit, err := w.cache.Get(ctx, req.A, req.B, req.K, req.W, func() ([]build.MatchBlock, build.PairStats, error) {
 		w.mu.Lock()
-		e := w.entries[key]
-		if e == nil {
-			seqA, okA := w.catalog[req.A]
-			seqB, okB := w.catalog[req.B]
-			if !okA || !okB {
-				w.mu.Unlock()
-				return nil, fmt.Errorf("%w: %q/%q (catalog has %d assemblies)", ErrUnknownAssembly, req.A, req.B, len(w.catalog))
-			}
-			e = &cacheEntry{key: key, ready: make(chan struct{}), refs: 1}
-			w.entries[key] = e
-			w.misses++
-			w.tasks++
-			w.mu.Unlock()
-
-			cs := sp.Child("compute")
-			tc := time.Now()
-			blocks, stats, err := build.PairMatches(0, seqA, 1, seqB, req.K, req.W, nil)
-			if err == nil {
-				// Kernel stage attribution: minimize and WFA refine are
-				// measured inside PairMatches; anchoring/emission is the rest.
-				cs.Stage("minimize", tc, stats.MinimizeTime)
-				cs.Stage("wfa", tc.Add(stats.MinimizeTime), stats.WFATime)
-				if rest := time.Since(tc) - stats.MinimizeTime - stats.WFATime; rest > 0 {
-					cs.Stage("anchor", tc.Add(stats.MinimizeTime+stats.WFATime), rest)
-				}
-			}
-			cs.Error(err)
-			cs.End()
-			w.mu.Lock()
-			if err != nil {
-				e.err = err
-				delete(w.entries, key)
-				close(e.ready)
-				w.mu.Unlock()
-				return nil, err
-			}
-			e.blocks = blocks
-			e.stats = stats
-			e.cost = entryCost*len(blocks) + 64
-			w.size += e.cost
-			w.evictLocked()
-			close(e.ready)
-			resp := &MatchResponse{Blocks: e.blocks, Stats: e.stats}
-			w.releaseLocked(e)
-			w.mu.Unlock()
-			return resp, nil
-		}
-
-		// Hit or join: pin so eviction cannot drop the entry mid-read.
-		e.refs++
-		if e.elem != nil {
-			w.lru.Remove(e.elem)
-			e.elem = nil
-		}
+		seqA, okA := w.catalog[req.A]
+		seqB, okB := w.catalog[req.B]
+		n := len(w.catalog)
 		w.mu.Unlock()
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			w.mu.Lock()
-			w.releaseLocked(e)
-			w.mu.Unlock()
-			return nil, ctx.Err()
+		if !okA || !okB {
+			return nil, build.PairStats{}, fmt.Errorf("%w: %q/%q (catalog has %d assemblies)", ErrUnknownAssembly, req.A, req.B, n)
 		}
-		w.mu.Lock()
-		if e.err != nil {
-			// The owner failed and removed the entry; retry as fresh owner.
-			w.releaseLocked(e)
-			w.mu.Unlock()
-			continue
+		cs := sp.Child("compute")
+		tc := time.Now()
+		blocks, stats, err := build.PairMatches(0, seqA, 1, seqB, req.K, req.W, nil)
+		if err == nil {
+			// Kernel stage attribution: minimize and WFA refine are
+			// measured inside PairMatches; anchoring/emission is the rest.
+			cs.Stage("minimize", tc, stats.MinimizeTime)
+			cs.Stage("wfa", tc.Add(stats.MinimizeTime), stats.WFATime)
+			if rest := time.Since(tc) - stats.MinimizeTime - stats.WFATime; rest > 0 {
+				cs.Stage("anchor", tc.Add(stats.MinimizeTime+stats.WFATime), rest)
+			}
 		}
-		w.hits++
-		w.tasks++
-		resp := &MatchResponse{Blocks: e.blocks, Stats: e.stats, CacheHit: true}
-		w.releaseLocked(e)
-		w.mu.Unlock()
-		return resp, nil
+		cs.Error(err)
+		cs.End()
+		return blocks, stats, err
+	})
+	if err != nil {
+		return nil, err
 	}
-}
-
-// releaseLocked unpins an entry; the last release of a still-resident
-// ready entry makes it evictable. Called with w.mu held.
-func (w *Worker) releaseLocked(e *cacheEntry) {
-	e.refs--
-	if e.refs > 0 || e.err != nil {
-		return
-	}
-	if w.entries[e.key] != e {
-		return // evicted (or replaced) while pinned
-	}
-	if e.elem == nil {
-		e.elem = w.lru.PushFront(e)
-	}
-	w.evictLocked()
-}
-
-// evictLocked drops least-recently-used unpinned entries until the cache
-// fits its capacity. Called with w.mu held.
-func (w *Worker) evictLocked() {
-	for w.size > w.capacity {
-		back := w.lru.Back()
-		if back == nil {
-			return // everything resident is pinned
-		}
-		e := back.Value.(*cacheEntry)
-		w.lru.Remove(back)
-		e.elem = nil
-		delete(w.entries, e.key)
-		w.size -= e.cost
-		w.evictions++
-	}
+	return &MatchResponse{Blocks: blocks, Stats: stats, CacheHit: hit}, nil
 }
 
 // Ping reports the worker's identity, counters and cache occupancy — the
-// heartbeat payload the coordinator aggregates.
+// heartbeat payload the coordinator aggregates. Tasks counts the pairs
+// served, from the cache or computed.
 func (w *Worker) Ping() PingReply {
+	st := w.cache.Stats()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return PingReply{
 		Name:          w.name,
-		Assemblies:    w.assemblies,
+		Assemblies:    len(w.catalog),
 		ConfigVersion: w.version,
 		Range:         w.owned,
-		Tasks:         w.tasks,
-		CacheHits:     w.hits,
-		CacheMisses:   w.misses,
-		CacheEntries:  len(w.entries),
-		CacheBytes:    w.size,
+		Tasks:         st.Hits + st.Misses,
+		CacheHits:     st.Hits,
+		CacheMisses:   st.Misses,
+		CacheEntries:  st.Entries,
+		CacheBytes:    st.Bytes,
 	}
 }

@@ -4,10 +4,10 @@
 // assemblies and executes build requests for cohorts drawn from it on a
 // bounded worker pool, with three forms of work sharing:
 //
-//   - Per-pair caching: PGGB's all-vs-all matching is decomposed into
-//     canonical (name-sorted) pairs whose results live in a size-bounded,
-//     reference-counted LRU, so repeated builds of overlapping cohorts skip
-//     the redundant quadratic matching work.
+//   - Per-pair caching: PGGB's all-vs-all matching runs as
+//     build.CohortMatches over canonical (name-sorted) pairs whose results
+//     live in a size-bounded build.PairCache, so repeated builds of
+//     overlapping cohorts skip the redundant quadratic matching work.
 //   - Pair single-flight: concurrent requests needing the same uncomputed
 //     pair share one execution.
 //   - Request coalescing: identical in-flight requests (same tool, cohort
@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -47,9 +46,6 @@ const (
 type Config struct {
 	// Workers bounds concurrently executing builds; ≤0 uses GOMAXPROCS.
 	Workers int
-	// PairWorkers bounds one PGGB request's concurrent pair computations;
-	// ≤0 uses GOMAXPROCS.
-	PairWorkers int
 	// CacheCapacity bounds the pair-match cache in bytes; ≤0 uses 64 MiB.
 	CacheCapacity int
 	// DefaultTimeout bounds requests that don't set their own Timeout;
@@ -84,7 +80,7 @@ type Config struct {
 	// Fleet, when set, routes PGGB pair matching through a multi-node
 	// construction fleet instead of the in-process pair cache: each pair is
 	// dispatched to the worker owning its canonical hash shard, and workers'
-	// shard caches replace the local one. Set Fleet before registering
+	// pair caches replace the local one. Set Fleet before registering
 	// assemblies — RegisterAssembly forwards the catalog to the fleet so
 	// workers can be config-pushed. Results are byte-identical to the local
 	// path per the fleet determinism contract. MC requests are unaffected.
@@ -133,7 +129,7 @@ type Service struct {
 	cfg     Config
 	metrics *perf.Metrics
 	tracer  *obs.Tracer
-	cache   *pairCache
+	cache   *build.PairCache
 	slots   chan struct{}
 
 	mu       sync.Mutex
@@ -148,9 +144,6 @@ func New(cfg Config) *Service {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.PairWorkers <= 0 {
-		cfg.PairWorkers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.CacheCapacity <= 0 {
 		cfg.CacheCapacity = 64 << 20
 	}
@@ -158,7 +151,7 @@ func New(cfg Config) *Service {
 		cfg:      cfg,
 		metrics:  cfg.Metrics,
 		tracer:   cfg.Tracer,
-		cache:    newPairCache(cfg.CacheCapacity, cfg.Metrics),
+		cache:    build.NewPairCache(cfg.CacheCapacity, cfg.Metrics, "serve.evictions"),
 		slots:    make(chan struct{}, cfg.Workers),
 		catalog:  map[string][]byte{},
 		inflight: map[string]*flight{},
@@ -210,11 +203,15 @@ func (s *Service) Metrics() perf.MetricsSnapshot { return s.metrics.Snapshot() }
 // CacheCounters returns the lifetime pair-cache counters
 // (hits, misses, evictions).
 func (s *Service) CacheCounters() (hits, misses, evictions int64) {
-	return s.cache.counters()
+	st := s.cache.Stats()
+	return st.Hits, st.Misses, st.Evictions
 }
 
 // CacheResident returns the pair-cache occupancy (entries, bytes).
-func (s *Service) CacheResident() (entries, bytes int) { return s.cache.resident() }
+func (s *Service) CacheResident() (entries, bytes int) {
+	st := s.cache.Stats()
+	return st.Entries, st.Bytes
+}
 
 // resolve maps a cohort onto catalog sequences.
 func (s *Service) resolve(cohort []string) ([][]byte, error) {
@@ -430,124 +427,37 @@ func fairShareWorkers(procs, slots int) int {
 }
 
 // buildPGGB runs the PGGB pipeline with the alignment stage routed through
-// the pair cache: every unordered cohort pair resolves to a canonical
-// (name-sorted) PairMatches result that is computed at most once while
-// cached, then remapped into this cohort's indices. The resulting block set
-// — and therefore the built graph — is byte-identical whether each pair was
+// the pair cache, or through the fleet when one is configured (its workers'
+// caches stand in for the local one). The resulting block set — and
+// therefore the built graph — is byte-identical whether each pair was
 // computed fresh or reused.
 func (s *Service) buildPGGB(ctx context.Context, req Request, seqs [][]byte, resp *Response) (*build.Result, error) {
 	cfg := req.PGGB
-	names := req.Cohort
-	type pairJob struct{ i, j int }
-	var jobs []pairJob
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			jobs = append(jobs, pairJob{i, j})
+	pair := func(ctx context.Context, a, b string, seqA, seqB []byte) ([]build.MatchBlock, build.PairStats, bool, error) {
+		if s.cfg.Fleet != nil {
+			return s.cfg.Fleet.Match(ctx, a, b, cfg.K, cfg.W)
 		}
+		return s.cache.Get(ctx, a, b, cfg.K, cfg.W, func() ([]build.MatchBlock, build.PairStats, error) {
+			return build.PairMatches(0, seqA, 1, seqB, cfg.K, cfg.W, nil)
+		})
 	}
-
 	t0 := time.Now()
-	results := make([][]build.MatchBlock, len(jobs))
-	stats := make([]build.PairStats, len(jobs))
-	hits := make([]bool, len(jobs))
-	errs := make([]error, len(jobs))
-
-	workers := s.cfg.PairWorkers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				ji := next
-				next++
-				mu.Unlock()
-				if ji >= len(jobs) || ctx.Err() != nil {
-					return
-				}
-				job := jobs[ji]
-				results[ji], stats[ji], hits[ji], errs[ji] =
-					s.matchPair(ctx, names[job.i], seqs[job.i], job.i, names[job.j], seqs[job.j], job.j, cfg)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	blocks, agg, hits, err := build.CohortMatches(ctx, req.Cohort, seqs, cfg.Workers, pair)
+	if err != nil {
 		return nil, err
 	}
-
-	var blocks []build.MatchBlock
-	var agg build.PairStats
-	for ji := range jobs {
-		if errs[ji] != nil {
-			return nil, errs[ji]
-		}
-		blocks = append(blocks, results[ji]...)
-		agg.Add(stats[ji])
-		if hits[ji] {
-			resp.PairHits++
-		} else {
-			resp.PairMisses++
-		}
-	}
 	alignTime := time.Since(t0)
+	resp.PairHits = hits
+	resp.PairMisses = len(seqs)*(len(seqs)-1)/2 - hits
+	if s.cfg.Fleet == nil {
+		s.metrics.Add("serve.pair_hits", int64(resp.PairHits))
+		s.metrics.Add("serve.pair_misses", int64(resp.PairMisses))
+	}
 
-	res, err := build.PGGBFromMatches(ctx, names, seqs, blocks, agg, cfg, nil)
+	res, err := build.PGGBFromMatches(ctx, req.Cohort, seqs, blocks, agg, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
 	res.Breakdown.Alignment = alignTime
 	return res, nil
-}
-
-// matchPair resolves one cohort pair (cohort indices i < j) through the
-// cache and remaps the canonical blocks into cohort coordinates. With a
-// fleet configured, the pair is dispatched to the worker owning its hash
-// shard instead, and the worker's shard cache stands in for the local one.
-func (s *Service) matchPair(ctx context.Context, nameI string, seqI []byte, i int, nameJ string, seqJ []byte, j int, cfg build.PGGBConfig) ([]build.MatchBlock, build.PairStats, bool, error) {
-	lo, hi := nameI, nameJ
-	seqLo, seqHi := seqI, seqJ
-	swapped := false
-	if lo > hi {
-		lo, hi = hi, lo
-		seqLo, seqHi = seqHi, seqLo
-		swapped = true
-	}
-	if s.cfg.Fleet != nil {
-		blocks, st, hit, err := s.cfg.Fleet.Match(ctx, lo, hi, cfg.K, cfg.W)
-		if err != nil {
-			return nil, build.PairStats{}, false, err
-		}
-		return fleet.RemapBlocks(blocks, i, j, swapped), st, hit, nil
-	}
-	key := pairKey{a: lo, b: hi, k: cfg.K, w: cfg.W}
-	entry, hit, err := s.cache.acquire(ctx, key, func() ([]build.MatchBlock, build.PairStats, error) {
-		return build.PairMatches(0, seqLo, 1, seqHi, cfg.K, cfg.W, nil)
-	})
-	if err != nil {
-		return nil, build.PairStats{}, false, err
-	}
-	defer s.cache.release(entry)
-
-	out := make([]build.MatchBlock, len(entry.blocks))
-	for bi, b := range entry.blocks {
-		if swapped {
-			b.PosA, b.PosB = b.PosB, b.PosA
-		}
-		out[bi] = build.MatchBlock{SeqA: i, PosA: b.PosA, SeqB: j, PosB: b.PosB, Len: b.Len}
-	}
-	// Restore canonical (PosA, PosB) block order after a swap.
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].PosA != out[b].PosA {
-			return out[a].PosA < out[b].PosA
-		}
-		return out[a].PosB < out[b].PosB
-	})
-	return out, entry.stats, hit, nil
 }

@@ -154,8 +154,10 @@ func TestConcurrentOverlappingRequests(t *testing.T) {
 	// Serial reference: a fresh service per request so nothing is shared.
 	want := make([][]byte, len(cohorts))
 	for i, cohort := range cohorts {
-		s := testService(t, Config{Workers: 1, PairWorkers: 1}, names, seqs)
-		resp, err := s.Build(context.Background(), pggbRequest(cohort))
+		s := testService(t, Config{Workers: 1}, names, seqs)
+		req := pggbRequest(cohort)
+		req.PGGB.Workers = 1
+		resp, err := s.Build(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,38 +202,69 @@ func TestConcurrentOverlappingRequests(t *testing.T) {
 	}
 }
 
-// TestRequestCoalescing verifies identical in-flight requests share one
-// execution.
-func TestRequestCoalescing(t *testing.T) {
-	names, seqs := testCatalog(t, 4000, 4)
-	m := perf.NewMetrics()
-	s := testService(t, Config{Workers: 2, Metrics: m}, names, seqs)
-	req := pggbRequest(names)
+// leaderGate parks a leader build inside OnResult, where it is still
+// registered in flight, until release closes.
+type leaderGate struct {
+	entered chan struct{}
+	release chan struct{}
+}
 
+func newLeaderGate() *leaderGate {
+	return &leaderGate{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *leaderGate) hold() {
+	g.entered <- struct{}{}
+	<-g.release
+}
+
+// joinWatch is a context that closes joined the first time Build selects on
+// its Done channel: for a joiner, the moment it starts waiting on the leader.
+type joinWatch struct {
+	context.Context
+	once   sync.Once
+	joined chan struct{}
+}
+
+func (c *joinWatch) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.joined) })
+	return c.Context.Done()
+}
+
+// buildCoalesced builds req twice on s, whose OnResult calls g.hold: a
+// leader, and once the leader is parked in OnResult, an identical request
+// that must join it. The leader is released only after the joiner waits.
+func buildCoalesced(t *testing.T, s *Service, g *leaderGate, req Request) (leader, joined *Response) {
+	t.Helper()
 	leaderDone := make(chan struct{})
-	var leader *Response
 	var leaderErr error
 	go func() {
 		defer close(leaderDone)
 		leader, leaderErr = s.Build(context.Background(), req)
 	}()
-
-	// Wait until the leader registers in-flight, then join it.
-	fp := req.fingerprint()
-	for {
-		s.mu.Lock()
-		_, inflight := s.inflight[fp]
-		s.mu.Unlock()
-		if inflight {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	joined, err := s.Build(context.Background(), req)
+	<-g.entered
+	jw := &joinWatch{Context: context.Background(), joined: make(chan struct{})}
+	go func() {
+		<-jw.joined
+		close(g.release)
+	}()
+	joined, err := s.Build(jw, req)
 	<-leaderDone
 	if err != nil || leaderErr != nil {
 		t.Fatalf("build errors: leader=%v joined=%v", leaderErr, err)
 	}
+	return leader, joined
+}
+
+// TestRequestCoalescing verifies identical in-flight requests share one
+// execution.
+func TestRequestCoalescing(t *testing.T) {
+	names, seqs := testCatalog(t, 4000, 4)
+	m := perf.NewMetrics()
+	g := newLeaderGate()
+	s := testService(t, Config{Workers: 2, Metrics: m, OnResult: func(Request, *build.Result) { g.hold() }}, names, seqs)
+
+	leader, joined := buildCoalesced(t, s, g, pggbRequest(names))
 	if leader.Coalesced {
 		t.Fatal("leader marked coalesced")
 	}
@@ -265,7 +298,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatal("no evictions despite tiny capacity")
 	}
 	if _, bytes := s.CacheResident(); bytes > evictCap {
-		t.Fatalf("resident %d bytes exceeds capacity with no pins outstanding", bytes)
+		t.Fatalf("resident %d bytes exceeds capacity %d", bytes, evictCap)
 	}
 	// A re-request still works (recomputing whatever was evicted) and
 	// matches a fresh service's answer.
@@ -371,6 +404,7 @@ func TestOnResultHook(t *testing.T) {
 	names, seqs := testCatalog(t, 4000, 4)
 	var mu sync.Mutex
 	var fired []Request
+	var gate *leaderGate // set before the coalesced phase
 	cfg := Config{Workers: 2, OnResult: func(req Request, res *build.Result) {
 		if res == nil || res.Graph == nil {
 			t.Error("OnResult fired without a graph")
@@ -378,6 +412,9 @@ func TestOnResultHook(t *testing.T) {
 		mu.Lock()
 		fired = append(fired, req)
 		mu.Unlock()
+		if gate != nil {
+			gate.hold()
+		}
 	}}
 	s := testService(t, cfg, names, seqs)
 
@@ -399,28 +436,10 @@ func TestOnResultHook(t *testing.T) {
 	}
 
 	// Leader + coalesced joiner: one execution, one fire.
-	req := pggbRequest(names[:3])
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		if _, err := s.Build(context.Background(), req); err != nil {
-			t.Errorf("leader: %v", err)
-		}
-	}()
-	fp := req.fingerprint()
-	for {
-		s.mu.Lock()
-		_, inflight := s.inflight[fp]
-		s.mu.Unlock()
-		if inflight {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
+	gate = newLeaderGate()
+	if _, joined := buildCoalesced(t, s, gate, pggbRequest(names[:3])); !joined.Coalesced {
+		t.Fatal("second request did not join the leader")
 	}
-	if _, err := s.Build(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	<-leaderDone
 	if len(fired) != 2 {
 		t.Fatalf("coalesced pair fired the hook %d times total, want 2", len(fired))
 	}
