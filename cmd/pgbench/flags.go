@@ -15,7 +15,7 @@ func newFlagSet(name string) *flag.FlagSet {
 }
 
 // popFlags is the population flag block shared by the trace-replay commands
-// (serve-sim, map-serve): both start from the same deterministic simulated
+// (serve-sim, soak, fleet): all start from the same deterministic simulated
 // assembly catalog, so the flags and the simulation step live in one place.
 type popFlags struct {
 	refLen *int

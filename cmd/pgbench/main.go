@@ -8,7 +8,6 @@
 //	pgbench run [-scale small|bench|large] [-threads N] [-scenario S] <experiment>...
 //	pgbench all [-scale small|bench|large] [-threads N] [-scenario S]
 //	pgbench serve-sim [flags]
-//	pgbench map-serve [flags]
 //	pgbench soak [-scenario S] [-dur D] [-chaos LIST] [flags]
 //	pgbench fleet-worker [-listen ADDR]
 //	pgbench fleet [-nodes ADDRS | -local N]
@@ -52,7 +51,7 @@ func run(args []string) error {
 		for _, id := range core.Experiments() {
 			fmt.Println("  " + id)
 		}
-		fmt.Println("\nscenarios (run/all/map-serve/soak -scenario):")
+		fmt.Println("\nscenarios (run/all/serve-sim/soak -scenario):")
 		for _, sc := range gensim.Scenarios() {
 			fmt.Println("  " + sc.Describe())
 		}
@@ -129,8 +128,6 @@ func run(args []string) error {
 		return nil
 	case "serve-sim":
 		return serveSim(rest)
-	case "map-serve":
-		return mapServe(rest)
 	case "soak":
 		return soakCmd(rest)
 	case "fleet":
@@ -334,17 +331,14 @@ func usage() {
   pgbench gen [-scale S] [-out DIR]            export datasets (FASTA/FASTQ/GFA)
   pgbench serve-sim [flags]                    replay a multi-tenant build trace
                                                against the serve-mode service
-  pgbench map-serve [flags]                    replay a read-query trace against
-                                               the mapping service with a
-                                               mid-trace snapshot hot-swap
-                                               (-store DIR persists snapshots and
-                                               enables -restart-at warm restarts)
   pgbench soak [flags]                         replay a scenario against the full
                                                build-then-serve stack for -dur,
                                                injecting -chaos events (swap, shed,
-                                               restart, build-reject); exits
-                                               non-zero if any end-of-run
-                                               assertion fails
+                                               restart, build-reject,
+                                               worker-kill); exits non-zero if
+                                               any end-of-run assertion fails,
+                                               including a repeated read that
+                                               mapped differently
   pgbench fleet-worker [-listen ADDR]          run one construction-fleet worker
                                                daemon (pair-match RPCs over HTTP)
   pgbench fleet [-nodes ADDRS | -local N]      shard an all-pair build across

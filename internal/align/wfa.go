@@ -98,8 +98,3 @@ func WFAEdit(a, b []byte, probe *perf.Probe) int {
 		cur, next = next, cur
 	}
 }
-
-// WFADistanceMatrixCells returns the number of DP cells classic edit-
-// distance DP would compute for the same problem — used by the experiments
-// to report WFA's cell savings.
-func WFADistanceMatrixCells(a, b []byte) int { return (len(a) + 1) * (len(b) + 1) }

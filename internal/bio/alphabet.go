@@ -113,15 +113,6 @@ func Encode2Bit(seq []byte) []byte {
 	return out
 }
 
-// Decode2Bit converts 2-bit codes back to uppercase ASCII bases.
-func Decode2Bit(codes []byte) []byte {
-	out := make([]byte, len(codes))
-	for i, c := range codes {
-		out[i] = Base(c)
-	}
-	return out
-}
-
 // GC returns the fraction of G/C bases in seq (0 if seq is empty).
 func GC(seq []byte) float64 {
 	if len(seq) == 0 {

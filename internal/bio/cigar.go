@@ -95,32 +95,3 @@ func (c Cigar) EditDistance() int {
 	}
 	return n
 }
-
-// ParseCigar parses a SAM-style CIGAR string.
-func ParseCigar(s string) (Cigar, error) {
-	var c Cigar
-	n := 0
-	seen := false
-	for i := 0; i < len(s); i++ {
-		ch := s[i]
-		if ch >= '0' && ch <= '9' {
-			n = n*10 + int(ch-'0')
-			seen = true
-			continue
-		}
-		if !seen {
-			return nil, fmt.Errorf("bio: cigar %q: operation %q at %d has no length", s, ch, i)
-		}
-		switch CigarOp(ch) {
-		case CigarMatch, CigarIns, CigarDel, CigarEq, CigarX, CigarSoftClip:
-			c = append(c, CigarElem{CigarOp(ch), n})
-		default:
-			return nil, fmt.Errorf("bio: cigar %q: unknown operation %q", s, ch)
-		}
-		n, seen = 0, false
-	}
-	if seen {
-		return nil, fmt.Errorf("bio: cigar %q: trailing length without operation", s)
-	}
-	return c, nil
-}

@@ -6,11 +6,11 @@ import (
 )
 
 // ReadTraceConfig controls the synthetic read-query trace that drives
-// map-serve benchmarking — the query-side analogue of TraceConfig's build
-// requests. Each client issues mapping queries for reads drawn from the
-// population; a RepeatRate fraction re-issue an earlier query's exact read
-// bytes, which is what lets a replay pin "identical reads map identically"
-// across snapshot hot-swaps.
+// mapping-service replays (soak) — the query-side analogue of TraceConfig's
+// build requests. Each client issues mapping queries for reads drawn from
+// the population; a RepeatRate fraction re-issue an earlier query's exact
+// read bytes, which is what lets soak's repeat-identical check pin
+// "identical reads map identically" across snapshot hot-swaps.
 type ReadTraceConfig struct {
 	// Queries is the total number of queries in the trace (≥1).
 	Queries int

@@ -39,34 +39,3 @@ func SimpleBubbles(g *Graph) []Bubble {
 	}
 	return out
 }
-
-// BubbleStats summarizes the bubble content of a graph.
-type BubbleStats struct {
-	Count     int
-	SNPLike   int // all arms length 1
-	MaxArmLen int
-	TotalArms int
-}
-
-// ComputeBubbleStats runs SimpleBubbles and reduces the result.
-func ComputeBubbleStats(g *Graph) BubbleStats {
-	var st BubbleStats
-	for _, b := range SimpleBubbles(g) {
-		st.Count++
-		st.TotalArms += len(b.Arms)
-		snp := true
-		for _, a := range b.Arms {
-			n := len(g.Seq(a))
-			if n > st.MaxArmLen {
-				st.MaxArmLen = n
-			}
-			if n != 1 {
-				snp = false
-			}
-		}
-		if snp && len(b.Arms) > 0 {
-			st.SNPLike++
-		}
-	}
-	return st
-}

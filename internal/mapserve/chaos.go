@@ -1,12 +1,9 @@
 package mapserve
 
-import "fmt"
-
-// Chaos hooks: deliberate fault injection for soak testing. The hooks reuse
-// the production paths end to end — a chaos shed takes the same admission
-// exit as a real overload, a forced swap the same Publish/retire lifecycle
-// as a real cohort rebuild — so a soak run exercises exactly the code a
-// production incident would.
+// Chaos hooks: deliberate fault injection for soak testing. A chaos shed
+// takes the same admission exit as a real overload, so a soak run exercises
+// exactly the code a production incident would. (Soak's hot-swap chaos needs
+// no hook: it rebuilds the cohort and publishes through Registry.Publish.)
 
 // SetChaosShed toggles admission-level fault injection: while on, every new
 // query is shed with ErrOverloaded before reaching the queue. Chaos sheds
@@ -20,23 +17,3 @@ func (s *Service) SetChaosShed(on bool) {
 
 // ChaosShedding reports whether admission fault injection is on.
 func (s *Service) ChaosShedding() bool { return s.chaosShed.Load() }
-
-// ForceSwap republishes a clone of the current snapshot — same graph, same
-// prebuilt tool indexes, fresh identity and generation — driving the full
-// hot-swap machinery (generation bump, previous snapshot's release and
-// refcounted retirement) without a rebuild. It is the soak harness's way of
-// hammering swap correctness mid-traffic. Fails if nothing is published.
-func (r *Registry) ForceSwap() (uint64, error) {
-	cur := r.Acquire()
-	if cur == nil {
-		return 0, fmt.Errorf("mapserve: force swap with no published snapshot")
-	}
-	defer cur.Release()
-	clone := &Snapshot{
-		ID:   fmt.Sprintf("%s@swap%d", cur.ID, cur.Generation),
-		g:    cur.g,
-		tool: cur.tool,
-		cfg:  cur.cfg,
-	}
-	return r.Publish(clone)
-}

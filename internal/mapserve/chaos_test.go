@@ -3,7 +3,6 @@ package mapserve
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 
 	"pangenomicsbench/internal/perf"
@@ -44,96 +43,5 @@ func TestChaosShed(t *testing.T) {
 	}
 	if got := snap.Counters["mapserve.mapped"]; got != 2 {
 		t.Fatalf("mapped = %d, want 2", got)
-	}
-}
-
-// TestForceSwap pins the forced hot-swap: a clone of the current snapshot is
-// republished under a fresh generation, the old generation retires once
-// released, and queries before/after the swap map identically.
-func TestForceSwap(t *testing.T) {
-	s, reg := stubService(t, &blockingTool{}, Config{Workers: 1})
-	defer s.Close()
-
-	before, err := s.Map(context.Background(), []byte("ACGTACGT"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	retired := make(chan string, 4)
-	reg.OnRetire = func(sn *Snapshot) { retired <- sn.ID }
-
-	gen, err := reg.ForceSwap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen != 2 {
-		t.Fatalf("forced swap generation = %d, want 2", gen)
-	}
-	if got := <-retired; got != "stub" {
-		t.Fatalf("retired %q, want the original snapshot", got)
-	}
-
-	after, err := s.Map(context.Background(), []byte("ACGTACGT"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Generation != 2 || after.SnapshotID == before.SnapshotID {
-		t.Fatalf("post-swap response %+v, want generation 2 under a new ID", after)
-	}
-	if after.Result != before.Result {
-		t.Fatalf("forced swap changed mapping: %+v vs %+v", after.Result, before.Result)
-	}
-
-	// Swaps chain: each clone's ID derives from the current one.
-	if _, err := reg.ForceSwap(); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Generation(); got != 3 {
-		t.Fatalf("generation = %d, want 3", got)
-	}
-}
-
-// TestForceSwapEmptyRegistry rejects swaps before the first publication.
-func TestForceSwapEmptyRegistry(t *testing.T) {
-	reg := &Registry{}
-	if _, err := reg.ForceSwap(); err == nil {
-		t.Fatal("force swap on empty registry must fail")
-	}
-}
-
-// TestForceSwapDuringTraffic hammers forced swaps under concurrent queries
-// (run with -race): every query must land on a coherent snapshot.
-func TestForceSwapDuringTraffic(t *testing.T) {
-	s, reg := stubService(t, &blockingTool{}, Config{Workers: 2, QueueDepth: 4096})
-	defer s.Close()
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := s.Map(context.Background(), []byte("ACGTACGT")); err != nil && !errors.Is(err, ErrOverloaded) {
-					t.Errorf("map during swap storm: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := reg.ForceSwap(); err != nil {
-			t.Errorf("swap %d: %v", i, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if got := reg.Generation(); got != 21 {
-		t.Fatalf("generation = %d, want 21", got)
 	}
 }

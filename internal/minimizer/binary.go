@@ -2,7 +2,6 @@ package minimizer
 
 import (
 	"fmt"
-	"sort"
 
 	"pangenomicsbench/internal/binio"
 	"pangenomicsbench/internal/graph"
@@ -70,66 +69,6 @@ func DecodeGraphIndex(data []byte) (*GraphIndex, error) {
 	}
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("minimizer: decode graph index: %d trailing bytes", r.Remaining())
-	}
-	return x, nil
-}
-
-// AppendBinary appends the linear-reference index's encoding to buf, with
-// the same layout discipline as GraphIndex.AppendBinary (sorted hashes,
-// stored occurrence order):
-//
-//	u32 k, u32 w
-//	u64 hashCount, then per hash: u64 hash, u64 occCount, u64 positions
-func (x *SeqIndex) AppendBinary(buf []byte) []byte {
-	buf = binio.AppendU32(buf, uint32(x.k))
-	buf = binio.AppendU32(buf, uint32(x.w))
-	hashes := make([]uint64, 0, len(x.hits))
-	for h := range x.hits {
-		hashes = append(hashes, h)
-	}
-	sort.Slice(hashes, func(a, b int) bool { return hashes[a] < hashes[b] })
-	buf = binio.AppendU64(buf, uint64(len(hashes)))
-	for _, h := range hashes {
-		locs := x.hits[h]
-		buf = binio.AppendU64(buf, h)
-		buf = binio.AppendU64(buf, uint64(len(locs)))
-		for _, loc := range locs {
-			buf = binio.AppendU64(buf, uint64(loc.Pos))
-		}
-	}
-	return buf
-}
-
-// DecodeSeqIndex decodes a SeqIndex.AppendBinary payload.
-func DecodeSeqIndex(data []byte) (*SeqIndex, error) {
-	r := binio.NewReader(data)
-	k := int(r.U32())
-	w := int(r.U32())
-	if r.Err() == nil && (k < 1 || k > 31 || w < 1) {
-		return nil, fmt.Errorf("minimizer: decode: invalid parameters k=%d w=%d", k, w)
-	}
-	nh := r.Count(16)
-	x := &SeqIndex{k: k, w: w, hits: make(map[uint64][]SeqLocation, nh)}
-	for i := 0; i < nh; i++ {
-		h := r.U64()
-		no := r.Count(8)
-		if r.Err() != nil {
-			break
-		}
-		if _, dup := x.hits[h]; dup {
-			return nil, fmt.Errorf("minimizer: decode: duplicate hash %#x", h)
-		}
-		locs := make([]SeqLocation, no)
-		for o := 0; o < no; o++ {
-			locs[o] = SeqLocation{Pos: int(r.U64())}
-		}
-		x.hits[h] = locs
-	}
-	if r.Err() != nil {
-		return nil, fmt.Errorf("minimizer: decode seq index: %w", r.Err())
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("minimizer: decode seq index: %d trailing bytes", r.Remaining())
 	}
 	return x, nil
 }

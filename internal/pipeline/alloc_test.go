@@ -35,27 +35,43 @@ func TestMapCtxAllocs(t *testing.T) {
 	for _, tool := range tools {
 		tool := tool
 		t.Run(tool.Name(), func(t *testing.T) {
+			want, _, err := tool.MapCtx(context.Background(), reads[0], nil) // warms the pooled scratch
+			if err != nil {
+				t.Fatal(err)
+			}
 			one := func() {
-				if _, _, err := tool.MapCtx(context.Background(), reads[0], nil); err != nil {
+				got, _, err := tool.MapCtx(context.Background(), reads[0], nil)
+				if err != nil {
 					t.Fatal(err)
 				}
+				if got != want {
+					t.Fatalf("warm MapCtx = %+v, want %+v", got, want)
+				}
 			}
-			one() // warm the pooled scratch
-			limit := limits[tool.Name()]
-			if avg := testing.AllocsPerRun(10, one); avg > limit {
-				t.Errorf("warm MapCtx allocs/op = %.1f, want <= %.0f (per-read scratch regression?)", avg, limit)
-			}
-
-			// The batched path must not allocate more per read than the
-			// serial path does.
 			results := make([]Result, len(reads))
 			stages := make([]StageTimes, len(reads))
 			batch := func() {
 				if _, err := tool.MapBatch(context.Background(), reads, results, stages, nil); err != nil {
 					t.Fatal(err)
 				}
+				if results[0] != want {
+					t.Fatalf("warm MapBatch read 0 = %+v, want %+v", results[0], want)
+				}
 			}
 			batch()
+			// The ceilings are a non-race contract: sync.Pool drops a share of
+			// its Puts under the race detector, so scratch does not stay warm
+			// there. The warm calls above still run and must map identically.
+			if raceEnabled {
+				one()
+				return
+			}
+			limit := limits[tool.Name()]
+			if avg := testing.AllocsPerRun(10, one); avg > limit {
+				t.Errorf("warm MapCtx allocs/op = %.1f, want <= %.0f (per-read scratch regression?)", avg, limit)
+			}
+			// The batched path must not allocate more per read than the
+			// serial path does.
 			if avg := testing.AllocsPerRun(5, batch); avg/float64(len(reads)) > limit {
 				t.Errorf("warm MapBatch allocs/read = %.1f, want <= %.0f", avg/float64(len(reads)), limit)
 			}

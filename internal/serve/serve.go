@@ -67,7 +67,7 @@ type Config struct {
 	Profiler *obs.Profiler
 	// OnResult, when set, observes every successfully built result (leader
 	// executions only — coalesced joiners share the leader's result and do
-	// not re-fire it). The map-serve tier uses it to publish a finished
+	// not re-fire it). The query tier uses it to publish a finished
 	// cohort rebuild as a fresh query snapshot. It runs synchronously on the
 	// building goroutine, while the build slot is still held, so it must not
 	// call back into Build.

@@ -1,11 +1,12 @@
 // Package soak is the chaos/soak harness of the serving tiers: it replays a
 // catalog scenario (internal/gensim.Scenario) against the full
 // build-then-serve stack — construction service, snapshot registry,
-// map-serve executor — for a configured duration, injecting deliberate
-// faults mid-run (forced hot-swaps, shed storms, kill-and-warm-restart of
-// the query tier, build-tier outages) and asserting at the end that the
-// system came back clean: no lost in-flight queries, queue gauges drained,
-// watermarks bounded, no goroutine or heap leaks.
+// mapserve executor — for a configured duration, injecting deliberate
+// faults mid-run (rebuild-and-publish hot-swaps, shed storms,
+// kill-and-warm-restart of the query tier, build-tier outages) and asserting
+// at the end that the system came back clean: no lost in-flight queries,
+// queue gauges drained, watermarks bounded, no goroutine or heap leaks, and
+// every repeated read mapped exactly as its original did.
 //
 // The paper characterizes kernels one workload at a time; a serving system
 // additionally has to survive the workloads *changing shape under it*. A
@@ -34,6 +35,7 @@ import (
 	"pangenomicsbench/internal/mapserve"
 	"pangenomicsbench/internal/obs"
 	"pangenomicsbench/internal/perf"
+	"pangenomicsbench/internal/pipeline"
 	"pangenomicsbench/internal/serve"
 	"pangenomicsbench/internal/store"
 )
@@ -43,8 +45,9 @@ type ChaosKind string
 
 // Supported chaos kinds.
 const (
-	// ChaosSwap force-republishes a clone of the current snapshot
-	// (Registry.ForceSwap) — the hot-swap path without a rebuild.
+	// ChaosSwap rebuilds the cohort; the build service's OnResult publishes
+	// (and with a store persists) the rebuilt graph as a new snapshot — the
+	// production hot-swap path, mid-traffic.
 	ChaosSwap ChaosKind = "swap"
 	// ChaosShed turns admission fault injection on for a short storm window
 	// (Service.SetChaosShed).
@@ -95,7 +98,7 @@ type Config struct {
 	// Tool selects the mapping tool of published snapshots (zero value uses
 	// giraffe defaults).
 	Tool mapserve.ToolConfig
-	// Workers / QueueDepth parameterize the map-serve executor exactly as
+	// Workers / QueueDepth parameterize the mapserve executor exactly as
 	// mapserve.Config does (zero = that package's defaults, except
 	// QueueDepth which uses 256 so watermark assertions bite at soak scale).
 	Workers    int
@@ -138,6 +141,57 @@ type Result struct {
 	Wall                                    time.Duration
 	Report                                  obs.SoakReport
 	Metrics                                 perf.MetricsSnapshot
+
+	repeats repeatStats
+}
+
+// served is one replayed query's outcome, kept for the repeat-identical
+// check: the result and the snapshot that answered it.
+type served struct {
+	mapped     bool
+	result     pipeline.Result
+	snapshotID string
+	generation uint64
+}
+
+// repeatStats tallies the repeat-identical check: repeat/original pairs
+// compared, how many of those two different snapshots answered, and how
+// many mapped differently.
+type repeatStats struct {
+	verified, crossSnapshot, mismatches int
+}
+
+// compareRepeats compares every repeat query of trace (Repeat ≥ 0) with the
+// query it re-issues. A pair counts only when both sides mapped; a repeat
+// whose original (or itself) was shed, failed or never issued is skipped.
+// out is indexed like trace and must only be read once every worker that
+// wrote it has exited.
+func compareRepeats(trace []gensim.ReadQuery, out []served) repeatStats {
+	var st repeatStats
+	for qi, q := range trace {
+		if q.Repeat < 0 || qi >= len(out) {
+			continue
+		}
+		rep, orig := out[qi], out[q.Repeat]
+		if !rep.mapped || !orig.mapped {
+			continue
+		}
+		st.verified++
+		if rep.snapshotID != orig.snapshotID || rep.generation != orig.generation {
+			st.crossSnapshot++
+		}
+		if rep.result != orig.result {
+			st.mismatches++
+		}
+	}
+	return st
+}
+
+// report adds the repeat-identical check to r.
+func (st repeatStats) report(r *obs.SoakReport) {
+	r.Add("repeat-identical", st.mismatches == 0,
+		"%d repeat pairs verified, %d served by two snapshots, %d mismatches",
+		st.verified, st.crossSnapshot, st.mismatches)
 }
 
 // chaosEvent is one scheduled injection.
@@ -274,6 +328,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	var snapSeq uint64
 	var publishErr error
 	var publishMu sync.Mutex
+	// takePublishErr returns and clears the last OnResult publish failure.
+	takePublishErr := func() error {
+		publishMu.Lock()
+		defer publishMu.Unlock()
+		err := publishErr
+		publishErr = nil
+		return err
+	}
 	builder := serve.New(serve.Config{
 		CacheCapacity: 64 << 20,
 		Metrics:       metrics,
@@ -319,11 +381,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		baselineGFA = buf.Bytes()
 	}
-	publishMu.Lock()
-	perr := publishErr
-	publishMu.Unlock()
-	if perr != nil {
-		return nil, fmt.Errorf("soak: snapshot publish: %w", perr)
+	if err := takePublishErr(); err != nil {
+		return nil, fmt.Errorf("soak: snapshot publish: %w", err)
 	}
 	fmt.Fprintf(out, "soak[%s]: cohort built and published in %v; replaying %d planned queries for %v (chaos: %v)\n",
 		sc.Name, time.Since(t0).Round(time.Millisecond), len(trace), cfg.Duration, cfg.Chaos)
@@ -412,14 +471,21 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			elapsed := time.Since(replayStart).Round(time.Millisecond)
 			switch ev.kind {
 			case ChaosSwap:
-				gen, err := curReg().ForceSwap()
+				st0 := time.Now()
+				resp, err := builder.Build(ctx, cohort)
+				if err == nil {
+					err = takePublishErr()
+				}
 				if err != nil {
-					fmt.Fprintf(out, "soak: forced swap failed: %v\n", err)
+					fmt.Fprintf(out, "soak: swap rebuild failed: %v\n", err)
 					continue
 				}
+				gen := curReg().Generation()
 				res.Swaps++
-				fmt.Fprintf(out, "soak: chaos swap at %v → generation %d\n", elapsed, gen)
-				cfg.Sink.Emit("chaos", map[string]any{"event": "swap", "elapsed_ms": elapsed.Milliseconds(), "generation": gen})
+				fmt.Fprintf(out, "soak: chaos swap at %v — cohort rebuilt and published as generation %d in %v\n",
+					elapsed, gen, time.Since(st0).Round(time.Millisecond))
+				cfg.Sink.Emit("chaos", map[string]any{"event": "swap", "elapsed_ms": elapsed.Milliseconds(), "generation": gen,
+					"rebuild_ms": time.Since(st0).Milliseconds(), "trace_id": resp.TraceID})
 			case ChaosShed:
 				curSvc().SetChaosShed(true)
 				fmt.Fprintf(out, "soak: chaos shed storm at %v for %v\n", elapsed, stormLen)
@@ -526,7 +592,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// Replay: a dispatcher paces queries by the arrival curve; a bounded
 	// worker pool executes them. Every issued query is accounted for —
 	// mapped, shed, or failed — and the watchdog below turns any gap into
-	// Result.Lost.
+	// Result.Lost. Each query index is dispatched at most once, so a worker
+	// owns outcomes[qi] without a lock.
+	outcomes := make([]served, len(trace))
 	jobs := make(chan int, cfg.Clients*2)
 	var workers sync.WaitGroup
 	for w := 0; w < cfg.Clients; w++ {
@@ -542,6 +610,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				switch {
 				case err == nil:
 					atomic.AddInt64(&mapped, 1)
+					outcomes[qi] = served{mapped: true, result: resp.Result, snapshotID: resp.SnapshotID, generation: resp.Generation}
 				case errors.Is(err, mapserve.ErrOverloaded):
 					atomic.AddInt64(&shed, 1)
 					outcome = "shed"
@@ -589,8 +658,10 @@ dispatch:
 	// still unaccounted for is a lost query — the cardinal soak failure.
 	drained := make(chan struct{})
 	go func() { workers.Wait(); close(drained) }()
+	workersDrained := false
 	select {
 	case <-drained:
+		workersDrained = true
 	case <-time.After(cfg.Duration + 30*time.Second):
 		fmt.Fprintf(out, "soak: watchdog fired — workers did not drain\n")
 	}
@@ -626,6 +697,14 @@ dispatch:
 			"rebuilds under worker-kill reproduce the baseline graph byte-for-byte: %v", killIdentical)
 		res.Report.Add("worker-kill-dead", killMarkedDead,
 			"killed workers marked dead in the fleet registry: %v", killMarkedDead)
+	}
+	// Repeated reads must map exactly as their originals did, across swaps
+	// and restarts. Workers still running would race the comparison.
+	if workersDrained {
+		res.repeats = compareRepeats(trace, outcomes)
+		res.repeats.report(&res.Report)
+	} else {
+		res.Report.Add("repeat-identical", false, "not compared: workers did not drain")
 	}
 
 	checks := make(map[string]any, len(res.Report.Checks))

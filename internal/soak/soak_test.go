@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"pangenomicsbench/internal/gensim"
+	"pangenomicsbench/internal/graph"
 	"pangenomicsbench/internal/obs"
+	"pangenomicsbench/internal/pipeline"
 )
 
 func TestParseChaos(t *testing.T) {
@@ -76,13 +78,7 @@ func TestSoakWorkerKill(t *testing.T) {
 	if res.Report.Failed() != 0 {
 		t.Fatalf("soak report failed:\n%s\nprogress:\n%s", res.Report.Render(), progress.String())
 	}
-	found := false
-	for _, c := range res.Report.Checks {
-		if c.Name == "worker-kill-identical" {
-			found = true
-		}
-	}
-	if !found {
+	if !hasCheck(res.Report, "worker-kill-identical") {
 		t.Fatal("worker-kill-identical check missing from report")
 	}
 	if res.Metrics.Gauges["fleet.nodes_live"].Value != 1 {
@@ -102,10 +98,11 @@ func TestRestartRequiresStore(t *testing.T) {
 	}
 }
 
-// TestSoakAcceptance is the short-mode soak acceptance run (ISSUE): replay
-// the skewed-tenant scenario with one forced hot-swap and one warm restart
-// of the query tier, then assert zero lost in-flight queries and that every
-// watermark/leak check passes.
+// TestSoakAcceptance is the short-mode soak acceptance run: replay the
+// skewed-tenant scenario with one rebuild-and-publish hot-swap and one warm
+// restart of the query tier, then assert zero lost in-flight queries, that
+// every watermark/leak check passes, and that repeated reads answered by
+// different snapshots mapped identically.
 func TestSoakAcceptance(t *testing.T) {
 	sc, err := gensim.LookupScenario("skewed-tenant")
 	if err != nil {
@@ -140,13 +137,19 @@ func TestSoakAcceptance(t *testing.T) {
 	if res.Swaps != 1 || res.Restarts != 1 {
 		t.Fatalf("chaos events: %d swaps, %d restarts, want 1 each\n%s", res.Swaps, res.Restarts, progress.String())
 	}
-	// The forced swap published generation 2; the warm restart booted a
+	// The rebuild swap published generation 2; the warm restart booted a
 	// fresh registry from the store (its own generation counter restarts).
 	if res.Generations == 0 {
 		t.Fatal("no published generation at run end")
 	}
 	if res.Report.Failed() != 0 {
 		t.Fatalf("soak report failed:\n%s\nprogress:\n%s", res.Report.Render(), progress.String())
+	}
+	if !hasCheck(res.Report, "repeat-identical") {
+		t.Fatalf("repeat-identical check missing from report:\n%s", res.Report.Render())
+	}
+	if res.repeats.verified == 0 || res.repeats.crossSnapshot == 0 {
+		t.Fatalf("repeat pairs: %+v, want some verified and some served by two snapshots", res.repeats)
 	}
 
 	// The JSONL flight log carries samples, both chaos events, and the report.
@@ -202,5 +205,55 @@ func TestSoakShedStormExcluded(t *testing.T) {
 	}
 	if res.Report.Failed() != 0 {
 		t.Fatalf("report failed despite chaos-shed exclusion:\n%s", res.Report.Render())
+	}
+}
+
+func hasCheck(r obs.SoakReport, name string) bool {
+	for _, c := range r.Checks {
+		if c.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCompareRepeats pins the repeat-identical comparison: only pairs where
+// both the repeat and its original mapped count, a changed result fails the
+// check, and pairs answered by different snapshots are tallied.
+func TestCompareRepeats(t *testing.T) {
+	hit := func(node graph.NodeID, snap string, gen uint64) served {
+		return served{mapped: true, result: pipeline.Result{Mapped: true, Node: node}, snapshotID: snap, generation: gen}
+	}
+	fresh := gensim.ReadQuery{Repeat: -1}
+	repeatOf := func(i int) gensim.ReadQuery { return gensim.ReadQuery{Repeat: i} }
+	tests := []struct {
+		name  string
+		trace []gensim.ReadQuery
+		out   []served
+		want  repeatStats
+	}{
+		{"no repeats", []gensim.ReadQuery{fresh, fresh}, []served{hit(1, "a", 1), hit(2, "a", 1)}, repeatStats{}},
+		{"identical same snapshot", []gensim.ReadQuery{fresh, repeatOf(0)}, []served{hit(1, "a", 1), hit(1, "a", 1)},
+			repeatStats{verified: 1}},
+		{"identical across a swap", []gensim.ReadQuery{fresh, repeatOf(0)}, []served{hit(1, "a", 1), hit(1, "b", 2)},
+			repeatStats{verified: 1, crossSnapshot: 1}},
+		{"same ID after a restart", []gensim.ReadQuery{fresh, repeatOf(0)}, []served{hit(1, "b", 2), hit(1, "b", 1)},
+			repeatStats{verified: 1, crossSnapshot: 1}},
+		{"planted mismatch", []gensim.ReadQuery{fresh, repeatOf(0), repeatOf(0)}, []served{hit(1, "a", 1), hit(1, "a", 1), hit(7, "b", 2)},
+			repeatStats{verified: 2, crossSnapshot: 1, mismatches: 1}},
+		{"original shed or failed", []gensim.ReadQuery{fresh, repeatOf(0)}, []served{{}, hit(7, "a", 1)}, repeatStats{}},
+		{"repeat shed or failed", []gensim.ReadQuery{fresh, repeatOf(0)}, []served{hit(1, "a", 1), {}}, repeatStats{}},
+		{"repeat never issued", []gensim.ReadQuery{fresh, repeatOf(0)}, []served{hit(1, "a", 1)}, repeatStats{}},
+	}
+	for _, tc := range tests {
+		got := compareRepeats(tc.trace, tc.out)
+		if got != tc.want {
+			t.Errorf("%s: stats = %+v, want %+v", tc.name, got, tc.want)
+		}
+		var r obs.SoakReport
+		got.report(&r)
+		if wantFailed := tc.want.mismatches > 0; (r.Failed() == 1) != wantFailed || !hasCheck(r, "repeat-identical") {
+			t.Errorf("%s: report = %+v, want repeat-identical failing=%v", tc.name, r.Checks, wantFailed)
+		}
 	}
 }
