@@ -14,9 +14,9 @@ func newFlagSet(name string) *flag.FlagSet {
 	return flag.NewFlagSet(name, flag.ContinueOnError)
 }
 
-// popFlags is the population flag block shared by the trace-replay commands
-// (serve-sim, soak, fleet): all start from the same deterministic simulated
-// assembly catalog, so the flags and the simulation step live in one place.
+// popFlags is the population flag block shared by soak and fleet: both start
+// from the same deterministic simulated assembly catalog, so the flags and
+// the simulation step live in one place.
 type popFlags struct {
 	refLen *int
 	haps   *int
@@ -35,16 +35,10 @@ func addPopFlags(fs *flag.FlagSet, defRef, defHaps int) *popFlags {
 
 // simulate builds the deterministic population behind the trace.
 func (p *popFlags) simulate() (*gensim.Population, error) {
-	return p.simulateWith(gensim.Scenario{})
-}
-
-// simulateWith builds the population with a scenario's reshaper applied on
-// top of the flag-selected geometry (the zero Scenario changes nothing).
-func (p *popFlags) simulateWith(sc gensim.Scenario) (*gensim.Population, error) {
 	cfg := gensim.DefaultConfig()
 	cfg.RefLen = *p.refLen
 	cfg.Haplotypes = *p.haps
-	return gensim.Simulate(sc.PopConfig(cfg))
+	return gensim.Simulate(cfg)
 }
 
 // addScenarioFlag registers -scenario on fs with the catalog names inlined

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -63,34 +62,27 @@ func fleetWorkerCmd(args []string) error {
 	return srv.Close()
 }
 
-// fleetFromSpec builds a running coordinator from a node spec: "local:N"
-// spins N in-process loopback workers; anything else is a comma-separated
-// list of fleet-worker daemon addresses.
-func fleetFromSpec(spec string, metrics *perf.Metrics, tracer *obs.Tracer) (*fleet.Coordinator, error) {
+// newFleet builds a running coordinator over local in-process loopback
+// workers (local > 0) or the comma-separated fleet-worker daemon addresses
+// in nodes.
+func newFleet(local int, nodes string, metrics *perf.Metrics, tracer *obs.Tracer) (*fleet.Coordinator, error) {
 	coord := fleet.NewCoordinator(fleet.Config{Metrics: metrics})
-	if n, ok := strings.CutPrefix(spec, "local:"); ok {
-		count, err := strconv.Atoi(n)
-		if err != nil || count < 1 {
-			coord.Close()
-			return nil, fmt.Errorf("bad fleet spec %q (want local:N with N ≥ 1)", spec)
-		}
-		for i := 0; i < count; i++ {
-			name := fmt.Sprintf("local-%02d", i)
-			w := fleet.NewWorker(name, 0)
-			// Loopback workers get their own metric set (so federation shows
-			// distinct node series) but share the driver's tracer — their
-			// match spans land in the same flight recorder the -obs endpoint
-			// serves, exactly as remote worker spans do after grafting.
-			w.SetObs(perf.NewMetrics(), tracer)
-			if err := coord.AddNode(name, fleet.NewLocalNode(w, 0)); err != nil {
-				coord.Close()
-				return nil, err
-			}
-		}
-		return coord, nil
-	}
 	added := 0
-	for _, addr := range strings.Split(spec, ",") {
+	for i := 0; i < local; i++ {
+		name := fmt.Sprintf("local-%02d", i)
+		w := fleet.NewWorker(name, 0)
+		// Loopback workers get their own metric set (so federation shows
+		// distinct node series) but share the driver's tracer — their
+		// match spans land in the same flight recorder the -obs endpoint
+		// serves, exactly as remote worker spans do after grafting.
+		w.SetObs(perf.NewMetrics(), tracer)
+		if err := coord.AddNode(name, fleet.NewLocalNode(w, 0)); err != nil {
+			coord.Close()
+			return nil, err
+		}
+		added++
+	}
+	for _, addr := range strings.Split(nodes, ",") {
 		addr = strings.TrimSpace(addr)
 		if addr == "" {
 			continue
@@ -103,7 +95,7 @@ func fleetFromSpec(spec string, metrics *perf.Metrics, tracer *obs.Tracer) (*fle
 	}
 	if added == 0 {
 		coord.Close()
-		return nil, fmt.Errorf("empty fleet spec %q (want local:N or addr,addr,...)", spec)
+		return nil, fmt.Errorf("fleet: need -nodes or -local")
 	}
 	return coord, nil
 }
@@ -121,15 +113,8 @@ func fleetCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec := *nodes
-	if *local > 0 {
-		if spec != "" {
-			return fmt.Errorf("fleet: -nodes and -local are mutually exclusive")
-		}
-		spec = fmt.Sprintf("local:%d", *local)
-	}
-	if spec == "" {
-		return fmt.Errorf("fleet: need -nodes or -local")
+	if *local > 0 && *nodes != "" {
+		return fmt.Errorf("fleet: -nodes and -local are mutually exclusive")
 	}
 
 	pop, err := pf.simulate()
@@ -139,7 +124,7 @@ func fleetCmd(args []string) error {
 	names, seqs := pop.AssemblyView()
 	metrics := perf.NewMetrics()
 	tracer := obs.NewTracer(obs.TracerConfig{Metrics: metrics})
-	coord, err := fleetFromSpec(spec, metrics, tracer)
+	coord, err := newFleet(*local, *nodes, metrics, tracer)
 	if err != nil {
 		return err
 	}

@@ -7,29 +7,20 @@
 //	pgbench list
 //	pgbench run [-scale small|bench|large] [-threads N] [-scenario S] <experiment>...
 //	pgbench all [-scale small|bench|large] [-threads N] [-scenario S]
-//	pgbench serve-sim [flags]
 //	pgbench soak [-scenario S] [-dur D] [-chaos LIST] [flags]
 //	pgbench fleet-worker [-listen ADDR]
 //	pgbench fleet [-nodes ADDRS | -local N]
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
-	"sync"
 	"time"
 
-	"pangenomicsbench/internal/build"
 	"pangenomicsbench/internal/core"
-	"pangenomicsbench/internal/fleet"
 	"pangenomicsbench/internal/gensim"
-	"pangenomicsbench/internal/obs"
-	"pangenomicsbench/internal/perf"
-	"pangenomicsbench/internal/serve"
 )
 
 func main() {
@@ -51,7 +42,7 @@ func run(args []string) error {
 		for _, id := range core.Experiments() {
 			fmt.Println("  " + id)
 		}
-		fmt.Println("\nscenarios (run/all/serve-sim/soak -scenario):")
+		fmt.Println("\nscenarios (run/all/soak -scenario):")
 		for _, sc := range gensim.Scenarios() {
 			fmt.Println("  " + sc.Describe())
 		}
@@ -126,8 +117,6 @@ func run(args []string) error {
 			fmt.Printf("wrote %s/%s\n", *dir, f)
 		}
 		return nil
-	case "serve-sim":
-		return serveSim(rest)
 	case "soak":
 		return soakCmd(rest)
 	case "fleet":
@@ -154,171 +143,6 @@ func parseScale(s string) (core.Scale, error) {
 	return 0, fmt.Errorf("unknown scale %q (want small, bench, or large)", s)
 }
 
-// serveSim replays a synthetic multi-tenant build-request trace against the
-// serve-mode construction service and reports throughput and cache reuse.
-func serveSim(args []string) error {
-	fs := newFlagSet("serve-sim")
-	pf := addPopFlags(fs, 20_000, 10)
-	tenants := fs.Int("tenants", 4, "simulated tenants")
-	requests := fs.Int("requests", 24, "requests in the trace")
-	cohortMin := fs.Int("cohort-min", 3, "minimum cohort size")
-	cohortMax := fs.Int("cohort-max", 5, "maximum cohort size")
-	conc := fs.Int("conc", 4, "concurrent clients replaying the trace")
-	workers := fs.Int("workers", 0, "build worker slots (0 = GOMAXPROCS)")
-	cacheMB := fs.Int("cache-mb", 64, "pair-match cache capacity (MiB)")
-	timeout := fs.Duration("timeout", 0, "per-request timeout (0 = none)")
-	toolName := fs.String("tool", "pggb", "construction tool: pggb or mc")
-	storePath := fs.String("store", "", "journal directory: accepted builds are WAL-logged and crash-interrupted ones replayed on restart")
-	profileSlow := fs.Duration("profile-slow", 0, "capture a CPU profile of builds slower than this into -store (0 = off; requires -store)")
-	fleetSpec := fs.String("fleet-nodes", "", "route pair matching through a construction fleet: local:N or comma-separated fleet-worker addresses")
-	scenarioName := addScenarioFlag(fs, "baseline")
-	of := addObsFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	tool := serve.Tool(*toolName)
-	if tool != serve.ToolPGGB && tool != serve.ToolMC {
-		return fmt.Errorf("unknown tool %q (want pggb or mc)", *toolName)
-	}
-	sc, err := gensim.LookupScenario(*scenarioName)
-	if err != nil {
-		return err
-	}
-
-	pop, err := pf.simulateWith(sc)
-	if err != nil {
-		return err
-	}
-	names, seqs := pop.AssemblyView()
-	trace, err := pop.Trace(sc.TraceConfig(gensim.TraceConfig{
-		Tenants:   *tenants,
-		Requests:  *requests,
-		CohortMin: *cohortMin,
-		CohortMax: *cohortMax,
-		Drift:     0.25,
-		Seed:      *pf.seed,
-	}))
-	if err != nil {
-		return err
-	}
-
-	metrics := perf.NewMetrics()
-	tracer := obs.NewTracer(obs.TracerConfig{Metrics: metrics})
-	var journal *serve.Journal
-	if *storePath != "" {
-		if err := os.MkdirAll(*storePath, 0o755); err != nil {
-			return err
-		}
-		journal, err = serve.OpenJournal(filepath.Join(*storePath, "serve.wal"), metrics)
-		if err != nil {
-			return err
-		}
-		defer journal.Close()
-	}
-	var coord *fleet.Coordinator
-	if *fleetSpec != "" {
-		if coord, err = fleetFromSpec(*fleetSpec, metrics, tracer); err != nil {
-			return err
-		}
-		defer coord.Close()
-	}
-	var profiler *obs.Profiler
-	if *profileSlow > 0 {
-		if *storePath == "" {
-			return fmt.Errorf("-profile-slow needs -store to hold the captured profiles")
-		}
-		profiler = &obs.Profiler{Dir: *storePath, Threshold: *profileSlow}
-		fmt.Printf("profiling builds slower than %v into %s (cpu-<trace_id>.pprof)\n", *profileSlow, *storePath)
-	}
-	svc := serve.New(serve.Config{
-		Workers:        *workers,
-		CacheCapacity:  *cacheMB << 20,
-		DefaultTimeout: *timeout,
-		Metrics:        metrics,
-		Tracer:         tracer,
-		Journal:        journal,
-		Fleet:          coord,
-		Profiler:       profiler,
-	})
-	if err := svc.RegisterAssemblies(names, seqs); err != nil {
-		return err
-	}
-	if journal != nil {
-		if n, err := svc.Recover(context.Background()); err != nil {
-			return err
-		} else if n > 0 {
-			fmt.Printf("journal replay: re-ran %d crash-interrupted build request(s)\n", n)
-		}
-	}
-	obsCfg := obs.ServerConfig{
-		Metrics:  metrics.Snapshot,
-		Recorder: tracer.Recorder(),
-	}
-	if coord != nil {
-		obsCfg.Fleet = coord.NodeInfos
-		obsCfg.FederatedNodes = coord.FederatedNodes
-	}
-	stopObs, err := of.start(obsCfg)
-	if err != nil {
-		return err
-	}
-	defer stopObs()
-
-	pcfg := build.DefaultPGGBConfig()
-	mcfg := build.DefaultMCConfig()
-	fmt.Printf("serve-sim: %d assemblies (%d bp ref), %d tenants, %d requests, %d clients, tool=%s\n",
-		len(names), *pf.refLen, *tenants, len(trace), *conc, tool)
-	if coord != nil {
-		fmt.Printf("pair matching sharded over a %d-node fleet (%s)\n", len(coord.NodeInfos()), *fleetSpec)
-	}
-	fmt.Println()
-
-	// Replay: conc clients drain the trace in issue order.
-	var next int
-	var mu sync.Mutex
-	var failures int
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for c := 0; c < *conc; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(trace) {
-					return
-				}
-				req := serve.Request{Tool: tool, Cohort: trace[i].Cohort, PGGB: pcfg, MC: mcfg}
-				if _, err := svc.Build(context.Background(), req); err != nil {
-					mu.Lock()
-					failures++
-					mu.Unlock()
-					fmt.Fprintf(os.Stderr, "request %d (tenant %d): %v\n", i, trace[i].Tenant, err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(t0)
-
-	hits, misses, evictions := svc.CacheCounters()
-	entries, bytes := svc.CacheResident()
-	fmt.Printf("replayed %d requests in %v (%.1f req/s), %d failed\n",
-		len(trace), wall.Round(time.Millisecond),
-		float64(len(trace))/wall.Seconds(), failures)
-	if hits+misses > 0 {
-		fmt.Printf("pair cache: %d hits / %d misses (%.0f%% hit rate), %d evictions, %d entries (%d B) resident\n",
-			hits, misses, 100*float64(hits)/float64(hits+misses), evictions, entries, bytes)
-	}
-	fmt.Println("\nservice metrics:")
-	fmt.Print(metrics.Snapshot().Render())
-	printSlowest(tracer, 3)
-	return nil
-}
-
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   pgbench list                                 list experiment IDs and scenarios
@@ -329,8 +153,6 @@ func usage() {
                                                for any value; -scenario reshapes
                                                the workload adversarially)
   pgbench gen [-scale S] [-out DIR]            export datasets (FASTA/FASTQ/GFA)
-  pgbench serve-sim [flags]                    replay a multi-tenant build trace
-                                               against the serve-mode service
   pgbench soak [flags]                         replay a scenario against the full
                                                build-then-serve stack for -dur,
                                                injecting -chaos events (swap, shed,

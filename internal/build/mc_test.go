@@ -371,10 +371,9 @@ func TestMCContextCancelParallel(t *testing.T) {
 	if _, err := MinigraphCactus(ctx, names, seqs, cfg, nil); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// A short deadline mid-run must also surface the context error.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
+	// An expired deadline must surface as the deadline error, not Canceled.
+	ctx2, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel2()
-	time.Sleep(2 * time.Millisecond)
 	if _, err := MinigraphCactus(ctx2, names, seqs, cfg, nil); err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -48,8 +48,8 @@ const codeUnknownAssembly = "unknown-assembly"
 // caller sends is two assembly names and two ints — under 100 bytes for the
 // names gensim generates — so 64 KiB admits names of up to ~32 KiB. The
 // largest /configure body is the whole catalog, its sequences base64'd in
-// JSON (4/3 of the raw bytes): ~270 KB for serve-sim's default 10 × 20 kb
-// cohort over a fleet. 64 MiB admits a ~48 MB catalog.
+// JSON (4/3 of the raw bytes): ~160 KB for `pgbench fleet`'s default 6 ×
+// 20 kb catalog. 64 MiB admits a ~48 MB catalog.
 const (
 	maxMatchBody     = 64 << 10
 	maxConfigureBody = 64 << 20

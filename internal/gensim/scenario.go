@@ -15,9 +15,9 @@ import (
 //
 // A scenario reshapes the base configs of the existing generation pipeline
 // rather than replacing it: Population feeds Simulate, Reads feeds
-// SimulateReads, Trace feeds Population.Trace, ReadTrace feeds
-// Population.ReadQueryTrace, and Arrival feeds Arrivals. Any nil reshaper
-// leaves its config untouched, so every scenario composes with any scale.
+// SimulateReads, ReadTrace feeds Population.ReadQueryTrace, and Arrival
+// feeds Arrivals. Any nil reshaper leaves its config untouched, so every
+// scenario composes with any scale.
 type Scenario struct {
 	// Name is the catalog key (e.g. "sv-dense").
 	Name string
@@ -29,7 +29,6 @@ type Scenario struct {
 
 	Population func(Config) Config
 	Reads      func(ReadConfig) ReadConfig
-	Trace      func(TraceConfig) TraceConfig
 	ReadTrace  func(ReadTraceConfig) ReadTraceConfig
 	Arrival    func(ArrivalConfig) ArrivalConfig
 }
@@ -48,14 +47,6 @@ func (s Scenario) ReadsConfig(base ReadConfig) ReadConfig {
 		return base
 	}
 	return s.Reads(base)
-}
-
-// TraceConfig applies the scenario's build-trace reshaper (identity when nil).
-func (s Scenario) TraceConfig(base TraceConfig) TraceConfig {
-	if s.Trace == nil {
-		return base
-	}
-	return s.Trace(base)
 }
 
 // ReadTraceConfig applies the scenario's query-trace reshaper (identity when
@@ -155,17 +146,9 @@ var catalog = map[string]Scenario{
 		},
 	},
 	"skewed-tenant": {
-		Name:    "skewed-tenant",
-		Summary: "one hot tenant/client issues most traffic; the rest form a long cold tail",
-		FailureMode: "fairness and cache residency: hot-cohort pair-cache monopoly, " +
-			"queue-share starvation of cold tenants",
-		Trace: func(c TraceConfig) TraceConfig {
-			c.TenantSkew = 0.35
-			if c.Tenants < 8 {
-				c.Tenants = 8
-			}
-			return c
-		},
+		Name:        "skewed-tenant",
+		Summary:     "one hot query client issues most traffic; the rest form a long cold tail",
+		FailureMode: "fairness: queue-share starvation of cold clients",
 		ReadTrace: func(c ReadTraceConfig) ReadTraceConfig {
 			c.ClientSkew = 0.35
 			if c.Clients < 8 {
@@ -175,10 +158,9 @@ var catalog = map[string]Scenario{
 		},
 	},
 	"flash-crowd": {
-		Name:    "flash-crowd",
-		Summary: "Poisson arrivals with periodic 20x burst windows",
-		FailureMode: "admission control: queue-depth watermarks, shed storms, batch " +
-			"formation collapse during bursts",
+		Name:        "flash-crowd",
+		Summary:     "Poisson arrivals with periodic 20x burst windows",
+		FailureMode: "admission control: queue-depth watermarks and shed storms during bursts",
 		ReadTrace: func(c ReadTraceConfig) ReadTraceConfig {
 			c.RepeatRate = 0.3 // crowds re-request the same hot content
 			return c

@@ -23,12 +23,6 @@ type TraceConfig struct {
 	// Drift is the per-request probability that a tenant's home window
 	// shifts by one assembly, aging old pairs out of the working set.
 	Drift float64
-	// TenantSkew, when in (0,1), replaces the round-robin tenant rotation
-	// with a truncated geometric draw: tenant t issues with weight
-	// TenantSkew^t, so tenant 0 is one hot tenant and the rest a long cold
-	// tail (the skewed-tenant scenario). 0 keeps round-robin — and the rng
-	// stream byte-identical to earlier releases.
-	TenantSkew float64
 	// Seed makes the trace deterministic.
 	Seed int64
 }
@@ -54,7 +48,7 @@ type TraceRequest struct {
 }
 
 // Trace generates a deterministic multi-tenant request trace over the
-// population's haplotypes. Requests are interleaved round-robin-ish across
+// population's haplotypes. Requests are interleaved round-robin across
 // tenants in issue order; cohorts of one tenant are sampled from its slowly
 // drifting home window so the trace exhibits the overlapping-cohort reuse
 // pattern serve-mode caching targets.
@@ -87,16 +81,9 @@ func (p *Population) Trace(cfg TraceConfig) ([]TraceRequest, error) {
 		home[t] = rng.Intn(n)
 	}
 
-	if cfg.TenantSkew < 0 || cfg.TenantSkew >= 1 {
-		return nil, fmt.Errorf("gensim: TenantSkew %v outside [0,1)", cfg.TenantSkew)
-	}
-
 	out := make([]TraceRequest, 0, cfg.Requests)
 	for r := 0; r < cfg.Requests; r++ {
 		t := r % cfg.Tenants
-		if cfg.TenantSkew > 0 {
-			t = skewedIndex(rng, cfg.Tenants, cfg.TenantSkew)
-		}
 		if rng.Float64() < cfg.Drift {
 			home[t] = (home[t] + 1) % n
 		}

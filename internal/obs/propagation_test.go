@@ -49,6 +49,36 @@ func TestParseTraceparentMalformed(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceparent: no input panics the parser, and whatever it
+// accepts is a valid context that survives a render and re-parse.
+func FuzzParseTraceparent(f *testing.F) {
+	valid := SpanContext{TraceID: TraceID{1}, SpanID: SpanID{2}}.Traceparent()
+	f.Add(valid)
+	f.Add(valid[:53] + "00")
+	f.Add(strings.ToUpper(valid))
+	f.Add("00-" + strings.Repeat("0", 32) + valid[35:])
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, ok := ParseTraceparent(s)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("rejected %q but returned %+v", s, sc)
+			}
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("accepted %q as invalid %+v", s, sc)
+		}
+		tp := sc.Traceparent()
+		if tp[:53] != strings.ToLower(s[:53]) {
+			t.Fatalf("%q renders as %q", s, tp)
+		}
+		if again, ok := ParseTraceparent(tp); !ok || again != sc {
+			t.Fatalf("%q: round trip %q gave %+v, %v", s, tp, again, ok)
+		}
+	})
+}
+
 func TestInjectExtract(t *testing.T) {
 	tr := NewTracer(TracerConfig{})
 	sp := tr.StartRoot("client")

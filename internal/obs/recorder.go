@@ -25,6 +25,9 @@ type SpanData struct {
 // Failed reports whether the trace (root) recorded an error or a shed.
 func (d SpanData) Failed() bool { return d.Error != "" || d.Shed }
 
+// errorCapacity bounds the recorder's shed/error exemplar list.
+const errorCapacity = 32
+
 // exemplar is one retained slowest-per-name trace stamped with when the
 // recorder saw it, so stale records can age out.
 type exemplar struct {
@@ -55,7 +58,6 @@ type Recorder struct {
 	now         func() time.Time // injectable for aging tests
 	slowest     map[string]exemplar
 	errs        []SpanData
-	errCap      int
 }
 
 func newRecorder(cfg TracerConfig) *Recorder {
@@ -63,17 +65,12 @@ func newRecorder(cfg TracerConfig) *Recorder {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	errCapacity := cfg.ErrorCapacity
-	if errCapacity <= 0 {
-		errCapacity = 32
-	}
 	return &Recorder{
 		ring:        make([]SpanData, capacity),
 		sampleEvery: cfg.SampleEvery,
 		maxAge:      cfg.ExemplarMaxAge,
 		now:         time.Now,
 		slowest:     map[string]exemplar{},
-		errCap:      errCapacity,
 	}
 }
 
@@ -105,8 +102,8 @@ func (r *Recorder) add(d SpanData) {
 	}
 	if d.Failed() {
 		r.errs = append(r.errs, d)
-		if len(r.errs) > r.errCap {
-			r.errs = r.errs[len(r.errs)-r.errCap:]
+		if len(r.errs) > errorCapacity {
+			r.errs = r.errs[len(r.errs)-errorCapacity:]
 		}
 	}
 }

@@ -109,7 +109,16 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
+	// The timeouts match the fleet worker server. WriteTimeout must outlast
+	// /debug/pprof/profile's default 30 s CPU capture. No handler reads a
+	// request body, so there is no body limit to set.
+	s.srv = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 	go func() { _ = s.srv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }

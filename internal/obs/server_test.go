@@ -299,6 +299,26 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestServerTimeouts pins the admin server's connection bounds: every
+// timeout is set, and a write may outlast /debug/pprof/profile's default
+// 30 s CPU capture, or an on-demand profile would be cut off mid-stream.
+func TestServerTimeouts(t *testing.T) {
+	srv := NewServer(ServerConfig{EnableProfiling: true})
+	if _, err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := srv.srv
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("unbounded server: header %v, read %v, idle %v",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	}
+	const pprofDefaultCapture = 30 * time.Second
+	if hs.WriteTimeout <= pprofDefaultCapture {
+		t.Fatalf("WriteTimeout %v does not outlast the %v pprof capture", hs.WriteTimeout, pprofDefaultCapture)
+	}
+}
+
 // TestTracesTraceIDLookup exercises the exact-lookup path: a known id
 // returns exactly that trace (tree or jsonl), an unknown id is a 404.
 func TestTracesTraceIDLookup(t *testing.T) {

@@ -6,11 +6,12 @@
 // breakdowns and distributions via VTune/Nsight (Fig. 5/6, Table 6) — but a
 // serving system needs the same attribution live: *which* request, *which*
 // snapshot generation, *which* pipeline stage made the tail bad. A Tracer
-// turns each build request or mapped read into a tree of timed spans
-// (admission wait → batch assembly → snapshot acquire → kernel map →
-// merge); the Recorder keeps the last N trace trees plus an always-kept
-// exemplar set (slowest per endpoint, shed/error traces); the Server
-// exposes /metrics, /traces, /snapshots and /healthz over stdlib net/http.
+// turns each build request or mapped read into a tree of timed spans (a
+// read: admission wait → snapshot acquire → kernel map; a build: admission
+// wait → build, one child per construction stage); the Recorder keeps the
+// last N trace trees plus an always-kept exemplar set (slowest per
+// endpoint, shed/error traces); the Server exposes /metrics, /traces,
+// /snapshots and /healthz over stdlib net/http.
 //
 // A nil *Tracer — and the nil *Span everything it hands out — is valid
 // everywhere and records nothing, matching perf's nil-Probe rule, so the
@@ -38,9 +39,6 @@ type TracerConfig struct {
 	// Capacity bounds the flight recorder's ring of recent traces;
 	// ≤0 uses 256.
 	Capacity int
-	// ErrorCapacity bounds the recorder's shed/error exemplar list;
-	// ≤0 uses 32.
-	ErrorCapacity int
 	// SampleEvery keeps only 1-in-N successful traces in the recorder's
 	// recent ring (failed/shed traces are always kept, and every trace still
 	// challenges the slowest-per-name exemplars). ≤1 keeps all — the right

@@ -173,34 +173,27 @@ func TestSpanProbeAttachment(t *testing.T) {
 }
 
 func TestRecorderRingAndExemplars(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 4, ErrorCapacity: 2})
-	rec := tr.Recorder()
+	rec := newRecorder(TracerConfig{Capacity: 4})
 
 	// The slowest trace lands early, then scrolls out of the tiny ring.
-	slow := tr.StartRoot("query")
-	time.Sleep(20 * time.Millisecond)
-	slow.End()
-	slowDur := rec.Last(1)[0].Duration
-
+	const slowDur = 20 * time.Millisecond
+	rec.add(mkTrace("query", slowDur, false))
 	for i := 0; i < 8; i++ {
-		sp := tr.StartRoot("query")
-		sp.SetInt("i", int64(i))
-		sp.End()
+		rec.add(mkTrace("query", time.Millisecond, false))
 	}
-	for i := 0; i < 4; i++ {
-		sp := tr.StartRoot("query")
-		sp.Shed("queue")
-		sp.End()
+	const sheds = errorCapacity + 4
+	for i := 0; i < sheds; i++ {
+		rec.add(mkTrace("query", time.Millisecond, true))
 	}
 
-	if got := rec.Total(); got != 13 {
-		t.Fatalf("total = %d, want 13", got)
+	if got, want := rec.Total(), uint64(1+8+sheds); got != want {
+		t.Fatalf("total = %d, want %d", got, want)
 	}
 	if got := len(rec.Last(100)); got != 4 {
 		t.Fatalf("ring retained %d, want capacity 4", got)
 	}
-	if got := len(rec.Errors()); got != 2 {
-		t.Fatalf("error exemplars retained %d, want capacity 2", got)
+	if got := len(rec.Errors()); got != errorCapacity {
+		t.Fatalf("error exemplars retained %d, want capacity %d", got, errorCapacity)
 	}
 	// The slowest-per-name exemplar survived the ring scroll-out.
 	slowest := rec.Slowest(1)
@@ -208,8 +201,8 @@ func TestRecorderRingAndExemplars(t *testing.T) {
 		t.Fatalf("slowest = %+v, want the %v trace", slowest, slowDur)
 	}
 	ex := rec.Exemplars()
-	if len(ex) != 3 { // 1 slowest-per-name + 2 errors
-		t.Fatalf("exemplars = %d traces, want 3", len(ex))
+	if len(ex) != 1+errorCapacity { // 1 slowest-per-name + the retained errors
+		t.Fatalf("exemplars = %d traces, want %d", len(ex), 1+errorCapacity)
 	}
 	if ex[0].Duration != slowDur {
 		t.Fatalf("first exemplar is not the slowest: %+v", ex[0])

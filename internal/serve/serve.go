@@ -48,9 +48,6 @@ type Config struct {
 	Workers int
 	// CacheCapacity bounds the pair-match cache in bytes; ≤0 uses 64 MiB.
 	CacheCapacity int
-	// DefaultTimeout bounds requests that don't set their own Timeout;
-	// ≤0 means no default deadline.
-	DefaultTimeout time.Duration
 	// Metrics receives service counters and latencies; nil disables
 	// recording (a fresh set is NOT created, matching perf's nil rule).
 	Metrics *perf.Metrics
@@ -60,11 +57,6 @@ type Config struct {
 	// and ride back on the match responses, so one trace spans the whole
 	// fleet.
 	Tracer *obs.Tracer
-	// Profiler, when set, captures a CPU profile around every build and
-	// keeps the ones that ran past its threshold, named after the build's
-	// trace id (the trace carries a cpu_profile attribute pointing at the
-	// kept file). Nil disables continuous profiling.
-	Profiler *obs.Profiler
 	// OnResult, when set, observes every successfully built result (leader
 	// executions only — coalesced joiners share the leader's result and do
 	// not re-fire it). The query tier uses it to publish a finished
@@ -250,8 +242,8 @@ func (r Request) fingerprint() string {
 
 // Build executes one request. Identical in-flight requests share a single
 // execution (the joiner's Response reports Coalesced and shares the leader's
-// Result). ctx cancels or deadline-bounds the request; req.Timeout (or the
-// service default) adds a per-request deadline on top.
+// Result). ctx cancels or deadline-bounds the request; req.Timeout adds a
+// per-request deadline on top.
 func (s *Service) Build(ctx context.Context, req Request) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -334,13 +326,9 @@ func (s *Service) execute(ctx context.Context, req Request, seqs [][]byte, sp *o
 	s.metrics.Observe("serve.queue_wait", resp.QueueWait)
 	sp.Stage("admission", t0, resp.QueueWait)
 
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > 0 {
+	if req.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
 		defer cancel()
 	}
 
@@ -351,7 +339,6 @@ func (s *Service) execute(ctx context.Context, req Request, seqs [][]byte, sp *o
 	// Thread the build span through ctx so downstream spans — fleet dispatch
 	// children and the worker subtrees they graft on — parent under it.
 	bctx := obs.ContextWithSpan(ctx, bs)
-	stopProf := s.cfg.Profiler.Start()
 	t1 := time.Now()
 	var res *build.Result
 	var err error
@@ -373,12 +360,6 @@ func (s *Service) execute(ctx context.Context, req Request, seqs [][]byte, sp *o
 	}
 	resp.Exec = time.Since(t1)
 	s.metrics.Observe("serve.exec", resp.Exec)
-	// Slow-build profiling: the capture is kept only when the build ran past
-	// the profiler's threshold; the trace links to the profile file.
-	if path := stopProf(resp.Exec, sp.TraceID().String()); path != "" {
-		sp.Set("cpu_profile", path)
-		s.metrics.Add("serve.profiles_kept", 1)
-	}
 	if err != nil {
 		s.metrics.Add("serve.errors", 1)
 		bs.Error(err)

@@ -445,8 +445,8 @@ func TestOnResultHook(t *testing.T) {
 	}
 }
 
-// TestMetricsRecorded spot-checks the service metric names the serve-sim
-// report relies on.
+// TestMetricsRecorded spot-checks the service metric names the /metrics
+// admin endpoint exports.
 func TestMetricsRecorded(t *testing.T) {
 	names, seqs := testCatalog(t, 4000, 3)
 	m := perf.NewMetrics()
