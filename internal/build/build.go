@@ -143,9 +143,13 @@ func forEach(ctx context.Context, n, workers int, probe *perf.Probe, newWorker f
 	return ctx.Err()
 }
 
+// layoutSeed seeds the initial layout of both pipelines' visualization
+// stage.
+const layoutSeed = 42
+
 // runLayout is the shared visualization stage: PG-SGD over the final graph.
-func runLayout(g *graph.Graph, iterations int, seed uint64, probe *perf.Probe) (*layout.Layout, error) {
-	l, err := layout.New(g, seed)
+func runLayout(g *graph.Graph, iterations int, probe *perf.Probe) (*layout.Layout, error) {
+	l, err := layout.New(g, layoutSeed)
 	if err != nil {
 		return nil, err
 	}

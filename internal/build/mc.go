@@ -26,19 +26,9 @@ type MCConfig struct {
 	// MinSpan subsamples chain anchors: consecutive bridged anchors are at
 	// least this many query bp apart, so GWFA bridges real gaps.
 	MinSpan int
-	// MinNovel is the smallest unanchored query segment that induces new
-	// graph sequence.
-	MinNovel int
-	// Divergence is the GWFA distance/length ratio above which a bridged
-	// gap is considered novel sequence rather than a match.
-	Divergence float64
-	// POABand is the adaptive band half-width of the induction POA.
-	POABand int
 	// LayoutIterations is the PG-SGD iteration count of the visualization
 	// stage; ≤0 disables layout.
 	LayoutIterations int
-	// LayoutSeed seeds the layout's deterministic RNG.
-	LayoutSeed uint64
 	// Workers bounds the per-assembly chunk-mapping worker pool; ≤0 uses
 	// GOMAXPROCS. The result is byte-identical for any worker count.
 	Workers int
@@ -59,16 +49,21 @@ func DefaultMCConfig() MCConfig {
 		SegmentLen:       512,
 		MapChunk:         15_000,
 		MinSpan:          192,
-		MinNovel:         24,
-		Divergence:       0.06,
-		POABand:          32,
 		LayoutIterations: 4,
-		LayoutSeed:       42,
 	}
 }
 
-// Mapping bounds of the MC model (fixed, like the PairMatches knobs).
+// Fixed mapping and induction bounds of the MC model (like the PairMatches
+// knobs).
 const (
+	// mcMinNovel is the smallest unanchored query segment that induces
+	// new graph sequence.
+	mcMinNovel = 24
+	// mcDivergence is the GWFA distance/length ratio above which a bridged
+	// gap is considered novel sequence rather than a match.
+	mcDivergence = 0.06
+	// mcPOABand is the adaptive band half-width of the induction POA.
+	mcPOABand = 32
 	// mcMaxOcc caps minimizer occurrences used as anchors.
 	mcMaxOcc = 4
 	// mcMaxChunkAnchors caps anchors per mapping chunk (deterministic
@@ -154,7 +149,7 @@ func MinigraphCactus(ctx context.Context, names []string, seqs [][]byte, cfg MCC
 	// One POA for the whole run (induction is sequential): induceNovel
 	// resets it per segment and reuses its scratch.
 	poa := align.NewPOA()
-	poa.Band = cfg.POABand
+	poa.Band = mcPOABand
 
 	for ai := 1; ai < len(seqs); ai++ {
 		if err := ctx.Err(); err != nil {
@@ -191,7 +186,7 @@ func MinigraphCactus(ctx context.Context, names []string, seqs [][]byte, cfg MCC
 					continue
 				}
 				seg := asm[item.qLo:item.qHi]
-				nd := induceNovel(g, poa, novel, [2]graph.NodeID{last, next[pi+1]}, seg, cfg, bd, &res.Stats, probe)
+				nd := induceNovel(g, poa, novel, [2]graph.NodeID{last, next[pi+1]}, seg, bd, &res.Stats, probe)
 				if nd != last {
 					walk = append(walk, nd)
 					last = nd
@@ -199,7 +194,7 @@ func MinigraphCactus(ctx context.Context, names []string, seqs [][]byte, cfg MCC
 			}
 			if len(walk) == 0 && len(asm) > 0 {
 				// Nothing in the assembly mapped or induced (e.g. it shares
-				// no minimizers with the graph and is below MinNovel).
+				// no minimizers with the graph and is below mcMinNovel).
 				// Induce its backbone segmentation rather than silently
 				// dropping the haplotype from the graph and every later
 				// index extension.
@@ -243,7 +238,7 @@ func MinigraphCactus(ctx context.Context, names []string, seqs [][]byte, cfg MCC
 	// Visualization: PG-SGD layout.
 	if cfg.LayoutIterations > 0 {
 		timeStage(&bd.Layout, func() {
-			res.Layout, err = runLayout(g, cfg.LayoutIterations, cfg.LayoutSeed, probe)
+			res.Layout, err = runLayout(g, cfg.LayoutIterations, probe)
 		})
 		if err != nil {
 			return nil, err
@@ -361,7 +356,7 @@ func mapChunk(g *graph.Graph, idx *minimizer.GraphIndex, sub []byte, chunkLo int
 	}
 
 	wholeNovel := func() []planItem {
-		if len(sub) < cfg.MinNovel {
+		if len(sub) < mcMinNovel {
 			return nil
 		}
 		return []planItem{{qLo: chunkLo, qHi: chunkLo + len(sub), dist: -1}}
@@ -380,7 +375,7 @@ func mapChunk(g *graph.Graph, idx *minimizer.GraphIndex, sub []byte, chunkLo int
 	// One wavefront workspace for every gap and piece of the chunk.
 	var ws align.GWFAWorkspace
 	first := best.Anchors[0]
-	if first.QPos >= cfg.MinNovel {
+	if first.QPos >= mcMinNovel {
 		plan = append(plan, planItem{qLo: chunkLo, qHi: chunkLo + first.QPos, dist: -1})
 	}
 	plan = append(plan, planItem{node: first.Node})
@@ -391,7 +386,7 @@ func mapChunk(g *graph.Graph, idx *minimizer.GraphIndex, sub []byte, chunkLo int
 		}
 		gapLo, gapHi := prev.QPos+prev.Len, cur.QPos
 		if gapHi > gapLo {
-			budget := int(cfg.Divergence * float64(gapHi-gapLo))
+			budget := int(mcDivergence * float64(gapHi-gapLo))
 			t0 := time.Now()
 			// Bridge from where the anchor starts, with the query extended
 			// back over the anchor: its k exact matches cost nothing and
@@ -400,14 +395,14 @@ func mapChunk(g *graph.Graph, idx *minimizer.GraphIndex, sub []byte, chunkLo int
 			// end in whichever node that falls.
 			dist := gapDist(&ws, g, prev.Node, prev.Offset, sub[prev.QPos:gapHi], budget, probe)
 			gwfaTime += time.Since(t0)
-			if dist > budget && gapHi-gapLo >= cfg.MinNovel {
+			if dist > budget && gapHi-gapLo >= mcMinNovel {
 				plan = append(plan, planItem{qLo: chunkLo + gapLo, qHi: chunkLo + gapHi, dist: dist})
 			}
 		}
 		plan = append(plan, planItem{node: cur.Node})
 		prev = cur
 	}
-	if tail := prev.QPos + prev.Len; len(sub)-tail >= cfg.MinNovel {
+	if tail := prev.QPos + prev.Len; len(sub)-tail >= mcMinNovel {
 		plan = append(plan, planItem{qLo: chunkLo + tail, qHi: chunkLo + len(sub), dist: -1})
 	}
 	return plan, gwfaTime
@@ -443,7 +438,7 @@ func gapDist(ws *align.GWFAWorkspace, g *graph.Graph, start graph.NodeID, off in
 // is close enough (WFA check), otherwise induce a new node whose sequence
 // is the POA consensus of the segment and its existing alternatives,
 // computed on p (reset here; the caller owns it for scratch reuse).
-func induceNovel(g *graph.Graph, p *align.POA, novel map[[2]graph.NodeID][]graph.NodeID, key [2]graph.NodeID, seg []byte, cfg MCConfig, bd *StageBreakdown, stats *Stats, probe *perf.Probe) graph.NodeID {
+func induceNovel(g *graph.Graph, p *align.POA, novel map[[2]graph.NodeID][]graph.NodeID, key [2]graph.NodeID, seg []byte, bd *StageBreakdown, stats *Stats, probe *perf.Probe) graph.NodeID {
 	for _, nd := range novel[key] {
 		nseq := g.Seq(nd)
 		// Only compare length-compatible alternatives.
@@ -455,7 +450,7 @@ func induceNovel(g *graph.Graph, p *align.POA, novel map[[2]graph.NodeID][]graph
 		if len(nseq) > span {
 			span = len(nseq)
 		}
-		if float64(d) <= cfg.Divergence*float64(span) {
+		if float64(d) <= mcDivergence*float64(span) {
 			stats.ReusedNodes++
 			return nd
 		}

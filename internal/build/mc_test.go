@@ -116,7 +116,7 @@ func TestMCParallelChunkDeterminism(t *testing.T) {
 // must now be induced whole via its backbone segmentation.
 func TestMCEmptyWalkFallback(t *testing.T) {
 	names, seqs := testAssemblies(t, 6000, 3)
-	// Shorter than K (and MinNovel): yields no minimizers, no anchors, and
+	// Shorter than K (and mcMinNovel): yields no minimizers, no anchors, and
 	// no whole-chunk novel segment — an empty walk plan on the old code.
 	tiny := []byte("ACGTACGTAC")
 	names = append(names, "tinyasm")
@@ -205,7 +205,7 @@ func bridgedNovel(plan []planItem) []planItem {
 // the structural tests cannot see (a bridge measured against the wrong part
 // of the graph still builds a valid, deterministic graph — just a bloated
 // one). A haplotype that differs from the backbone by SNPs alone, at a
-// third of the Divergence threshold, must have every gap bridged as a
+// third of the mcDivergence threshold, must have every gap bridged as a
 // match; planting one 300 bp insertion must turn exactly the gap that
 // spans it novel.
 func TestMCBridgedGapNovelty(t *testing.T) {
@@ -215,7 +215,7 @@ func TestMCBridgedGapNovelty(t *testing.T) {
 	g, idx, _ := backboneGraph(t, backbone, cfg)
 
 	snps := append([]byte(nil), backbone...)
-	for pos := 20; pos < len(snps); pos += 47 { // ~2% against Divergence 6%
+	for pos := 20; pos < len(snps); pos += 47 { // ~2% against mcDivergence 6%
 		snps[pos] = flipBase(snps[pos])
 	}
 	plan, _ := mapChunk(g, idx, snps, 0, cfg, nil)
@@ -263,7 +263,7 @@ func TestMCBridgeFromAnchorNearNodeEnd(t *testing.T) {
 		query[pos] = flipBase(query[pos])
 	}
 	var ws align.GWFAWorkspace
-	budget := int(cfg.Divergence * gapLen)
+	budget := int(mcDivergence * float64(len(query)-cfg.K)) // the gap past the anchor
 	if d := gapDist(&ws, g, walk[node], off, query, budget, nil); d > edits {
 		t.Fatalf("gap with %d substitutions bridged from (node %d, offset %d) at distance %d", edits, walk[node], off, d)
 	}

@@ -17,30 +17,23 @@ type PGGBConfig struct {
 	// Workers bounds the all-vs-all and polish-window worker pools; ≤0
 	// uses GOMAXPROCS.
 	Workers int
-	// PolishWindow is the smoothXG partition size in backbone bp; ≤0
-	// disables the polish stage.
-	PolishWindow int
-	// POABand is the adaptive band half-width of the polish POA.
-	POABand int
 	// LayoutIterations is the PG-SGD iteration count of the visualization
 	// stage; ≤0 disables layout.
 	LayoutIterations int
-	// LayoutSeed seeds the layout's deterministic RNG.
-	LayoutSeed uint64
 }
 
 // DefaultPGGBConfig mirrors pggb defaults scaled to the benchmark datasets.
 func DefaultPGGBConfig() PGGBConfig {
-	return PGGBConfig{
-		K:                15,
-		W:                10,
-		Workers:          0,
-		PolishWindow:     600,
-		POABand:          48,
-		LayoutIterations: 4,
-		LayoutSeed:       42,
-	}
+	return PGGBConfig{K: 15, W: 10, LayoutIterations: 4}
 }
+
+// Polish bounds of the PGGB model (fixed, like the PairMatches knobs).
+const (
+	// polishWindow is the smoothXG partition size in backbone bp.
+	polishWindow = 600
+	// pggbPOABand is the adaptive band half-width of the polish POA.
+	pggbPOABand = 48
+)
 
 // PGGB runs the PGGB pipeline model over the named assemblies:
 //
@@ -49,7 +42,7 @@ func DefaultPGGBConfig() PGGBConfig {
 //  2. Induction — seqwish: the transclosure kernel over the match blocks
 //     (timed separately as TCTime) and graph induction with path embedding.
 //  3. Polishing — smoothXG model: the backbone is partitioned into
-//     PolishWindow-bp blocks, every assembly's projection of each block is
+//     polishWindow-bp blocks, every assembly's projection of each block is
 //     realigned with banded POA and a consensus taken, on the same bounded
 //     pool (the window section is timed as POATime).
 //  4. Visualization — PG-SGD layout of the induced graph.
@@ -133,11 +126,9 @@ func PGGBFromMatches(ctx context.Context, names []string, seqs [][]byte, blocks 
 	}
 
 	// 3. Polishing: smoothXG-style partitioned POA.
-	if cfg.PolishWindow > 0 {
-		timeStage(&bd.Polishing, func() { err = polish(ctx, seqs, cfg, res, probe) })
-		if err != nil {
-			return nil, err
-		}
+	timeStage(&bd.Polishing, func() { err = polish(ctx, seqs, cfg, res, probe) })
+	if err != nil {
+		return nil, err
 	}
 
 	// 4. Visualization: PG-SGD layout.
@@ -146,7 +137,7 @@ func PGGBFromMatches(ctx context.Context, names []string, seqs [][]byte, blocks 
 			return nil, err
 		}
 		timeStage(&bd.Layout, func() {
-			res.Layout, err = runLayout(res.Graph, cfg.LayoutIterations, cfg.LayoutSeed, probe)
+			res.Layout, err = runLayout(res.Graph, cfg.LayoutIterations, probe)
 		})
 		if err != nil {
 			return nil, err
@@ -158,7 +149,7 @@ func PGGBFromMatches(ctx context.Context, names []string, seqs [][]byte, blocks 
 	return res, nil
 }
 
-// polish is the smoothXG model: the backbone is cut into PolishWindow-bp
+// polish is the smoothXG model: the backbone is cut into polishWindow-bp
 // windows, and each window's projections onto every assembly are realigned
 // with banded POA and a consensus taken. Windows are independent, so they
 // run on the cfg.Workers pool, one reused POA per worker (scratch scoped to
@@ -167,16 +158,16 @@ func PGGBFromMatches(ctx context.Context, names []string, seqs [][]byte, blocks 
 // section.
 func polish(ctx context.Context, seqs [][]byte, cfg PGGBConfig, res *Result, probe *perf.Probe) error {
 	base := seqs[0]
-	nwin := (len(base) + cfg.PolishWindow - 1) / cfg.PolishWindow
+	nwin := (len(base) + polishWindow - 1) / polishWindow
 	consLen := make([]int, nwin)
 	errs := make([]error, nwin)
 	t0 := time.Now()
 	err := forEach(ctx, nwin, cfg.Workers, probe, func() func(int, *perf.Probe) {
 		p := align.NewPOA()
-		p.Band = cfg.POABand
+		p.Band = pggbPOABand
 		return func(wi int, pr *perf.Probe) {
-			start := wi * cfg.PolishWindow
-			end := min(start+cfg.PolishWindow, len(base))
+			start := wi * polishWindow
+			end := min(start+polishWindow, len(base))
 			p.Reset()
 			for _, s := range seqs {
 				// Proportional projection of the backbone block onto

@@ -25,7 +25,7 @@ func TestPGGBPolishWorkerDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (len(seqs[0]) + cfg.PolishWindow - 1) / cfg.PolishWindow; base.Stats.PolishBlocks != want || want < 8 {
+	if want := (len(seqs[0]) + polishWindow - 1) / polishWindow; base.Stats.PolishBlocks != want || want < 8 {
 		t.Fatalf("polished %d windows, want %d (and enough of them to share)", base.Stats.PolishBlocks, want)
 	}
 	if base.Stats.ConsensusLen < len(seqs[0])*9/10 {

@@ -15,11 +15,10 @@ import (
 
 // Config parameterizes a Coordinator.
 type Config struct {
-	// HeartbeatEvery spaces liveness pings; ≤0 uses 500ms.
+	// HeartbeatEvery spaces liveness pings; ≤0 uses 500ms. A node unheard
+	// for deadAfterBeats of them is marked dead and its tasks are routed
+	// elsewhere.
 	HeartbeatEvery time.Duration
-	// DeadAfter is how long a node may go unheard before it is marked dead
-	// and its tasks are routed elsewhere; ≤0 uses 3×HeartbeatEvery.
-	DeadAfter time.Duration
 	// Metrics receives fleet counters and gauges (nodes live, tasks,
 	// reassignments, remote cache hits); nil disables recording.
 	Metrics *perf.Metrics
@@ -76,9 +75,6 @@ type Coordinator struct {
 func NewCoordinator(cfg Config) *Coordinator {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 500 * time.Millisecond
-	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 3 * cfg.HeartbeatEvery
 	}
 	c := &Coordinator{
 		cfg:     cfg,
@@ -308,9 +304,13 @@ func (c *Coordinator) updateNodeGauges() {
 	c.metrics.GaugeSet("fleet.nodes_live", int64(live))
 }
 
+// deadAfterBeats is how many heartbeat periods a node may go unheard before
+// it is marked dead.
+const deadAfterBeats = 3
+
 // heartbeatLoop pings every node each HeartbeatEvery: an answering node is
-// (re)marked live and its stats recorded; a node silent for DeadAfter is
-// marked dead so dispatch stops routing to it.
+// (re)marked live and its stats recorded; a node silent for deadAfterBeats
+// periods is marked dead so dispatch stops routing to it.
 func (c *Coordinator) heartbeatLoop() {
 	defer c.wg.Done()
 	tick := time.NewTicker(c.cfg.HeartbeatEvery)
@@ -350,7 +350,7 @@ func (c *Coordinator) heartbeatLoop() {
 			silent := time.Since(nd.lastSeen)
 			live := nd.live
 			nd.mu.Unlock()
-			if live && silent > c.cfg.DeadAfter {
+			if live && silent > deadAfterBeats*c.cfg.HeartbeatEvery {
 				c.markDead(nd)
 			}
 		}

@@ -225,13 +225,12 @@ func TestFleetWorkerKillMidBuild(t *testing.T) {
 }
 
 // TestFleetHeartbeatDeathAndRevival: a silent node is marked dead by the
-// heartbeat loop within DeadAfter, and marked live again (with the catalog
+// heartbeat loop within three heartbeats, and marked live again (with the catalog
 // re-pushed) once it answers.
 func TestFleetHeartbeatDeathAndRevival(t *testing.T) {
 	names, seqs := testCatalog(t, 4000, 4)
 	c, nodes := localFleet(t, Config{
 		HeartbeatEvery: 15 * time.Millisecond,
-		DeadAfter:      45 * time.Millisecond,
 		Metrics:        perf.NewMetrics(),
 	}, names, seqs, 2)
 

@@ -2,15 +2,15 @@
 // (PGSGD, the paper's [26, 27]), the graph-visualization kernel of ODGI:
 // a 2D layout of the pangenome graph is iteratively refined so Euclidean
 // distances between node endpoints match nucleotide distances along
-// haplotype paths. Updates are parallelized lock-free with the Hogwild!
-// approach; the GPU variant runs on the simt simulator with per-thread RNG
-// states in a coalesced layout.
+// haplotype paths. The CPU runner is single-threaded: odgi-layout's
+// Hogwild! thread scaling (Fig. 5) is modelled by the sched simulation fed
+// with its single-thread costs, and the parallel GPU variant (Table 7) runs
+// on the simt simulator with per-thread RNG states in a coalesced layout.
 package layout
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"pangenomicsbench/internal/graph"
 	"pangenomicsbench/internal/perf"
@@ -116,17 +116,19 @@ func xorshiftNext(x uint64) uint64 {
 
 func xorshift(seed uint64) uint64 { return xorshiftNext(seed) }
 
+// The fixed parts of the SGD schedule (odgi-layout defaults): the learning
+// rate decays exponentially from etaMax to etaMin, and runSeed seeds each
+// iteration's update stream.
+const (
+	etaMax  = 1000
+	etaMin  = 0.01
+	runSeed = 1234
+)
+
 // Params controls the SGD schedule.
 type Params struct {
 	Iterations     int // outer iterations (the paper's kernel runs 30)
 	UpdatesPerIter int // update steps per iteration (scaled to graph size)
-	EtaMax         float64
-	EtaMin         float64
-	// ZipfTheta shapes the step-distance distribution (close pairs are
-	// sampled more often, with a heavy tail for global structure).
-	ZipfTheta float64
-	Threads   int
-	Seed      uint64
 }
 
 // DefaultParams mirrors odgi-layout defaults at benchmark scale.
@@ -135,15 +137,7 @@ func DefaultParams(g *graph.Graph) Params {
 	if updates < 1000 {
 		updates = 1000
 	}
-	return Params{
-		Iterations:     30,
-		UpdatesPerIter: updates,
-		EtaMax:         1000,
-		EtaMin:         0.01,
-		ZipfTheta:      0.99,
-		Threads:        1,
-		Seed:           1234,
-	}
+	return Params{Iterations: 30, UpdatesPerIter: updates}
 }
 
 // sampleStepPair picks a path (weighted by steps), then two steps on it:
@@ -196,45 +190,24 @@ func (idx *PathIndex) endpointOf(pi, si int) (point int, off int) {
 	return 2 * (int(id) - 1), idx.starts[pi][si]
 }
 
-// Run executes PGSGD with the Hogwild! approach: Threads goroutines apply
-// updates concurrently without locks; iterations are separated by barriers
-// (which §5.1 identifies as a scaling limit). It returns the number of
-// updates applied.
+// Run executes PGSGD on one thread: UpdatesPerIter updates per iteration,
+// each iteration reseeded and run at its decayed learning rate, with every
+// update reported to probe. Thread scaling, including the barrier between
+// iterations that §5.1 identifies as a scaling limit, is modelled by the
+// sched simulation. It returns the number of updates applied.
 func (l *Layout) Run(p Params, probe *perf.Probe) int {
 	if p.Iterations < 1 || p.UpdatesPerIter < 1 {
 		return 0
 	}
-	if p.Threads < 1 {
-		p.Threads = 1
-	}
-	lambda := math.Log(p.EtaMax/p.EtaMin) / float64(p.Iterations-1+1)
-
-	total := 0
+	lambda := math.Log(etaMax/etaMin) / float64(p.Iterations)
 	for iter := 0; iter < p.Iterations; iter++ {
-		eta := p.EtaMax * math.Exp(-lambda*float64(iter))
-		perThread := p.UpdatesPerIter / p.Threads
-		if perThread < 1 {
-			perThread = 1
+		eta := etaMax * math.Exp(-lambda*float64(iter))
+		rng := xorshift(runSeed + uint64(iter*131071+1))
+		for u := 0; u < p.UpdatesPerIter; u++ {
+			l.update(&rng, eta, probe, l.posBase)
 		}
-		var wg sync.WaitGroup
-		for th := 0; th < p.Threads; th++ {
-			wg.Add(1)
-			go func(th int) {
-				defer wg.Done()
-				rng := xorshift(p.Seed + uint64(iter*131071+th*8191+1))
-				var pr *perf.Probe
-				if th == 0 {
-					pr = probe // single-threaded profiling stream
-				}
-				for u := 0; u < perThread; u++ {
-					l.update(&rng, eta, pr, l.posBase)
-				}
-			}(th)
-		}
-		wg.Wait() // synchronization barrier between iterations (§5.1)
-		total += perThread * p.Threads
 	}
-	return total
+	return p.Iterations * p.UpdatesPerIter
 }
 
 // update applies one SGD step.
@@ -275,8 +248,6 @@ func (l *Layout) update(rng *uint64, eta float64, probe *perf.Probe, posBase uin
 	r := (dist - d) / 2 * mu / dist
 	probe.Op(perf.ScalarFP, 6)
 	rx, ry := dx*r, dy*r
-	// Hogwild: race-prone unsynchronized writes; rare conflicting updates
-	// are corrected by later iterations (§3, PGSGD).
 	l.X[a] -= rx
 	l.Y[a] -= ry
 	l.X[b] += rx

@@ -1,10 +1,15 @@
 package layout
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"pangenomicsbench/internal/gensim"
 	"pangenomicsbench/internal/graph"
+	"pangenomicsbench/internal/perf"
 	"pangenomicsbench/internal/simt"
 )
 
@@ -78,25 +83,38 @@ func TestSGDReducesStress(t *testing.T) {
 	}
 }
 
-func TestHogwildThreadsConverge(t *testing.T) {
+// TestRunGolden pins the default run: the final coordinates and the
+// profiled event stream must stay byte-identical across refactors, since
+// the Fig. 6–8 characterisation columns are computed from that stream.
+func TestRunGolden(t *testing.T) {
 	g := testGraph(t)
 	l, err := New(g, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := xorshift(55)
-	for i := range l.X {
-		rng = xorshiftNext(rng)
-		l.X[i] = float64(rng % 10000)
+	probe := perf.NewProbe()
+	n := l.Run(DefaultParams(g), probe)
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
 	}
-	before := l.Stress(2000, 13)
-	p := DefaultParams(g)
-	p.Iterations = 20
-	p.Threads = 4
-	l.Run(p, nil)
-	// Multi-threaded Hogwild must still converge (races self-correct).
-	if s := l.Stress(2000, 13); s > before/2 {
-		t.Fatalf("hogwild run left high stress %.4f (from %.4f)", s, before)
+	for i := range l.X {
+		put(math.Float64bits(l.X[i]))
+		put(math.Float64bits(l.Y[i]))
+	}
+	for _, c := range probe.Ops {
+		put(c)
+	}
+	put(probe.Loads)
+	put(probe.Stores)
+	put(probe.Branches)
+	put(probe.Mispredicts)
+	put(uint64(n))
+	const want = "f0206c845f8b3835"
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+		t.Fatalf("layout golden hash = %s, want %s", got, want)
 	}
 }
 

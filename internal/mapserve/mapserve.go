@@ -137,9 +137,6 @@ func New(reg *Registry, cfg Config) *Service {
 	return s
 }
 
-// Registry returns the snapshot registry the service maps against.
-func (s *Service) Registry() *Registry { return s.reg }
-
 // Map admits one read query and blocks until it is mapped, shed, or failed.
 // ctx deadlines/cancellation are honored while the query waits in the queue
 // and inside the mapping kernels (ContextTool.MapCtx).

@@ -121,9 +121,6 @@ func SnapshotFromBuild(id string, res *build.Result, cfg ToolConfig) (*Snapshot,
 // Graph returns the snapshot's (read-only) graph.
 func (s *Snapshot) Graph() *graph.Graph { return s.g }
 
-// Tool returns the snapshot's mapping tool name.
-func (s *Snapshot) Tool() string { return s.tool.Name() }
-
 // Config returns the snapshot's tool configuration.
 func (s *Snapshot) Config() ToolConfig { return s.cfg }
 

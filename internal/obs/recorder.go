@@ -231,6 +231,9 @@ func (r *Recorder) Slowest(n int) []SpanData {
 		pool = append(pool, e.d)
 	}
 	r.mu.Unlock()
+	if n > len(pool) {
+		n = len(pool)
+	}
 
 	sort.SliceStable(pool, func(i, j int) bool { return pool[i].Duration > pool[j].Duration })
 	type key struct {

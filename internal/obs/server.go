@@ -58,8 +58,6 @@ type ServerConfig struct {
 	// /metrics merges into the local set with `node` labels (see Federate) —
 	// the coordinator wires this to its heartbeat-scraped worker snapshots.
 	FederatedNodes func() []NodeMetrics
-	// Health, when non-nil, gates /healthz: a returned error serves 503.
-	Health func() error
 	// EnableProfiling mounts the net/http/pprof handlers under /debug/pprof/.
 	// Off by default: profiling endpoints can stall the process (CPU profile
 	// holds the profiler for its whole duration) and belong behind a flag.
@@ -256,12 +254,6 @@ func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.cfg.Health != nil {
-		if err := s.cfg.Health(); err != nil {
-			http.Error(w, "unhealthy: "+err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }

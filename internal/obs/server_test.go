@@ -2,9 +2,11 @@ package obs
 
 import (
 	"encoding/json"
-	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -42,18 +44,11 @@ func TestServerScrape(t *testing.T) {
 	sp.Stage("admission", time.Now(), time.Millisecond)
 	sp.End()
 
-	healthy := true
 	srv := NewServer(ServerConfig{
 		Metrics:  m.Snapshot,
 		Recorder: tr.Recorder(),
 		Snapshots: func() []SnapshotInfo {
 			return []SnapshotInfo{{ID: "cohort-1", Generation: 3, Refs: 2, InFlight: 1, Current: true}}
-		},
-		Health: func() error {
-			if !healthy {
-				return errors.New("registry empty")
-			}
-			return nil
 		},
 	})
 	addr, err := srv.Start("127.0.0.1:0")
@@ -126,12 +121,6 @@ func TestServerScrape(t *testing.T) {
 		t.Fatalf("/snapshots = %+v", infos)
 	}
 
-	// Health flip serves 503.
-	healthy = false
-	if code, body := get(t, base+"/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "registry empty") {
-		t.Fatalf("unhealthy /healthz = %d %q", code, body)
-	}
-
 	// Index + 404.
 	if code, body := get(t, base+"/"); code != http.StatusOK || !strings.Contains(body, "/metrics") {
 		t.Fatalf("index = %d %q", code, body)
@@ -202,6 +191,15 @@ func TestTracesMinDurFilter(t *testing.T) {
 		t.Errorf("which=slow&min_dur=40ms rendered %d traces, want 2 (inclusive boundary):\n%s", got, body)
 	}
 
+	// n beyond every retained trace (up to the largest int) serves them
+	// all instead of sizing a buffer by n.
+	for _, which := range []string{"slow", "recent"} {
+		code, body = get(t, base+"/traces?format=jsonl&which="+which+"&n=9223372036854775807")
+		if code != http.StatusOK || countLines(body) != 4 {
+			t.Fatalf("which=%s&n=MaxInt /traces = %d, %d lines:\n%s", which, code, countLines(body), body)
+		}
+	}
+
 	// Above every trace: empty, still a 200.
 	code, body = get(t, base+"/traces?format=jsonl&which=recent&min_dur=1h")
 	if code != http.StatusOK || countLines(body) != 0 {
@@ -214,6 +212,43 @@ func TestTracesMinDurFilter(t *testing.T) {
 			t.Errorf("min_dur=%s = %d, want 400", bad, code)
 		}
 	}
+}
+
+// FuzzTracesQuery drives the /traces query parsing with arbitrary n,
+// min_dur, which, format and trace_id values against a recorder holding
+// traces: the handler must never panic, and every answer is a 200, a 400
+// (bad min_dur, which or format) or a 404 (unknown trace_id).
+func FuzzTracesQuery(f *testing.F) {
+	tr := NewTracer(TracerConfig{Capacity: 8})
+	for i := 0; i < 12; i++ {
+		sp := tr.StartRoot(fmt.Sprintf("svc.request-%d", i%3))
+		sp.Stage("admission", time.Now(), time.Duration(i)*time.Millisecond)
+		sp.End()
+	}
+	h := NewServer(ServerConfig{Recorder: tr.Recorder()}).Handler()
+	id := tr.Recorder().Last(1)[0].TraceID
+
+	f.Add("20", "", "", "", "")
+	f.Add("9223372036854775807", "1ms", "slow", "jsonl", "")
+	f.Add("-1", "-3ms", "recent", "tree", "")
+	f.Add("5", "bogus", "exemplars", "bogus", "")
+	f.Add("", "", "", "jsonl", id)
+	f.Add("x", "1h", "nope", "", "00000000000000000000000000000000")
+	f.Fuzz(func(t *testing.T, n, minDur, which, format, traceID string) {
+		q := url.Values{}
+		for k, v := range map[string]string{"n": n, "min_dur": minDur, "which": which, "format": format, "trace_id": traceID} {
+			if v != "" {
+				q.Set(k, v)
+			}
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/traces?"+q.Encode(), nil))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound:
+		default:
+			t.Fatalf("/traces?%s = %d", q.Encode(), rec.Code)
+		}
+	})
 }
 
 // TestServerFleetEndpoint exercises the /fleet admin view: the registry

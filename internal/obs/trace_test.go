@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -218,6 +219,9 @@ func TestRecorderSlowestDistinct(t *testing.T) {
 	got := tr.Recorder().Slowest(100)
 	if len(got) != 6 {
 		t.Fatalf("slowest returned %d traces, want 6 distinct", len(got))
+	}
+	if all := tr.Recorder().Slowest(math.MaxInt); len(all) != 6 {
+		t.Fatalf("Slowest(MaxInt) returned %d traces, want 6", len(all))
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i].Duration > got[i-1].Duration {

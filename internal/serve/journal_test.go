@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -155,50 +156,84 @@ func TestServiceJournalsBuilds(t *testing.T) {
 }
 
 // TestRecoverReplaysUnfinished: a begin without a done (crash mid-build) is
-// re-executed by Recover, retired, and absent on the next open.
+// re-executed by Recover, retired, and absent on the next open. The begin
+// is written by this journal, or is a record from before PGGBConfig and
+// MCConfig dropped their single-valued fields (polish window, POA bands,
+// layout seed, MC novelty thresholds), whose extra keys are ignored.
 func TestRecoverReplaysUnfinished(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "serve.wal")
 	names, seqs := testCatalog(t, 3000, 4)
+	cohort, err := json.Marshal(names[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := `{"op":"begin","seq":1,"tool":"pggb","cohort":` + string(cohort) +
+		`,"pggb":{"K":15,"W":10,"Workers":0,"PolishWindow":600,"POABand":48,"LayoutIterations":0,"LayoutSeed":42}` +
+		`,"mc":{"K":15,"W":10,"SegmentLen":512,"MapChunk":15000,"MinSpan":192,"MinNovel":24,"Divergence":0.06,"POABand":32,"LayoutIterations":4,"LayoutSeed":42,"Workers":0}}`
+	legacyReq := pggbRequest(names[:3])
+	legacyReq.MC = build.DefaultMCConfig()
 
-	// "Process 1" accepts a request and dies before finishing it.
-	j1, err := OpenJournal(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j1.begin(pggbRequest(names[:3])); err != nil {
-		t.Fatal(err)
-	}
-	j1.Close()
+	for _, tc := range []struct {
+		name  string
+		want  Request
+		begin func(t *testing.T, path string)
+	}{
+		{"current", pggbRequest(names[:3]), func(t *testing.T, path string) {
+			j1, err := OpenJournal(path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j1.begin(pggbRequest(names[:3])); err != nil {
+				t.Fatal(err)
+			}
+			j1.Close()
+		}},
+		{"removed-config-fields", legacyReq, func(t *testing.T, path string) {
+			w, err := store.OpenWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append([]byte(legacy)); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "serve.wal")
+			// "Process 1" accepts a request and dies before finishing it.
+			tc.begin(t, path)
 
-	// "Process 2" recovers: the request is re-enqueued and built.
-	j2, err := OpenJournal(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rebuilt [][]string
-	s := testService(t, Config{
-		Workers: 2,
-		Journal: j2,
-		OnResult: func(req Request, _ *build.Result) {
-			rebuilt = append(rebuilt, req.Cohort)
-		},
-	}, names, seqs)
-	n, err := s.Recover(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || len(rebuilt) != 1 || !reflect.DeepEqual(rebuilt[0], names[:3]) {
-		t.Fatalf("recover replayed %d (%v), want the one crash-interrupted cohort %v", n, rebuilt, names[:3])
-	}
-	j2.Close()
+			// "Process 2" recovers: the request is re-enqueued and built.
+			j2, err := OpenJournal(path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rebuilt []Request
+			s := testService(t, Config{
+				Workers: 2,
+				Journal: j2,
+				OnResult: func(req Request, _ *build.Result) {
+					rebuilt = append(rebuilt, req)
+				},
+			}, names, seqs)
+			n, err := s.Recover(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 1 || len(rebuilt) != 1 || !reflect.DeepEqual(rebuilt[0], tc.want) {
+				t.Fatalf("recover replayed %d (%+v), want the one crash-interrupted request %+v", n, rebuilt, tc.want)
+			}
+			j2.Close()
 
-	j3, err := OpenJournal(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j3.Close()
-	if n := len(j3.Unfinished()); n != 0 {
-		t.Fatalf("unfinished after recovery = %d, want 0", n)
+			j3, err := OpenJournal(path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j3.Close()
+			if n := len(j3.Unfinished()); n != 0 {
+				t.Fatalf("unfinished after recovery = %d, want 0", n)
+			}
+		})
 	}
 
 	// A service with no journal recovers trivially.

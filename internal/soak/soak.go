@@ -84,6 +84,16 @@ func ParseChaos(s string) ([]ChaosKind, error) {
 	return out, nil
 }
 
+// Fixed observation settings of a soak run.
+const (
+	// samplePeriod spaces the sink's periodic samples.
+	samplePeriod = time.Second
+	// traceSampleEvery is the run-private tracer's 1-in-N ring sampling
+	// (obs.TracerConfig): a soak run completes far more traces than any
+	// ring holds.
+	traceSampleEvery = 8
+)
+
 // Config parameterizes one soak run.
 type Config struct {
 	// Scenario shapes the population, query trace and arrival curve.
@@ -113,20 +123,16 @@ type Config struct {
 	FleetNodes int
 	// StoreDir persists published snapshots and is required by ChaosRestart.
 	StoreDir string
-	// Sink, when non-nil, receives structured JSONL records: periodic
-	// samples, each chaos event, and the final report.
+	// Sink, when non-nil, receives structured JSONL records: samples every
+	// samplePeriod, each chaos event, and the final report.
 	Sink *obs.JSONLSink
-	// SamplePeriod spaces the sink's periodic samples; ≤0 uses 1s.
-	SamplePeriod time.Duration
 	// MaxShedRate is the organic (non-chaos) shed-rate ceiling the final
 	// report asserts; ≤0 uses 0.05.
 	MaxShedRate float64
-	// SampleEvery is the tracer's 1-in-N ring sampling (obs.TracerConfig);
-	// ≤0 uses 8 — a soak run completes far more traces than any ring holds.
-	SampleEvery int
 	// Metrics / Tracer, when non-nil, are used instead of run-private ones —
 	// the hook that lets a caller expose the run on a live admin endpoint.
-	// A caller-provided Tracer keeps its own sampling config.
+	// A caller-provided Tracer keeps its own sampling config; the
+	// run-private one keeps 1 in traceSampleEvery traces.
 	Metrics *perf.Metrics
 	Tracer  *obs.Tracer
 	// Out receives human-readable progress lines; nil discards them.
@@ -228,14 +234,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
 	}
-	if cfg.SamplePeriod <= 0 {
-		cfg.SamplePeriod = time.Second
-	}
 	if cfg.MaxShedRate <= 0 {
 		cfg.MaxShedRate = 0.05
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 8
 	}
 	out := cfg.Out
 	if out == nil {
@@ -283,7 +283,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		tracer = obs.NewTracer(obs.TracerConfig{
 			Capacity:       512,
 			Metrics:        metrics,
-			SampleEvery:    cfg.SampleEvery,
+			SampleEvery:    traceSampleEvery,
 			ExemplarMaxAge: time.Minute,
 		})
 	}
@@ -337,10 +337,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return err
 	}
 	builder := serve.New(serve.Config{
-		CacheCapacity: 64 << 20,
-		Metrics:       metrics,
-		Tracer:        tracer,
-		Fleet:         coord,
+		Metrics: metrics,
+		Tracer:  tracer,
+		Fleet:   coord,
 		OnResult: func(req serve.Request, res *build.Result) {
 			n := atomic.AddUint64(&snapSeq, 1)
 			snap, err := mapserve.SnapshotFromBuild(fmt.Sprintf("cohort-%d", n), res, cfg.Tool)
@@ -429,7 +428,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	bg.Add(1)
 	go func() {
 		defer bg.Done()
-		tick := time.NewTicker(cfg.SamplePeriod)
+		tick := time.NewTicker(samplePeriod)
 		defer tick.Stop()
 		for {
 			select {

@@ -136,8 +136,8 @@ func trimName(s string) string {
 	return s
 }
 
-// ReadSectionFile loads and verifies a snapshot file from disk.
-func ReadSectionFile(path string) (map[string][]byte, error) {
+// readSectionFile loads and verifies a snapshot file from disk.
+func readSectionFile(path string) (map[string][]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: read %s: %w", path, err)

@@ -193,7 +193,7 @@ func (d *Dir) SnapshotPath(gen uint64) string {
 
 // Load reads and verifies one generation's snapshot file.
 func (d *Dir) Load(gen uint64) (map[string][]byte, error) {
-	return ReadSectionFile(d.SnapshotPath(gen))
+	return readSectionFile(d.SnapshotPath(gen))
 }
 
 // LoadCurrent reads and verifies the generation CURRENT points at.
