@@ -8,8 +8,6 @@
 //	pgbench run [-scale small|bench|large] [-threads N] [-scenario S] <experiment>...
 //	pgbench all [-scale small|bench|large] [-threads N] [-scenario S]
 //	pgbench soak [-scenario S] [-dur D] [-chaos LIST] [flags]
-//	pgbench fleet-worker [-listen ADDR]
-//	pgbench fleet [-nodes ADDRS | -local N]
 package main
 
 import (
@@ -119,10 +117,6 @@ func run(args []string) error {
 		return nil
 	case "soak":
 		return soakCmd(rest)
-	case "fleet":
-		return fleetCmd(rest)
-	case "fleet-worker":
-		return fleetWorkerCmd(rest)
 	case "help", "-h", "--help":
 		usage()
 		return nil
@@ -161,11 +155,5 @@ func usage() {
                                                any end-of-run assertion fails,
                                                including a repeated read that
                                                mapped differently
-  pgbench fleet-worker [-listen ADDR]          run one construction-fleet worker
-                                               daemon (pair-match RPCs over HTTP)
-  pgbench fleet [-nodes ADDRS | -local N]      shard an all-pair build across
-                                               fleet workers and verify the GFA
-                                               is byte-identical to the
-                                               single-process build
 scales: small (quick check), bench (default), large`)
 }

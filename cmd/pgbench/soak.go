@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"os"
 	"time"
@@ -18,8 +19,10 @@ import (
 // any end-of-run assertion (lost queries, gauge watermarks, leak checks)
 // fails.
 func soakCmd(args []string) error {
-	fs := newFlagSet("soak")
-	pf := addPopFlags(fs, 20_000, 5)
+	fs := flag.NewFlagSet("soak", flag.ContinueOnError)
+	refLen := fs.Int("ref", 20_000, "simulated reference length (bp)")
+	haps := fs.Int("haps", 5, "assemblies in the catalog")
+	seed := fs.Int64("seed", 42, "trace seed")
 	scenarioName := addScenarioFlag(fs, "skewed-tenant")
 	dur := fs.Duration("dur", 10*time.Second, "soak duration")
 	chaosCSV := fs.String("chaos", "swap,restart", "comma-separated chaos events fired at even fractions of -dur: swap, shed, restart, build-reject, worker-kill")
@@ -32,7 +35,8 @@ func soakCmd(args []string) error {
 	jsonlPath := fs.String("jsonl", "", "structured flight-log file (JSONL: periodic samples, chaos events, final report)")
 	maxShed := fs.Float64("max-shed", 0.05, "organic shed-rate ceiling asserted at run end (chaos-storm sheds excluded)")
 	sampleEvery := fs.Int("sample-every", 8, "flight-recorder ring keeps 1 in N traces (failed/shed traces always kept)")
-	of := addObsFlag(fs)
+	obsAddr := fs.String("obs", "", "admin/metrics listen address, e.g. :8080 (empty = no endpoint)")
+	pprof := fs.Bool("pprof", false, "mount continuous-profiling endpoints under /debug/pprof/ on the -obs server")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -88,14 +92,22 @@ func soakCmd(args []string) error {
 		SampleEvery:    *sampleEvery,
 		ExemplarMaxAge: time.Minute,
 	})
-	stopObs, err := of.start(obs.ServerConfig{
-		Metrics:  metrics.Snapshot,
-		Recorder: tracer.Recorder(),
-	})
-	if err != nil {
-		return err
+	if *obsAddr != "" {
+		srv := obs.NewServer(obs.ServerConfig{
+			Metrics:         metrics.Snapshot,
+			Recorder:        tracer.Recorder(),
+			EnableProfiling: *pprof,
+		})
+		bound, err := srv.Start(*obsAddr)
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		fmt.Printf("admin endpoint: http://%s/ (/metrics /traces /snapshots /healthz)\n", bound)
+		if *pprof {
+			fmt.Printf("profiling endpoints: http://%s/debug/pprof/\n", bound)
+		}
 	}
-	defer stopObs()
 
 	fmt.Printf("soak: scenario %s for %v, chaos=%v, tool=%s, %d clients, queue=%d\n",
 		sc.Name, *dur, chaos, toolCfg.Kind, *clients, *queueDepth)
@@ -106,9 +118,9 @@ func soakCmd(args []string) error {
 
 	res, err := soak.Run(context.Background(), soak.Config{
 		Scenario:    sc,
-		RefLen:      *pf.refLen,
-		Haps:        *pf.haps,
-		Seed:        *pf.seed,
+		RefLen:      *refLen,
+		Haps:        *haps,
+		Seed:        *seed,
 		Duration:    *dur,
 		Clients:     *clients,
 		Tool:        toolCfg,
@@ -133,7 +145,12 @@ func soakCmd(args []string) error {
 		res.Swaps, res.Restarts, res.Storms, res.Rejects, res.Kills, res.Generations)
 	fmt.Println()
 	fmt.Print(res.Report.Render())
-	printSlowest(tracer, 3)
+	if slow := tracer.Recorder().Slowest(3); len(slow) > 0 {
+		fmt.Printf("\nslowest %d traces:\n", len(slow))
+		for _, d := range slow {
+			fmt.Println(d.Tree())
+		}
+	}
 	if n := res.Report.Failed(); n > 0 {
 		return fmt.Errorf("%d soak assertion(s) failed", n)
 	}

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -30,12 +29,10 @@ type node struct {
 	name string
 	t    Transport
 
-	mu          sync.Mutex
-	live        bool
-	lastSeen    time.Time
-	lastPing    PingReply
-	lastMetrics *perf.MetricsSnapshot // last heartbeat-scraped snapshot (federation)
-	pushed      int                   // catalog version last successfully pushed
+	mu       sync.Mutex
+	live     bool
+	lastSeen time.Time
+	pushed   int // catalog version last successfully pushed
 
 	// pushMu serializes config pushes so concurrent dispatches don't each
 	// re-send the full catalog before the first push lands.
@@ -108,11 +105,6 @@ func (c *Coordinator) AddNode(name string, t Transport) error {
 		return fmt.Errorf("fleet: empty node name")
 	}
 	n := &node{name: name, t: t, live: true, lastSeen: time.Now()}
-	// HTTP transports count decode-side wire errors; hand them the
-	// coordinator's metric set (optional capability, as with MetricsSource).
-	if mt, ok := t.(interface{ SetMetrics(*perf.Metrics) }); ok {
-		mt.SetMetrics(c.metrics)
-	}
 	c.mu.Lock()
 	for _, ex := range c.nodes {
 		if ex.name == name {
@@ -233,14 +225,12 @@ func (c *Coordinator) markDead(nd *node) {
 	c.updateNodeGauges()
 }
 
-// markLive revives a node (heartbeat answered) and refreshes gauges.
-func (c *Coordinator) markLive(nd *node, reply *PingReply) {
+// markLive revives a node (heartbeat or task answered) and refreshes
+// gauges.
+func (c *Coordinator) markLive(nd *node) {
 	nd.mu.Lock()
 	nd.live = true
 	nd.lastSeen = time.Now()
-	if reply != nil {
-		nd.lastPing = *reply
-	}
 	nd.mu.Unlock()
 	c.updateNodeGauges()
 }
@@ -251,7 +241,7 @@ func (c *Coordinator) markLive(nd *node, reply *PingReply) {
 // fleet.shard_imbalance_milli is the max/mean load ratio ×1000 (1000 =
 // perfectly balanced). This is what makes hash-routing skew — e.g. the
 // bench corpus's 22/6 split across 2 shards (EXPERIMENTS.md fig5-fleet) —
-// directly observable on the federated /metrics scrape.
+// directly observable on /metrics.
 func (c *Coordinator) updateShardGauges() {
 	if c.metrics == nil {
 		return
@@ -309,8 +299,8 @@ func (c *Coordinator) updateNodeGauges() {
 const deadAfterBeats = 3
 
 // heartbeatLoop pings every node each HeartbeatEvery: an answering node is
-// (re)marked live and its stats recorded; a node silent for deadAfterBeats
-// periods is marked dead so dispatch stops routing to it.
+// (re)marked live; a node silent for deadAfterBeats periods is marked dead
+// so dispatch stops routing to it.
 func (c *Coordinator) heartbeatLoop() {
 	defer c.wg.Done()
 	tick := time.NewTicker(c.cfg.HeartbeatEvery)
@@ -323,26 +313,14 @@ func (c *Coordinator) heartbeatLoop() {
 		}
 		for _, nd := range c.snapshotNodes() {
 			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.HeartbeatEvery)
-			reply, err := nd.t.Ping(ctx)
+			_, err := nd.t.Ping(ctx)
 			cancel()
 			if err == nil {
 				wasDead := !nd.isLive()
-				c.markLive(nd, reply)
+				c.markLive(nd)
 				if wasDead {
 					// Revival: make the node useful again before tasks hit it.
 					_ = c.pushConfig(context.Background(), nd)
-				}
-				// Federation scrape rides the heartbeat tick: transports that
-				// can read their worker's metric set refresh the node-labeled
-				// view the admin /metrics endpoint serves.
-				if src, ok := nd.t.(MetricsSource); ok {
-					sctx, scancel := context.WithTimeout(context.Background(), c.cfg.HeartbeatEvery)
-					if snap, merr := src.Metrics(sctx); merr == nil {
-						nd.mu.Lock()
-						nd.lastMetrics = &snap
-						nd.mu.Unlock()
-					}
-					scancel()
 				}
 				continue
 			}
@@ -359,8 +337,7 @@ func (c *Coordinator) heartbeatLoop() {
 
 // Match resolves one unordered pair through the fleet: the pair's hash
 // picks its owner shard, dead owners fall through to the next live node on
-// the ring (counted as a reassignment), an unknown-assembly reply triggers
-// a config re-push and retry, and any other RPC failure marks the node
+// the ring (counted as a reassignment), and a failed call marks the node
 // dead and re-issues the task. The returned blocks are in canonical
 // orientation (SeqA = 0 names the lexicographically smaller assembly).
 func (c *Coordinator) Match(ctx context.Context, a, b string, k, w int) ([]build.MatchBlock, build.PairStats, bool, error) {
@@ -386,10 +363,7 @@ func (c *Coordinator) Match(ctx context.Context, a, b string, k, w int) ([]build
 			continue
 		}
 		// Each dispatch attempt gets a child span of whatever build trace
-		// rides ctx; the traced context is what the transport Injects (HTTP)
-		// or hands straight to the worker (loopback), so the worker's linked
-		// span parents under this one. The worker's completed subtree comes
-		// back piggybacked and is grafted on before End.
+		// rides ctx.
 		dctx, dsp := obs.StartSpan(ctx, "fleet.dispatch")
 		dsp.Set("node", nd.name)
 		dsp.Set("pair", a+"|"+b)
@@ -397,16 +371,6 @@ func (c *Coordinator) Match(ctx context.Context, a, b string, k, w int) ([]build
 			dsp.SetInt("ring_offset", int64(off))
 		}
 		resp, err := nd.t.Match(dctx, req)
-		if err != nil && errors.Is(err, ErrUnknownAssembly) {
-			// The worker fell behind the catalog (e.g. daemon restart):
-			// force a re-push and retry once on the same node.
-			nd.mu.Lock()
-			nd.pushed = 0
-			nd.mu.Unlock()
-			if perr := c.pushConfig(ctx, nd); perr == nil {
-				resp, err = nd.t.Match(dctx, req)
-			}
-		}
 		if err != nil {
 			dsp.Error(err)
 			dsp.End()
@@ -417,11 +381,8 @@ func (c *Coordinator) Match(ctx context.Context, a, b string, k, w int) ([]build
 			c.markDead(nd)
 			continue
 		}
-		if resp.Trace != nil {
-			dsp.AttachRemote(*resp.Trace)
-		}
 		dsp.End()
-		c.markLive(nd, nil)
+		c.markLive(nd)
 		c.metrics.Add("fleet.tasks", 1)
 		c.metrics.Add(obs.WithLabel("fleet.dispatched", "node", nd.name), 1)
 		if off > 0 {
@@ -461,52 +422,4 @@ func (c *Coordinator) AllPairMatches(ctx context.Context, cohort []string, k, w 
 		func(ctx context.Context, a, b string, _, _ []byte) ([]build.MatchBlock, build.PairStats, bool, error) {
 			return c.Match(ctx, a, b, k, w)
 		})
-}
-
-// FederatedNodes returns the last heartbeat-scraped metric snapshot per
-// node — the obs.ServerConfig.FederatedNodes source. Nodes never scraped
-// (dead since birth, or a transport without MetricsSource) are omitted.
-func (c *Coordinator) FederatedNodes() []obs.NodeMetrics {
-	nodes := c.snapshotNodes()
-	out := make([]obs.NodeMetrics, 0, len(nodes))
-	for _, nd := range nodes {
-		nd.mu.Lock()
-		snap := nd.lastMetrics
-		nd.mu.Unlock()
-		if snap != nil {
-			out = append(out, obs.NodeMetrics{Node: nd.name, Snapshot: *snap})
-		}
-	}
-	return out
-}
-
-// NodeInfos reports the registry for the /fleet admin endpoint: one entry
-// per node with liveness, heartbeat age, owned key range and the last
-// heartbeat's task/cache counters.
-func (c *Coordinator) NodeInfos() []obs.FleetNodeInfo {
-	nodes := c.snapshotNodes()
-	total := len(nodes)
-	infos := make([]obs.FleetNodeInfo, 0, total)
-	for i, nd := range nodes {
-		nd.mu.Lock()
-		info := obs.FleetNodeInfo{
-			Name:           nd.name,
-			Live:           nd.live,
-			HeartbeatAgeMS: time.Since(nd.lastSeen).Milliseconds(),
-			Range:          RangeOf(i, total).String(),
-			Tasks:          nd.lastPing.Tasks,
-			CacheHits:      nd.lastPing.CacheHits,
-			CacheMisses:    nd.lastPing.CacheMisses,
-			CacheEntries:   nd.lastPing.CacheEntries,
-			CacheBytes:     nd.lastPing.CacheBytes,
-			Assemblies:     nd.lastPing.Assemblies,
-			ConfigVersion:  nd.lastPing.ConfigVersion,
-		}
-		if a, ok := nd.t.(interface{ Addr() string }); ok {
-			info.Addr = a.Addr()
-		}
-		nd.mu.Unlock()
-		infos = append(infos, info)
-	}
-	return infos
 }

@@ -2,11 +2,11 @@
 // dominant wall-clock cost of graph construction — across a
 // coordinator/worker fleet. A Coordinator owns a node registry with
 // heartbeats and per-node config push; each Worker owns a contiguous key
-// range of the canonical pair-hash space and serves pair-match RPCs out of
+// range of the canonical pair-hash space and serves pair-match calls out of
 // its own build.PairCache, so overlapping cohorts skip redundant quadratic
-// matching across processes, not just within one. The coordinator fans a
-// cohort out with build.CohortMatches, the same pair loop, remap and merge
-// a single-process serve build runs.
+// matching across builds. The coordinator fans a cohort out with
+// build.CohortMatches, the same pair loop, remap and merge a
+// single-process serve build runs.
 //
 // Determinism contract: a pair's match blocks depend only on the two
 // sequences and the (w,k)-minimizer scheme (build.PairMatches is
@@ -16,32 +16,26 @@
 // which node ultimately computed each pair. Liveness only moves work; it
 // never changes results.
 //
-// Transports are stdlib-only: net/http with JSON bodies for real worker
-// daemons (pgbench fleet-worker), and an in-process loopback for tests,
-// soak chaos, and single-binary fleets.
+// The fleet runs in one process: coordinator and workers talk through the
+// Transport interface, whose only implementation is the in-process
+// LocalNode loopback. Kill and Revive on a LocalNode stand in for a worker
+// dying and coming back, for tests and soak chaos.
 package fleet
 
 import (
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"math/bits"
 
 	"pangenomicsbench/internal/build"
-	"pangenomicsbench/internal/obs"
 )
-
-// ErrUnknownAssembly reports that a worker was asked to match an assembly
-// name it has no sequence for; the coordinator reacts by re-pushing its
-// catalog to that node and retrying.
-var ErrUnknownAssembly = errors.New("fleet: unknown assembly")
 
 // ErrNoLiveNodes reports that every registered node is dead (or none were
 // ever added), so a task cannot be placed anywhere.
 var ErrNoLiveNodes = errors.New("fleet: no live nodes")
 
-// ErrNodeDown is returned by a killed loopback transport — the in-process
-// stand-in for a worker process dying mid-build.
+// ErrNodeDown is returned by a killed loopback transport — the stand-in
+// for a worker dying mid-build.
 var ErrNodeDown = errors.New("fleet: node down")
 
 // PairHash maps one unordered assembly-name pair onto the 64-bit key
@@ -94,9 +88,6 @@ type KeyRange struct {
 // Contains reports whether h falls inside r.
 func (r KeyRange) Contains(h uint64) bool { return h >= r.Lo && h <= r.Hi }
 
-// String renders the range as fixed-width hex for the /fleet admin view.
-func (r KeyRange) String() string { return fmt.Sprintf("%016x-%016x", r.Lo, r.Hi) }
-
 // RangeOf returns the key range shard i of n owns: exactly the keys h with
 // OwnerOf(h, n) == i.
 func RangeOf(i, n int) KeyRange {
@@ -129,46 +120,40 @@ func rangeHi(i, n int) uint64 {
 // unordered assembly pair. A and B are canonical (A < B); K and W select
 // the minimizer scheme, making distinct schemes distinct cache entries.
 type MatchRequest struct {
-	A string `json:"a"`
-	B string `json:"b"`
-	K int    `json:"k"`
-	W int    `json:"w"`
+	A, B string
+	K, W int
 }
 
 // MatchResponse carries one pair's match blocks in canonical orientation
 // (SeqA = 0 names A, SeqB = 1 names B), plus the matching stats and
-// whether the worker's shard cache already held the result. When the
-// worker runs with tracing enabled, Trace piggybacks its completed span
-// subtree (cache hit/miss, kernel stage timings) so the coordinator can
-// graft it under the dispatching span — one cross-process tree per build.
+// whether the worker's shard cache already held the result.
 type MatchResponse struct {
-	Blocks   []build.MatchBlock `json:"blocks"`
-	Stats    build.PairStats    `json:"stats"`
-	CacheHit bool               `json:"cache_hit"`
-	Trace    *obs.SpanData      `json:"trace,omitempty"`
+	Blocks   []build.MatchBlock
+	Stats    build.PairStats
+	CacheHit bool
 }
 
 // ConfigPush is the coordinator→worker capability/config push: the full
 // assembly catalog the worker may be asked to match and (informationally)
 // the key range this worker currently owns.
 type ConfigPush struct {
-	Names   []string `json:"names"`
-	Seqs    [][]byte `json:"seqs"`
-	Range   KeyRange `json:"range"`
-	Version int      `json:"version"`
+	Names   []string
+	Seqs    [][]byte
+	Range   KeyRange
+	Version int
 }
 
 // PingReply is one heartbeat's worth of worker state: identity, workload
-// counters, and shard-cache occupancy, aggregated by the coordinator into
-// fleet gauges and the /fleet admin view.
+// counters, and shard-cache occupancy. The coordinator reads only whether
+// the ping answered.
 type PingReply struct {
-	Name          string   `json:"name"`
-	Assemblies    int      `json:"assemblies"`
-	ConfigVersion int      `json:"config_version"`
-	Range         KeyRange `json:"range"`
-	Tasks         int64    `json:"tasks"`
-	CacheHits     int64    `json:"cache_hits"`
-	CacheMisses   int64    `json:"cache_misses"`
-	CacheEntries  int      `json:"cache_entries"`
-	CacheBytes    int      `json:"cache_bytes"`
+	Name          string
+	Assemblies    int
+	ConfigVersion int
+	Range         KeyRange
+	Tasks         int64
+	CacheHits     int64
+	CacheMisses   int64
+	CacheEntries  int
+	CacheBytes    int
 }

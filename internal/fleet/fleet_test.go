@@ -13,6 +13,7 @@ import (
 	"pangenomicsbench/internal/build"
 	"pangenomicsbench/internal/gensim"
 	"pangenomicsbench/internal/gfa"
+	"pangenomicsbench/internal/obs"
 	"pangenomicsbench/internal/perf"
 )
 
@@ -50,6 +51,15 @@ func localFleet(t testing.TB, cfg Config, names []string, seqs [][]byte, n int) 
 }
 
 const testK, testW = 15, 10
+
+// liveByName reports the registry's liveness verdict for every node.
+func liveByName(c *Coordinator) map[string]bool {
+	live := map[string]bool{}
+	for _, nd := range c.snapshotNodes() {
+		live[nd.name] = nd.isLive()
+	}
+	return live
+}
 
 // TestFleetIdenticalToSingleProcess is the fleet acceptance differential:
 // a 2-worker fleet's merged all-pair match blocks equal
@@ -97,8 +107,10 @@ func TestFleetIdenticalToSingleProcess(t *testing.T) {
 }
 
 // TestFleetShardCacheCrossRequest: a second identical cohort is served
-// entirely from worker shard caches, and the shard split routed work to
-// both nodes.
+// entirely from worker shard caches, the shard split routed work to both
+// nodes, and the fleet.* series the benchmark reads agree with that
+// routing: fleet.tasks counts every dispatched pair, hits plus misses sum
+// to it, and the shard-balance gauges match each node's share.
 func TestFleetShardCacheCrossRequest(t *testing.T) {
 	names, seqs := testCatalog(t, 5000, 6)
 	m := perf.NewMetrics()
@@ -128,6 +140,28 @@ func TestFleetShardCacheCrossRequest(t *testing.T) {
 	}
 	if t0.Tasks+t1.Tasks != int64(2*pairs) {
 		t.Fatalf("task split %d+%d != %d", t0.Tasks, t1.Tasks, 2*pairs)
+	}
+
+	tasks := m.Counter("fleet.tasks")
+	if tasks != int64(2*pairs) {
+		t.Fatalf("fleet.tasks = %d, want %d (two runs of %d pairs)", tasks, 2*pairs, pairs)
+	}
+	if hits, misses := m.Counter("fleet.remote_hits"), m.Counter("fleet.remote_misses"); hits+misses != tasks || misses != int64(pairs) {
+		t.Fatalf("remote_hits %d + remote_misses %d, want %d with %d misses", hits, misses, tasks, pairs)
+	}
+	// No node died, so each node's shard owns exactly the pairs it served
+	// per run, and the imbalance is the larger share over the mean.
+	maxShard := int64(0)
+	for i, w := range []PingReply{t0, t1} {
+		got, _ := m.Gauge(obs.WithLabel("fleet.shard_pairs", "node", fmt.Sprintf("node-%d", i)))
+		if got != w.Tasks/2 {
+			t.Fatalf("fleet.shard_pairs{node=node-%d} = %d, want %d", i, got, w.Tasks/2)
+		}
+		maxShard = max(maxShard, got)
+	}
+	wantImbalance := int64(float64(maxShard) / (float64(pairs) / 2) * 1000)
+	if got, _ := m.Gauge("fleet.shard_imbalance_milli"); got != wantImbalance || got < 1000 {
+		t.Fatalf("fleet.shard_imbalance_milli = %d, want %d", got, wantImbalance)
 	}
 }
 
@@ -192,7 +226,7 @@ func TestFleetWorkerKillMidBuild(t *testing.T) {
 	}()
 
 	// Once the build stalls on the victim's gated pairs, kill the node, then
-	// open the gate so the stalled RPCs fail like a dropped daemon.
+	// open the gate so the stalled calls fail like a dead worker.
 	<-gate.arrived
 	victim.Kill()
 	close(gate.gate)
@@ -207,17 +241,12 @@ func TestFleetWorkerKillMidBuild(t *testing.T) {
 	if got := m.Counter("fleet.reassigned"); got == 0 {
 		t.Fatal("no tasks were reassigned despite a dead owner")
 	}
-	deadSeen := false
-	for _, info := range c.NodeInfos() {
-		if info.Name == "node-0" && !info.Live {
-			deadSeen = true
-		}
-		if info.Name == "node-1" && !info.Live {
-			t.Fatal("survivor marked dead")
-		}
-	}
-	if !deadSeen {
+	live := liveByName(c)
+	if live["node-0"] {
 		t.Fatal("registry did not mark the killed node dead")
+	}
+	if !live["node-1"] {
+		t.Fatal("survivor marked dead")
 	}
 	if live, _ := m.Gauge("fleet.nodes_live"); live != 1 {
 		t.Fatalf("fleet.nodes_live = %d, want 1", live)
@@ -236,8 +265,8 @@ func TestFleetHeartbeatDeathAndRevival(t *testing.T) {
 
 	liveCount := func() int {
 		n := 0
-		for _, info := range c.NodeInfos() {
-			if info.Live {
+		for _, live := range liveByName(c) {
+			if live {
 				n++
 			}
 		}
@@ -264,61 +293,6 @@ func TestFleetHeartbeatDeathAndRevival(t *testing.T) {
 
 	nodes[0].Revive()
 	waitFor(2, "heartbeat to revive the node")
-}
-
-// swapT forwards to a replaceable inner transport — the test stand-in for
-// a worker daemon restarting behind a stable address.
-type swapT struct {
-	mu    sync.Mutex
-	inner Transport
-}
-
-func (s *swapT) get() Transport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inner
-}
-func (s *swapT) set(t Transport) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inner = t
-}
-func (s *swapT) Configure(ctx context.Context, push ConfigPush) error {
-	return s.get().Configure(ctx, push)
-}
-func (s *swapT) Match(ctx context.Context, req MatchRequest) (*MatchResponse, error) {
-	return s.get().Match(ctx, req)
-}
-func (s *swapT) Ping(ctx context.Context) (*PingReply, error) { return s.get().Ping(ctx) }
-func (s *swapT) Close() error                                 { return s.get().Close() }
-
-// TestFleetRepushAfterWorkerRestart: a worker that lost its catalog (a
-// daemon restart behind the same address) answers ErrUnknownAssembly; the
-// coordinator re-pushes its catalog and the task still completes on that
-// node instead of being reassigned.
-func TestFleetRepushAfterWorkerRestart(t *testing.T) {
-	names, seqs := testCatalog(t, 4000, 3)
-	c := NewCoordinator(Config{Metrics: perf.NewMetrics()})
-	t.Cleanup(c.Close)
-	if err := c.RegisterAssemblies(names, seqs); err != nil {
-		t.Fatal(err)
-	}
-	st := &swapT{inner: NewLocalNode(NewWorker("node-0", 0), 0)}
-	if err := c.AddNode("node-0", st); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, _, _, err := c.Match(context.Background(), names[0], names[1], testK, testW); err != nil {
-		t.Fatal(err)
-	}
-	// Daemon restart: a fresh worker with an empty catalog takes over.
-	st.set(NewLocalNode(NewWorker("node-0", 0), 0))
-	if _, _, _, err := c.Match(context.Background(), names[0], names[2], testK, testW); err != nil {
-		t.Fatalf("match after worker restart: %v", err)
-	}
-	if ping, err := st.Ping(context.Background()); err != nil || ping.Assemblies != len(names) {
-		t.Fatalf("catalog not re-pushed after restart: %+v, %v", ping, err)
-	}
 }
 
 func TestFleetNoNodes(t *testing.T) {

@@ -2,24 +2,12 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"pangenomicsbench/internal/obs"
 	"pangenomicsbench/internal/perf"
 )
-
-// findChild returns the first direct child of d named name (nil if absent).
-func findChild(d *obs.SpanData, name string) *obs.SpanData {
-	for i := range d.Children {
-		if d.Children[i].Name == name {
-			return &d.Children[i]
-		}
-	}
-	return nil
-}
 
 func attrValue(d *obs.SpanData, key string) string {
 	for _, a := range d.Attrs {
@@ -30,169 +18,11 @@ func attrValue(d *obs.SpanData, key string) string {
 	return ""
 }
 
-// TestHTTPTransportErrorCounters asserts both halves of the wire-error
-// accounting: the worker's writeErr and the client's decodeErr each count
-// the failure under fleet.transport_errors{code=...}.
-func TestHTTPTransportErrorCounters(t *testing.T) {
-	wm := perf.NewMetrics()
-	w := NewWorker("errd", 0)
-	w.SetObs(wm, nil)
-	srv := NewWorkerServer(w)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-
-	tr := Dial(addr)
-	t.Cleanup(func() { _ = tr.Close() })
-	cm := perf.NewMetrics()
-	tr.SetMetrics(cm)
-
-	// The worker has no catalog: any match is an unknown-assembly 409.
-	_, err = tr.Match(context.Background(), MatchRequest{A: "a", B: "b", K: testK, W: testW})
-	if !errors.Is(err, ErrUnknownAssembly) {
-		t.Fatalf("err = %v, want ErrUnknownAssembly", err)
-	}
-	key := obs.WithLabel("fleet.transport_errors", "code", codeUnknownAssembly)
-	if got := wm.Snapshot().Counters[key]; got != 1 {
-		t.Fatalf("worker-side %s = %d, want 1", key, got)
-	}
-	if got := cm.Snapshot().Counters[key]; got != 1 {
-		t.Fatalf("client-side %s = %d, want 1", key, got)
-	}
-
-	// A rejected config push counts under code="configure" on both sides.
-	err = tr.Configure(context.Background(), ConfigPush{Names: []string{""}, Seqs: [][]byte{nil}})
-	if err == nil {
-		t.Fatal("empty config push accepted")
-	}
-	key = obs.WithLabel("fleet.transport_errors", "code", "configure")
-	if wm.Snapshot().Counters[key] != 1 || cm.Snapshot().Counters[key] != 1 {
-		t.Fatalf("configure error not counted on both sides: worker=%d client=%d",
-			wm.Snapshot().Counters[key], cm.Snapshot().Counters[key])
-	}
-}
-
-// TestHTTPMatchTracePiggyback drives one traced match over real HTTP: the
-// coordinator-side span context crosses as a Traceparent header, the worker
-// links under it, and its subtree (cache outcome, kernel stages) rides back
-// on the response.
-func TestHTTPMatchTracePiggyback(t *testing.T) {
-	names, seqs := testCatalog(t, 5000, 2)
-	w := NewWorker("traced", 0)
-	w.SetObs(perf.NewMetrics(), obs.NewTracer(obs.TracerConfig{}))
-	srv := NewWorkerServer(w)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-
-	tr := Dial(addr)
-	t.Cleanup(func() { _ = tr.Close() })
-	if err := tr.Configure(context.Background(), ConfigPush{
-		Names: names, Seqs: seqs, Version: 1, Range: RangeOf(0, 1),
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	ctr := obs.NewTracer(obs.TracerConfig{})
-	root := ctr.StartRoot("build")
-	ctx := obs.ContextWithSpan(context.Background(), root)
-	a, b := names[0], names[1]
-	if a > b {
-		a, b = b, a
-	}
-	req := MatchRequest{A: a, B: b, K: testK, W: testW}
-
-	resp, err := tr.Match(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Trace == nil {
-		t.Fatal("traced worker returned no span subtree")
-	}
-	if resp.Trace.Name != "fleet.worker.match" {
-		t.Fatalf("subtree root %q", resp.Trace.Name)
-	}
-	if resp.Trace.TraceID != root.TraceID().String() {
-		t.Fatalf("worker trace id %s, want the build's %s", resp.Trace.TraceID, root.TraceID())
-	}
-	if want := root.SpanContext().SpanID.String(); resp.Trace.ParentID != want {
-		t.Fatalf("worker parent span %s, want %s", resp.Trace.ParentID, want)
-	}
-	if got := attrValue(resp.Trace, "cache_hit"); got != "false" {
-		t.Fatalf("first match cache_hit attr = %q", got)
-	}
-	compute := findChild(resp.Trace, "compute")
-	if compute == nil {
-		t.Fatalf("miss subtree has no compute span: %+v", resp.Trace.Children)
-	}
-	for _, stage := range []string{"minimize", "wfa"} {
-		if findChild(compute, stage) == nil {
-			t.Fatalf("compute span missing %q stage", stage)
-		}
-	}
-
-	// A cache hit still reports, without kernel stages.
-	resp, err = tr.Match(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := attrValue(resp.Trace, "cache_hit"); got != "true" {
-		t.Fatalf("second match cache_hit attr = %q", got)
-	}
-	if findChild(resp.Trace, "compute") != nil {
-		t.Fatal("cache hit grew a compute span")
-	}
-	root.End()
-
-	// Without a caller trace context the worker starts a fresh root.
-	resp, err = tr.Match(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Trace == nil || resp.Trace.TraceID == root.TraceID().String() || resp.Trace.ParentID != "" {
-		t.Fatalf("untraced request produced %+v", resp.Trace)
-	}
-}
-
-// TestWorkerUntracedNoPiggyback keeps the wire lean: a worker without obs
-// wiring ships no trace payload.
-func TestWorkerUntracedNoPiggyback(t *testing.T) {
-	names, seqs := testCatalog(t, 4000, 2)
-	c, _ := localFleet(t, Config{}, names, seqs, 1)
-	blocks, _, _, err := c.AllPairMatches(context.Background(), names, testK, testW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) == 0 {
-		t.Fatal("no blocks")
-	}
-	w := NewWorker("plain", 0)
-	if err := w.Configure(ConfigPush{Names: names, Seqs: seqs, Version: 1, Range: RangeOf(0, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	a, b := names[0], names[1]
-	if a > b {
-		a, b = b, a
-	}
-	resp, err := w.Match(context.Background(), MatchRequest{A: a, B: b, K: testK, W: testW})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Trace != nil {
-		t.Fatalf("untraced worker piggybacked %+v", resp.Trace)
-	}
-}
-
 // TestCoordinatorTraceTree runs a loopback fleet build under a root span and
-// checks the assembled tree: one fleet.dispatch child per pair, each with
-// the worker's grafted fleet.worker.match subtree in the same trace.
+// checks the assembled tree: one fleet.dispatch child per pair, each in the
+// root's trace and parented under the root.
 func TestCoordinatorTraceTree(t *testing.T) {
 	names, seqs := testCatalog(t, 5000, 4)
-	wtr := obs.NewTracer(obs.TracerConfig{})
 	c := NewCoordinator(Config{Metrics: perf.NewMetrics()})
 	t.Cleanup(c.Close)
 	if err := c.RegisterAssemblies(names, seqs); err != nil {
@@ -200,9 +30,7 @@ func TestCoordinatorTraceTree(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		name := fmt.Sprintf("node-%d", i)
-		w := NewWorker(name, 0)
-		w.SetObs(perf.NewMetrics(), wtr)
-		if err := c.AddNode(name, NewLocalNode(w, 0)); err != nil {
+		if err := c.AddNode(name, NewLocalNode(NewWorker(name, 0), 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,61 +48,19 @@ func TestCoordinatorTraceTree(t *testing.T) {
 	if len(d.Children) != wantPairs {
 		t.Fatalf("root has %d children, want %d dispatch spans", len(d.Children), wantPairs)
 	}
+	seen := map[string]bool{}
 	for _, disp := range d.Children {
 		if disp.Name != "fleet.dispatch" {
 			t.Fatalf("unexpected child %q", disp.Name)
 		}
-		if len(disp.Children) != 1 || disp.Children[0].Name != "fleet.worker.match" {
-			t.Fatalf("dispatch %s has no grafted worker subtree: %+v",
-				attrValue(&disp, "pair"), disp.Children)
+		if disp.TraceID != root.TraceID().String() || disp.ParentID != d.SpanID {
+			t.Fatalf("dispatch %s in trace %s under %s, want trace %s under %s",
+				attrValue(&disp, "pair"), disp.TraceID, disp.ParentID, root.TraceID(), d.SpanID)
 		}
-		wm := disp.Children[0]
-		if wm.TraceID != root.TraceID().String() {
-			t.Fatalf("worker subtree trace id %s, want %s", wm.TraceID, root.TraceID())
+		pair := attrValue(&disp, "pair")
+		if seen[pair] {
+			t.Fatalf("pair %s dispatched twice", pair)
 		}
-		if wm.ParentID != disp.SpanID {
-			t.Fatalf("worker subtree parent %s, want dispatch %s", wm.ParentID, disp.SpanID)
-		}
-	}
-}
-
-// TestCoordinatorFederatedNodes checks the heartbeat-tick scrape: worker
-// metric snapshots appear under FederatedNodes within a few ticks.
-func TestCoordinatorFederatedNodes(t *testing.T) {
-	names, seqs := testCatalog(t, 4000, 3)
-	c := NewCoordinator(Config{HeartbeatEvery: 20 * time.Millisecond, Metrics: perf.NewMetrics()})
-	t.Cleanup(c.Close)
-	if err := c.RegisterAssemblies(names, seqs); err != nil {
-		t.Fatal(err)
-	}
-	w := NewWorker("n0", 0)
-	w.SetObs(perf.NewMetrics(), nil)
-	if err := c.AddNode("n0", NewLocalNode(w, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := c.AllPairMatches(context.Background(), names, testK, testW); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		nodes := c.FederatedNodes()
-		if len(nodes) == 1 && nodes[0].Node == "n0" &&
-			nodes[0].Snapshot.Counters["fleet.worker.tasks"] > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("federated snapshot never arrived: %+v", nodes)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// The static shard-balance gauges are on the coordinator's own set.
-	snap := c.metrics.Snapshot()
-	if snap.Gauges["fleet.shard_imbalance_milli"].Value < 1000 {
-		t.Fatalf("imbalance gauge %d, want ≥1000", snap.Gauges["fleet.shard_imbalance_milli"].Value)
-	}
-	if snap.Gauges[obs.WithLabel("fleet.shard_pairs", "node", "n0")].Value != 3 {
-		t.Fatalf("shard_pairs gauge = %+v", snap.Gauges)
+		seen[pair] = true
 	}
 }

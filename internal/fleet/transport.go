@@ -3,14 +3,12 @@ package fleet
 import (
 	"context"
 	"sync/atomic"
-
-	"pangenomicsbench/internal/perf"
 )
 
 // Transport is one coordinator→worker channel: config push, pair-match
 // dispatch, and heartbeat. Implementations must be safe for concurrent
-// use; the HTTP transport talks to a fleet-worker daemon, the loopback
-// transport calls an in-process Worker directly.
+// use; LocalNode, the loopback transport, calls an in-process Worker
+// directly.
 type Transport interface {
 	Configure(ctx context.Context, push ConfigPush) error
 	Match(ctx context.Context, req MatchRequest) (*MatchResponse, error)
@@ -18,19 +16,10 @@ type Transport interface {
 	Close() error
 }
 
-// MetricsSource is the optional transport capability behind metrics
-// federation: a transport that can scrape its worker's metric snapshot.
-// Kept out of Transport itself so existing implementations (and test
-// fakes) stay valid; the coordinator type-asserts on the heartbeat tick
-// and simply skips nodes whose transport can't scrape.
-type MetricsSource interface {
-	Metrics(ctx context.Context) (perf.MetricsSnapshot, error)
-}
-
 // LocalNode is the in-process loopback transport: coordinator calls land
 // directly on a Worker in the same address space. Kill makes every
 // subsequent call fail with ErrNodeDown — the chaos stand-in for a worker
-// process dying mid-build — and Revive brings it back.
+// dying mid-build — and Revive brings it back.
 type LocalNode struct {
 	w    *Worker
 	dead atomic.Bool
@@ -53,12 +42,11 @@ func NewLocalNode(w *Worker, width int) *LocalNode {
 // Worker returns the wrapped in-process worker (for tests and admin).
 func (n *LocalNode) Worker() *Worker { return n.w }
 
-// Kill drops the node: every subsequent RPC fails with ErrNodeDown.
+// Kill drops the node: every subsequent call fails with ErrNodeDown.
 func (n *LocalNode) Kill() { n.dead.Store(true) }
 
 // Revive brings a killed node back. Its worker keeps its catalog and
-// cache (a real daemon restart would come back empty; Revive models a
-// network partition healing).
+// cache.
 func (n *LocalNode) Revive() { n.dead.Store(false) }
 
 func (n *LocalNode) Configure(_ context.Context, push ConfigPush) error {
@@ -92,15 +80,6 @@ func (n *LocalNode) Ping(_ context.Context) (*PingReply, error) {
 	}
 	r := n.w.Ping()
 	return &r, nil
-}
-
-// Metrics implements MetricsSource over the loopback: the worker's metric
-// snapshot, gated on liveness like every other RPC.
-func (n *LocalNode) Metrics(_ context.Context) (perf.MetricsSnapshot, error) {
-	if n.dead.Load() {
-		return perf.MetricsSnapshot{}, ErrNodeDown
-	}
-	return n.w.MetricsSnapshot(), nil
 }
 
 func (n *LocalNode) Close() error { return nil }

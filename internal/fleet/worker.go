@@ -3,29 +3,18 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
-	"time"
 
 	"pangenomicsbench/internal/build"
-	"pangenomicsbench/internal/obs"
-	"pangenomicsbench/internal/perf"
 )
 
-// Worker executes pair-match RPCs for the shard of the canonical pair-hash
+// Worker executes pair-match calls for the shard of the canonical pair-hash
 // space the coordinator routes to it. It holds the pushed assembly catalog
 // and a build.PairCache of its shard's pair results, so overlapping cohorts
-// hit across builds and across processes. All methods are safe for
-// concurrent use.
+// hit across builds. All methods are safe for concurrent use.
 type Worker struct {
 	name  string
 	cache *build.PairCache
-
-	// obsMu guards the observability hooks, which SetObs may swap while
-	// Match RPCs are in flight (the daemon wires them after construction).
-	obsMu   sync.RWMutex
-	metrics *perf.Metrics
-	tracer  *obs.Tracer
 
 	mu      sync.Mutex
 	catalog map[string][]byte
@@ -72,75 +61,13 @@ func (w *Worker) Configure(push ConfigPush) error {
 	return nil
 }
 
-// SetObs wires the worker's observability hooks: metrics receives task,
-// cache and latency series (the /metrics scrape federation reads), tracer
-// records one linked span per Match RPC (shipped back on MatchResponse when
-// the request carried a trace context). Both nil-safe; safe to call while
-// serving.
-func (w *Worker) SetObs(m *perf.Metrics, tr *obs.Tracer) {
-	w.obsMu.Lock()
-	w.metrics = m
-	w.tracer = tr
-	w.obsMu.Unlock()
-}
-
-// MetricsSnapshot reports the worker's metric set — the payload of the
-// transport's GET /metrics, federated by the coordinator under a node
-// label. An unwired worker reports an empty (non-nil-map) snapshot.
-func (w *Worker) MetricsSnapshot() perf.MetricsSnapshot {
-	w.obsMu.RLock()
-	m := w.metrics
-	w.obsMu.RUnlock()
-	return m.Snapshot()
-}
-
 // Match resolves one canonical pair through the pair cache, computing it
 // with build.PairMatches on a miss. Concurrent requests for the same
-// uncomputed pair share one execution. The returned blocks are in
+// uncomputed pair share one execution. The catalog is read only on a miss,
+// so a cached pair is served without it. The returned blocks are in
 // canonical orientation (SeqA = 0 names req.A, SeqB = 1 names req.B) and
 // must not be mutated by the caller.
-//
-// With tracing wired (SetObs), every call runs under a span linked to the
-// caller's trace context — an in-process span for loopback transports, the
-// extracted traceparent for HTTP — and the completed subtree rides back on
-// MatchResponse.Trace.
 func (w *Worker) Match(ctx context.Context, req MatchRequest) (*MatchResponse, error) {
-	w.obsMu.RLock()
-	m, tr := w.metrics, w.tracer
-	w.obsMu.RUnlock()
-
-	t0 := time.Now()
-	sp := tr.StartLinked("fleet.worker.match", obs.ParentFromContext(ctx))
-	sp.Set("node", w.name)
-	sp.Set("pair", req.A+"|"+req.B)
-	resp, err := w.match(ctx, req, sp)
-	m.Observe("fleet.worker.match", time.Since(t0))
-	m.Add("fleet.worker.tasks", 1)
-	if err != nil {
-		m.Add("fleet.worker.errors", 1)
-		sp.Error(err)
-		sp.End()
-		return nil, err
-	}
-	if resp.CacheHit {
-		m.Add("fleet.worker.cache_hits", 1)
-	} else {
-		m.Add("fleet.worker.cache_misses", 1)
-	}
-	sp.Set("cache_hit", strconv.FormatBool(resp.CacheHit))
-	sp.SetInt("blocks", int64(len(resp.Blocks)))
-	sp.End()
-	if sp != nil {
-		d := sp.Data()
-		resp.Trace = &d
-	}
-	return resp, nil
-}
-
-// match is the pair-cache path behind Match. The catalog is read only on a
-// miss, so a cached pair is served without it; sp (possibly nil) receives
-// the kernel stage breakdown on a compute.
-func (w *Worker) match(ctx context.Context, req MatchRequest, sp *obs.Span) (*MatchResponse, error) {
 	if req.A >= req.B {
 		return nil, fmt.Errorf("fleet: non-canonical pair %q, %q (want A < B)", req.A, req.B)
 	}
@@ -151,23 +78,9 @@ func (w *Worker) match(ctx context.Context, req MatchRequest, sp *obs.Span) (*Ma
 		n := len(w.catalog)
 		w.mu.Unlock()
 		if !okA || !okB {
-			return nil, build.PairStats{}, fmt.Errorf("%w: %q/%q (catalog has %d assemblies)", ErrUnknownAssembly, req.A, req.B, n)
+			return nil, build.PairStats{}, fmt.Errorf("fleet: unknown assembly %q/%q (catalog has %d assemblies)", req.A, req.B, n)
 		}
-		cs := sp.Child("compute")
-		tc := time.Now()
-		blocks, stats, err := build.PairMatches(0, seqA, 1, seqB, req.K, req.W, nil)
-		if err == nil {
-			// Kernel stage attribution: minimize and WFA refine are
-			// measured inside PairMatches; anchoring/emission is the rest.
-			cs.Stage("minimize", tc, stats.MinimizeTime)
-			cs.Stage("wfa", tc.Add(stats.MinimizeTime), stats.WFATime)
-			if rest := time.Since(tc) - stats.MinimizeTime - stats.WFATime; rest > 0 {
-				cs.Stage("anchor", tc.Add(stats.MinimizeTime+stats.WFATime), rest)
-			}
-		}
-		cs.Error(err)
-		cs.End()
-		return blocks, stats, err
+		return build.PairMatches(0, seqA, 1, seqB, req.K, req.W, nil)
 	})
 	if err != nil {
 		return nil, err
@@ -176,8 +89,8 @@ func (w *Worker) match(ctx context.Context, req MatchRequest, sp *obs.Span) (*Ma
 }
 
 // Ping reports the worker's identity, counters and cache occupancy — the
-// heartbeat payload the coordinator aggregates. Tasks counts the pairs
-// served, from the cache or computed.
+// heartbeat payload. Tasks counts the pairs served, from the cache or
+// computed.
 func (w *Worker) Ping() PingReply {
 	st := w.cache.Stats()
 	w.mu.Lock()

@@ -13,8 +13,8 @@ import (
 // perf.Metrics itself stays label-unaware (keys are opaque strings); the
 // exposition layer here parses the suffix so all series of one family are
 // grouped under a single HELP/TYPE header, as the text format requires.
-// Metrics federation (Federate) is the main producer: it rewrites every
-// scraped worker key with a `node` label before merging into one snapshot.
+// The fleet coordinator is the producer: its per-node dispatch counters and
+// shard-balance gauges carry a `node` label.
 
 // WithLabel returns the metric key for name with an added label. The value
 // is escaped per the exposition format (backslash, quote, newline); calling
@@ -170,53 +170,6 @@ func PromText(s perf.MetricsSnapshot) string {
 		}
 	}
 	return b.String()
-}
-
-// NodeMetrics is one fleet node's scraped metric snapshot, tagged with the
-// node name the federated view labels its series with.
-type NodeMetrics struct {
-	Node     string
-	Snapshot perf.MetricsSnapshot
-}
-
-// Federate merges per-node metric snapshots into one: local series pass
-// through unchanged, every node series gains a `node` label. The result
-// renders through PromText as a single federated exposition — the
-// coordinator's /metrics view over the whole fleet.
-func Federate(local perf.MetricsSnapshot, nodes []NodeMetrics) perf.MetricsSnapshot {
-	out := perf.MetricsSnapshot{
-		Counters:  map[string]int64{},
-		Gauges:    map[string]perf.GaugeSummary{},
-		Latencies: map[string]perf.LatencySummary{},
-		Values:    map[string]perf.ValueSummary{},
-	}
-	for k, v := range local.Counters {
-		out.Counters[k] = v
-	}
-	for k, v := range local.Gauges {
-		out.Gauges[k] = v
-	}
-	for k, v := range local.Latencies {
-		out.Latencies[k] = v
-	}
-	for k, v := range local.Values {
-		out.Values[k] = v
-	}
-	for _, n := range nodes {
-		for k, v := range n.Snapshot.Counters {
-			out.Counters[WithLabel(k, "node", n.Node)] = v
-		}
-		for k, v := range n.Snapshot.Gauges {
-			out.Gauges[WithLabel(k, "node", n.Node)] = v
-		}
-		for k, v := range n.Snapshot.Latencies {
-			out.Latencies[WithLabel(k, "node", n.Node)] = v
-		}
-		for k, v := range n.Snapshot.Values {
-			out.Values[WithLabel(k, "node", n.Node)] = v
-		}
-	}
-	return out
 }
 
 // promName sanitizes a dotted metric name into the Prometheus alphabet.

@@ -110,43 +110,3 @@ func TestPromFloatEdges(t *testing.T) {
 		}
 	}
 }
-
-func TestFederate(t *testing.T) {
-	local := perf.NewMetrics()
-	local.Add("fleet.tasks", 10)
-	local.GaugeSet("fleet.shard_imbalance_milli", 1333)
-
-	w1 := perf.NewMetrics()
-	w1.Add("fleet.worker.tasks", 4)
-	w1.Observe("fleet.worker.match", 3*time.Millisecond)
-	w2 := perf.NewMetrics()
-	w2.Add("fleet.worker.tasks", 2)
-	w2.ObserveValue("fleet.worker.blocks", 8)
-
-	fed := Federate(local.Snapshot(), []NodeMetrics{
-		{Node: "w1", Snapshot: w1.Snapshot()},
-		{Node: "w2", Snapshot: w2.Snapshot()},
-	})
-
-	if fed.Counters["fleet.tasks"] != 10 {
-		t.Error("local counter did not pass through")
-	}
-	if fed.Counters[`fleet.worker.tasks{node="w1"}`] != 4 ||
-		fed.Counters[`fleet.worker.tasks{node="w2"}`] != 2 {
-		t.Errorf("node counters not federated: %+v", fed.Counters)
-	}
-	if fed.Latencies[`fleet.worker.match{node="w1"}`].Count != 1 {
-		t.Error("node latency not federated")
-	}
-	if fed.Values[`fleet.worker.blocks{node="w2"}`].Count != 1 {
-		t.Error("node value histogram not federated")
-	}
-	// The federated snapshot must render cleanly (no duplicate series).
-	parseProm(t, PromText(fed))
-
-	// Federating with no nodes reproduces the local view.
-	alone := Federate(local.Snapshot(), nil)
-	if PromText(alone) != PromText(local.Snapshot()) {
-		t.Fatal("node-free federation changed the local exposition")
-	}
-}

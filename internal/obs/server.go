@@ -23,26 +23,6 @@ type SnapshotInfo struct {
 	Current    bool   `json:"current"`
 }
 
-// FleetNodeInfo is one construction-fleet node's registry state, as shown
-// by the /fleet endpoint: liveness, heartbeat age, the key range of the
-// canonical pair-hash space the node owns, and the last heartbeat's
-// task/shard-cache counters (the per-shard cache hit ratio is
-// CacheHits / (CacheHits + CacheMisses)).
-type FleetNodeInfo struct {
-	Name           string `json:"name"`
-	Addr           string `json:"addr,omitempty"`
-	Live           bool   `json:"live"`
-	HeartbeatAgeMS int64  `json:"heartbeat_age_ms"`
-	Range          string `json:"range"`
-	Tasks          int64  `json:"tasks"`
-	CacheHits      int64  `json:"cache_hits"`
-	CacheMisses    int64  `json:"cache_misses"`
-	CacheEntries   int    `json:"cache_entries"`
-	CacheBytes     int    `json:"cache_bytes"`
-	Assemblies     int    `json:"assemblies"`
-	ConfigVersion  int    `json:"config_version"`
-}
-
 // ServerConfig wires the admin server's data sources. Every field is
 // optional; endpoints with no source report an empty result.
 type ServerConfig struct {
@@ -52,12 +32,6 @@ type ServerConfig struct {
 	Recorder *Recorder
 	// Snapshots supplies the registry state behind /snapshots.
 	Snapshots func() []SnapshotInfo
-	// Fleet supplies the construction-fleet node registry behind /fleet.
-	Fleet func() []FleetNodeInfo
-	// FederatedNodes, when non-nil, supplies per-node metric snapshots that
-	// /metrics merges into the local set with `node` labels (see Federate) —
-	// the coordinator wires this to its heartbeat-scraped worker snapshots.
-	FederatedNodes func() []NodeMetrics
 	// EnableProfiling mounts the net/http/pprof handlers under /debug/pprof/.
 	// Off by default: profiling endpoints can stall the process (CPU profile
 	// holds the profiler for its whole duration) and belong behind a flag.
@@ -82,7 +56,6 @@ func NewServer(cfg ServerConfig) *Server {
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/traces", s.handleTraces)
 	s.mux.HandleFunc("/snapshots", s.handleSnapshots)
-	s.mux.HandleFunc("/fleet", s.handleFleet)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	if cfg.EnableProfiling {
 		// Mounted explicitly (not via the package's DefaultServeMux side
@@ -107,8 +80,8 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	s.ln = ln
-	// The timeouts match the fleet worker server. WriteTimeout must outlast
-	// /debug/pprof/profile's default 30 s CPU capture. No handler reads a
+	// WriteTimeout must outlast /debug/pprof/profile's default 30 s CPU
+	// capture. No handler reads a
 	// request body, so there is no body limit to set.
 	s.srv = &http.Server{
 		Handler:           s.mux,
@@ -136,10 +109,9 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, `pangenomicsbench admin endpoint
-  /metrics    Prometheus text exposition of the service metric set (federated node-labeled series when fleet-wired)
+  /metrics    Prometheus text exposition of the service metric set
   /traces     flight-recorder traces (?format=jsonl|tree, ?n=20, ?which=slow|recent|exemplars, ?min_dur=5ms, ?trace_id=<32hex> exact lookup)
   /snapshots  mapserve registry generations, refcounts, in-flight queries
-  /fleet      construction-fleet node registry (liveness, key ranges, shard caches)
   /healthz    liveness
 `)
 	if s.cfg.EnableProfiling {
@@ -151,11 +123,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var snap perf.MetricsSnapshot
 	if s.cfg.Metrics != nil {
 		snap = s.cfg.Metrics()
-	}
-	if s.cfg.FederatedNodes != nil {
-		if nodes := s.cfg.FederatedNodes(); len(nodes) > 0 {
-			snap = Federate(snap, nodes)
-		}
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, PromText(snap))
@@ -179,9 +146,12 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	n := 20
 	if raw := r.URL.Query().Get("n"); raw != "" {
-		if v, err := strconv.Atoi(raw); err == nil && v > 0 {
-			n = v
+		v, err := strconv.Atoi(raw)
+		if err != nil || v <= 0 {
+			http.Error(w, fmt.Sprintf("bad n=%q (want a positive integer)", raw), http.StatusBadRequest)
+			return
 		}
+		n = v
 	}
 	var minDur time.Duration
 	if raw := r.URL.Query().Get("min_dur"); raw != "" {
@@ -235,17 +205,6 @@ func (s *Server) handleSnapshots(w http.ResponseWriter, _ *http.Request) {
 	infos := []SnapshotInfo{}
 	if s.cfg.Snapshots != nil {
 		infos = s.cfg.Snapshots()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(infos)
-}
-
-func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
-	infos := []FleetNodeInfo{}
-	if s.cfg.Fleet != nil {
-		infos = s.cfg.Fleet()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

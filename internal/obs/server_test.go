@@ -133,7 +133,7 @@ func TestServerScrape(t *testing.T) {
 // TestTracesMinDurFilter exercises the /traces?min_dur= duration filter:
 // only traces whose root duration meets the threshold are served, zero
 // matches is an empty (not error) result, and an unparseable or negative
-// value is a 400.
+// value is a 400 — as is an n that is not a positive integer.
 func TestTracesMinDurFilter(t *testing.T) {
 	tr := NewTracer(TracerConfig{})
 	rec := tr.Recorder()
@@ -212,12 +212,17 @@ func TestTracesMinDurFilter(t *testing.T) {
 			t.Errorf("min_dur=%s = %d, want 400", bad, code)
 		}
 	}
+	for _, bad := range []string{"abc", "0", "-5"} {
+		if code, body := get(t, base+"/traces?n="+bad); code != http.StatusBadRequest || !strings.Contains(body, "bad n=") {
+			t.Errorf("n=%s = %d %q, want 400 naming n", bad, code, body)
+		}
+	}
 }
 
 // FuzzTracesQuery drives the /traces query parsing with arbitrary n,
 // min_dur, which, format and trace_id values against a recorder holding
 // traces: the handler must never panic, and every answer is a 200, a 400
-// (bad min_dur, which or format) or a 404 (unknown trace_id).
+// (bad n, min_dur, which or format) or a 404 (unknown trace_id).
 func FuzzTracesQuery(f *testing.F) {
 	tr := NewTracer(TracerConfig{Capacity: 8})
 	for i := 0; i < 12; i++ {
@@ -251,56 +256,6 @@ func FuzzTracesQuery(f *testing.F) {
 	})
 }
 
-// TestServerFleetEndpoint exercises the /fleet admin view: the registry
-// source's node entries round-trip as JSON with liveness, heartbeat age,
-// key ranges and cache counters intact.
-func TestServerFleetEndpoint(t *testing.T) {
-	srv := NewServer(ServerConfig{
-		Fleet: func() []FleetNodeInfo {
-			return []FleetNodeInfo{
-				{Name: "a-node", Addr: "127.0.0.1:9001", Live: true, HeartbeatAgeMS: 120,
-					Range: "[0000000000000000, 7fffffffffffffff]", Tasks: 42,
-					CacheHits: 30, CacheMisses: 12, CacheEntries: 7, CacheBytes: 4096,
-					Assemblies: 5, ConfigVersion: 5},
-				{Name: "b-node", Live: false, HeartbeatAgeMS: 9000,
-					Range: "[8000000000000000, ffffffffffffffff]"},
-			}
-		},
-	})
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	base := "http://" + addr
-
-	code, body := get(t, base+"/fleet")
-	if code != http.StatusOK {
-		t.Fatalf("/fleet = %d", code)
-	}
-	var infos []FleetNodeInfo
-	if err := json.Unmarshal([]byte(body), &infos); err != nil {
-		t.Fatalf("/fleet does not parse: %v\n%s", err, body)
-	}
-	if len(infos) != 2 {
-		t.Fatalf("/fleet returned %d nodes, want 2", len(infos))
-	}
-	if infos[0].Name != "a-node" || !infos[0].Live || infos[0].Tasks != 42 || infos[0].CacheHits != 30 {
-		t.Fatalf("/fleet live node = %+v", infos[0])
-	}
-	if infos[1].Live || infos[1].HeartbeatAgeMS != 9000 {
-		t.Fatalf("/fleet dead node = %+v", infos[1])
-	}
-	// A dead node with no address omits the field entirely.
-	if strings.Contains(body, `"addr": ""`) {
-		t.Fatalf("/fleet serializes empty addr:\n%s", body)
-	}
-	// The index advertises the endpoint.
-	if _, idx := get(t, base+"/"); !strings.Contains(idx, "/fleet") {
-		t.Fatalf("index does not mention /fleet:\n%s", idx)
-	}
-}
-
 func TestServerEmptySources(t *testing.T) {
 	srv := NewServer(ServerConfig{})
 	addr, err := srv.Start("127.0.0.1:0")
@@ -309,15 +264,16 @@ func TestServerEmptySources(t *testing.T) {
 	}
 	defer srv.Close()
 	base := "http://" + addr
-	for _, path := range []string{"/metrics", "/traces", "/snapshots", "/fleet", "/healthz"} {
+	for _, path := range []string{"/metrics", "/traces", "/snapshots", "/healthz"} {
 		if code, _ := get(t, base+path); code != http.StatusOK {
 			t.Errorf("%s with no sources = %d, want 200", path, code)
 		}
 	}
-	for _, path := range []string{"/snapshots", "/fleet"} {
-		if _, body := get(t, base+path); !strings.HasPrefix(strings.TrimSpace(body), "[") {
-			t.Errorf("%s with no source = %q, want a JSON array", path, body)
-		}
+	if _, body := get(t, base+"/snapshots"); !strings.HasPrefix(strings.TrimSpace(body), "[") {
+		t.Errorf("/snapshots with no source = %q, want a JSON array", body)
+	}
+	if code, _ := get(t, base+"/fleet"); code != http.StatusNotFound {
+		t.Errorf("/fleet = %d, want 404 (the endpoint is gone)", code)
 	}
 }
 
@@ -409,42 +365,6 @@ func TestTracesTraceIDLookup(t *testing.T) {
 	defer bare.Close()
 	if code, _ = get(t, "http://"+addr2+"/traces?trace_id="+id); code != http.StatusNotFound {
 		t.Fatalf("recorder-less lookup = %d, want 404", code)
-	}
-}
-
-// TestServerFederatedMetrics checks /metrics merges per-node snapshots under
-// node labels while local series pass through unlabeled.
-func TestServerFederatedMetrics(t *testing.T) {
-	local := perf.NewMetrics()
-	local.Add("fleet.tasks", 6)
-	w1 := perf.NewMetrics()
-	w1.Add("fleet.worker.tasks", 4)
-	w2 := perf.NewMetrics()
-	w2.Add("fleet.worker.tasks", 2)
-
-	srv := NewServer(ServerConfig{
-		Metrics: local.Snapshot,
-		FederatedNodes: func() []NodeMetrics {
-			return []NodeMetrics{
-				{Node: "w1", Snapshot: w1.Snapshot()},
-				{Node: "w2", Snapshot: w2.Snapshot()},
-			}
-		},
-	})
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	_, body := get(t, "http://"+addr+"/metrics")
-	series := parseProm(t, body)
-	if series["fleet_tasks_total"] != 6 {
-		t.Errorf("local series = %v, want 6", series["fleet_tasks_total"])
-	}
-	if series[`fleet_worker_tasks_total{node="w1"}`] != 4 ||
-		series[`fleet_worker_tasks_total{node="w2"}`] != 2 {
-		t.Errorf("federated node series missing:\n%s", body)
 	}
 }
 

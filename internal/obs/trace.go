@@ -21,8 +21,10 @@ package obs
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pangenomicsbench/internal/perf"
@@ -94,19 +96,17 @@ func (t *Tracer) StartRoot(name string) *Span {
 // Span is one timed node of a trace tree. All methods are nil-receiver
 // safe; a span must not be mutated after End.
 type Span struct {
-	tracer   *Tracer // set on the root only
-	root     *Span
-	name     string
-	start    time.Time
-	id       SpanID
-	traceID  TraceID // set on the root only
-	parentID SpanID  // set on a linked root only (remote parent)
+	tracer  *Tracer // set on the root only
+	root    *Span
+	name    string
+	start   time.Time
+	id      SpanID
+	traceID TraceID // set on the root only
 
 	mu       sync.Mutex
 	dur      time.Duration
 	attrs    []Attr
 	children []*Span
-	remote   []SpanData
 	errMsg   string
 	shed     bool
 	ended    bool
@@ -247,15 +247,6 @@ func (s *Span) observe(name string, d time.Duration) {
 	s.tracer.metrics.Observe("span."+name, d)
 }
 
-// SpanContext returns the span's wire identity (zero for nil — so disabled
-// tracing injects no headers).
-func (s *Span) SpanContext() SpanContext {
-	if s == nil {
-		return SpanContext{}
-	}
-	return SpanContext{TraceID: s.root.traceID, SpanID: s.id}
-}
-
 // TraceID returns the id of the trace this span belongs to (zero for nil).
 func (s *Span) TraceID() TraceID {
 	if s == nil {
@@ -264,22 +255,8 @@ func (s *Span) TraceID() TraceID {
 	return s.root.traceID
 }
 
-// AttachRemote grafts a completed span subtree from another process under
-// this span — the coordinator-side hook for worker trees piggybacked on RPC
-// responses. The subtree is kept verbatim (it carries its own ids, stamped
-// by the remote tracer); it renders after the span's local children.
-func (s *Span) AttachRemote(d SpanData) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.remote = append(s.remote, d)
-	s.mu.Unlock()
-}
-
 // Data returns the span's immutable snapshot. It is meant for a completed
-// span (after End) — the form a worker ships back over the wire. A nil span
-// returns the zero SpanData.
+// span (after End). A nil span returns the zero SpanData.
 func (s *Span) Data() SpanData {
 	if s == nil {
 		return SpanData{}
@@ -289,7 +266,7 @@ func (s *Span) Data() SpanData {
 
 // snapshot converts the (completed) span tree to immutable SpanData.
 func (s *Span) snapshot() SpanData {
-	return s.snap(s.root.traceID, s.parentID)
+	return s.snap(s.root.traceID, SpanID{})
 }
 
 func (s *Span) snap(trace TraceID, parent SpanID) SpanData {
@@ -308,12 +285,10 @@ func (s *Span) snap(trace TraceID, parent SpanID) SpanData {
 		d.Attrs = append([]Attr(nil), s.attrs...)
 	}
 	children := append([]*Span(nil), s.children...)
-	remote := append([]SpanData(nil), s.remote...)
 	s.mu.Unlock()
 	for _, c := range children {
 		d.Children = append(d.Children, c.snap(trace, s.id))
 	}
-	d.Children = append(d.Children, remote...)
 	return d
 }
 
@@ -360,4 +335,83 @@ func AddStage(ctx context.Context, name string, start time.Time, d time.Duration
 	if sp := SpanFromContext(ctx); sp != nil {
 		sp.Stage(name, start, d)
 	}
+}
+
+// Span identity: a 16-byte trace id shared by every span of one trace and
+// an 8-byte per-span id, rendered as hex in SpanData and looked up by
+// /traces?trace_id=.
+//
+// Identity generation is deliberately not cryptographic: a process-local
+// atomic counter run through a splitmix64 finalizer is collision-free within
+// a process and costs no allocation, preserving the nil-tracer zero-alloc
+// contract (ids are only generated on the non-nil path anyway).
+
+// TraceID identifies a trace (zero value = absent).
+type TraceID [16]byte
+
+// IsZero reports whether the id is unset.
+func (t TraceID) IsZero() bool { return t == TraceID{} }
+
+// String returns the 32-char lowercase hex form, or "" when unset.
+func (t TraceID) String() string {
+	if t.IsZero() {
+		return ""
+	}
+	return hex.EncodeToString(t[:])
+}
+
+// SpanID identifies one span within a trace (zero value = absent).
+type SpanID [8]byte
+
+// IsZero reports whether the id is unset.
+func (s SpanID) IsZero() bool { return s == SpanID{} }
+
+// String returns the 16-char lowercase hex form, or "" when unset.
+func (s SpanID) String() string {
+	if s.IsZero() {
+		return ""
+	}
+	return hex.EncodeToString(s[:])
+}
+
+// idCounter seeds span/trace id generation; the clock offset decorrelates
+// runs, splitmix64 decorrelates successive values.
+var idCounter atomic.Uint64
+
+func init() { idCounter.Store(uint64(time.Now().UnixNano())) }
+
+// idMix64 is the splitmix64 finalizer (same construction fleet.PairHash
+// uses): every input bit flips ~half the output bits.
+func idMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+func newSpanID() SpanID {
+	var id SpanID
+	for id.IsZero() {
+		v := idMix64(idCounter.Add(1))
+		for i := 0; i < 8; i++ {
+			id[i] = byte(v >> (56 - 8*i))
+		}
+	}
+	return id
+}
+
+func newTraceID() TraceID {
+	var id TraceID
+	for id.IsZero() {
+		hi := idMix64(idCounter.Add(1))
+		lo := idMix64(idCounter.Add(1))
+		for i := 0; i < 8; i++ {
+			id[i] = byte(hi >> (56 - 8*i))
+			id[8+i] = byte(lo >> (56 - 8*i))
+		}
+	}
+	return id
 }

@@ -259,3 +259,52 @@ func TestTracerConcurrent(t *testing.T) {
 		t.Fatalf("ring retained %d, want 64", got)
 	}
 }
+
+func TestRecorderByTraceID(t *testing.T) {
+	tr := NewTracer(TracerConfig{})
+	var ids []string
+	for i := 0; i < 3; i++ {
+		sp := tr.StartRoot("q")
+		ids = append(ids, sp.TraceID().String())
+		sp.End()
+	}
+	for _, id := range ids {
+		d, ok := tr.Recorder().ByTraceID(id)
+		if !ok || d.TraceID != id {
+			t.Fatalf("ByTraceID(%s) = %+v, %v", id, d.TraceID, ok)
+		}
+	}
+	if _, ok := tr.Recorder().ByTraceID("ffffffffffffffffffffffffffffffff"); ok {
+		t.Fatal("ByTraceID found a trace that was never recorded")
+	}
+	if _, ok := tr.Recorder().ByTraceID(""); ok {
+		t.Fatal("ByTraceID matched the empty id")
+	}
+}
+
+func TestNilSpanWireIdentity(t *testing.T) {
+	var sp *Span
+	if id := sp.TraceID(); !id.IsZero() {
+		t.Fatalf("nil span trace id %s", id)
+	}
+	if d := sp.Data(); d.Name != "" || d.TraceID != "" {
+		t.Fatalf("nil span Data = %+v", d)
+	}
+}
+
+func TestIDGeneration(t *testing.T) {
+	seen := map[SpanID]bool{}
+	for i := 0; i < 1000; i++ {
+		id := newSpanID()
+		if id.IsZero() {
+			t.Fatal("generated a zero span id")
+		}
+		if seen[id] {
+			t.Fatalf("span id collision at %d: %s", i, id)
+		}
+		seen[id] = true
+	}
+	if newTraceID() == newTraceID() {
+		t.Fatal("consecutive trace ids collide")
+	}
+}

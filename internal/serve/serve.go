@@ -53,9 +53,8 @@ type Config struct {
 	Metrics *perf.Metrics
 	// Tracer records one span tree per build request — admission wait,
 	// execution, per-stage construction breakdown; nil disables tracing.
-	// With a Fleet configured, worker-side spans link under the build trace
-	// and ride back on the match responses, so one trace spans the whole
-	// fleet.
+	// With a Fleet configured, each pair dispatch is a fleet.dispatch span
+	// under the build trace.
 	Tracer *obs.Tracer
 	// OnResult, when set, observes every successfully built result (leader
 	// executions only — coalesced joiners share the leader's result and do

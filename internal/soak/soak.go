@@ -549,15 +549,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 					}
 				}
 				// The registry must mark the victim dead — either instantly
-				// via a failed task RPC or within a few heartbeats.
+				// via a failed task call or within a few heartbeats — which
+				// the fleet.nodes_live gauge shows as one live node fewer
+				// per kill.
 				marked := false
 				for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
-					for _, info := range coord.NodeInfos() {
-						if info.Name == victimName && !info.Live {
-							marked = true
-						}
-					}
-					if marked {
+					if live, _ := metrics.Gauge("fleet.nodes_live"); live <= int64(len(fleetNodes)-res.Kills) {
+						marked = true
 						break
 					}
 					time.Sleep(20 * time.Millisecond)
