@@ -150,9 +150,9 @@ func usage() {
   pgbench soak [flags]                         replay a scenario against the full
                                                build-then-serve stack for -dur,
                                                injecting -chaos events (swap, shed,
-                                               restart, build-reject,
-                                               worker-kill); exits non-zero if
-                                               any end-of-run assertion fails,
+                                               restart, build-reject); exits
+                                               non-zero if any end-of-run
+                                               assertion fails,
                                                including a repeated read that
                                                mapped differently
 scales: small (quick check), bench (default), large`)

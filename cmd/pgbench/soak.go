@@ -25,8 +25,7 @@ func soakCmd(args []string) error {
 	seed := fs.Int64("seed", 42, "trace seed")
 	scenarioName := addScenarioFlag(fs, "skewed-tenant")
 	dur := fs.Duration("dur", 10*time.Second, "soak duration")
-	chaosCSV := fs.String("chaos", "swap,restart", "comma-separated chaos events fired at even fractions of -dur: swap, shed, restart, build-reject, worker-kill")
-	fleetNodes := fs.Int("fleet", 0, "route the build tier through an in-process construction fleet of N workers (worker-kill chaos needs ≥ 2)")
+	chaosCSV := fs.String("chaos", "swap,restart", "comma-separated chaos events fired at even fractions of -dur: swap, shed, restart, build-reject")
 	clients := fs.Int("clients", 8, "concurrent query clients")
 	workers := fs.Int("workers", 0, "mapping worker slots (0 = GOMAXPROCS)")
 	queueDepth := fs.Int("queue", 256, "admission queue depth")
@@ -127,7 +126,6 @@ func soakCmd(args []string) error {
 		Workers:     *workers,
 		QueueDepth:  *queueDepth,
 		Chaos:       chaos,
-		FleetNodes:  *fleetNodes,
 		StoreDir:    *storePath,
 		Sink:        sink,
 		MaxShedRate: *maxShed,
@@ -141,8 +139,8 @@ func soakCmd(args []string) error {
 
 	fmt.Printf("\nreplayed for %v: issued %d, mapped %d, shed %d, failed %d, lost %d\n",
 		res.Wall.Round(time.Millisecond), res.Issued, res.Mapped, res.Shed, res.Failed, res.Lost)
-	fmt.Printf("chaos: %d swaps, %d restarts, %d shed storms, %d build-reject windows, %d worker kills; %d snapshot generation(s) live\n",
-		res.Swaps, res.Restarts, res.Storms, res.Rejects, res.Kills, res.Generations)
+	fmt.Printf("chaos: %d swaps, %d restarts, %d shed storms, %d build-reject windows; %d snapshot generation(s) live\n",
+		res.Swaps, res.Restarts, res.Storms, res.Rejects, res.Generations)
 	fmt.Println()
 	fmt.Print(res.Report.Render())
 	if slow := tracer.Recorder().Slowest(3); len(slow) > 0 {

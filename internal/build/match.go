@@ -253,7 +253,7 @@ func AllPairMatches(ctx context.Context, seqs [][]byte, k, w, workers int, probe
 }
 
 // CohortMatches is AllPairMatches over a cohort of named assemblies whose
-// pair results come from pair — a PairCache, or a fleet of remote workers.
+// pair results come from pair — a PairCache, or a fleet of sharded ones.
 // Each unordered pair is handed to pair in canonical orientation: a < b by
 // name, seqA and seqB their sequences. pair returns the blocks in that
 // orientation (SeqA = 0 names a), which CohortMatches does not mutate, and

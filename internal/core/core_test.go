@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"pangenomicsbench/internal/perf"
 )
@@ -233,46 +232,6 @@ func TestFig2Shape(t *testing.T) {
 		}
 	} else {
 		t.Error("missing VgGiraffe row")
-	}
-}
-
-// TestFig5FleetShape checks the fleet node-scaling experiment: rows for
-// 1/2/4/8 nodes, predicted speedups normalized to one node and monotone
-// non-decreasing, and a positive measured wall time in every row.
-func TestFig5FleetShape(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Fig5Fleet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("fig5-fleet has %d rows, want 4 (1/2/4/8 nodes)", len(tbl.Rows))
-	}
-	wantNodes := []string{"1", "2", "4", "8"}
-	prev := 0.0
-	for ri, row := range tbl.Rows {
-		if row[0] != wantNodes[ri] {
-			t.Fatalf("row %d is for %s nodes, want %s", ri, row[0], wantNodes[ri])
-		}
-		pred, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			t.Fatalf("row %d predicted %q does not parse: %v", ri, row[1], err)
-		}
-		if ri == 0 && pred != 1 {
-			t.Fatalf("1-node predicted speedup = %v, want 1.00", pred)
-		}
-		if pred < prev {
-			t.Fatalf("predicted speedup not monotone: %v after %v", pred, prev)
-		}
-		prev = pred
-		wall, err := time.ParseDuration(row[2])
-		if err != nil || wall <= 0 {
-			t.Fatalf("row %d measured wall %q invalid (%v)", ri, row[2], err)
-		}
-		meas, err := strconv.ParseFloat(row[3], 64)
-		if err != nil || meas <= 0 {
-			t.Fatalf("row %d measured speedup %q invalid (%v)", ri, row[3], err)
-		}
 	}
 }
 

@@ -9,10 +9,8 @@ import (
 	"pangenomicsbench/internal/align"
 	"pangenomicsbench/internal/bio"
 	"pangenomicsbench/internal/build"
-	"pangenomicsbench/internal/fleet"
 	"pangenomicsbench/internal/gensim"
 	"pangenomicsbench/internal/layout"
-	"pangenomicsbench/internal/obs"
 	"pangenomicsbench/internal/perf"
 	"pangenomicsbench/internal/pipeline"
 	"pangenomicsbench/internal/sched"
@@ -402,115 +400,6 @@ func (s *Suite) Fig5() (Table, error) {
 			row = append(row, f2(v))
 		}
 		tbl.Rows = append(tbl.Rows, row)
-	}
-	return tbl, nil
-}
-
-// Fig5Fleet reports the construction fleet's node-scaling curve: predicted
-// speedup from a sched.GrowthChain model of the sharded all-pair build
-// (measured single-pair task costs plus the sequential canonical merge)
-// next to measured wall-clock rows from real in-process fleets of width-1
-// loopback workers, for 1/2/4/8 nodes.
-func (s *Suite) Fig5Fleet() (Table, error) {
-	names, seqs := s.Pop.AssemblyView()
-	capped := make([][]byte, len(seqs))
-	for i, seq := range seqs {
-		if len(seq) > 60_000 {
-			seq = seq[:60_000]
-		}
-		capped[i] = seq
-	}
-
-	// Measured single-pair task costs and merge cost feed the model.
-	var tasks []float64
-	var blocks [][]build.MatchBlock
-	for i := 0; i < len(capped); i++ {
-		for j := i + 1; j < len(capped); j++ {
-			t0 := time.Now()
-			blk, _, err := build.PairMatches(i, capped[i], j, capped[j], s.Cfg.K, s.Cfg.W, nil)
-			if err != nil {
-				return Table{}, err
-			}
-			tasks = append(tasks, time.Since(t0).Seconds())
-			blocks = append(blocks, blk)
-		}
-	}
-	t0 := time.Now()
-	merged := make([]build.MatchBlock, 0)
-	for _, blk := range blocks {
-		merged = append(merged, blk...)
-	}
-	_ = merged
-	mergeTime := time.Since(t0).Seconds()
-
-	nodeCounts := []int{1, 2, 4, 8}
-	// The cluster model: each node is one executor with no hyperthreading
-	// and no cross-node memory contention; the build is a one-step growth
-	// chain — parallel pair tasks, then the coordinator's sequential merge.
-	cluster := sched.Machine{Name: "fleet", Cores: 8, Threads: 8, HTYield: 0, MemCapThreads: 8}
-	chain := sched.GrowthChain("fleet-allpair", []sched.GrowthStep{{Tasks: tasks, Sequential: mergeTime}}, 0)
-	predicted := sched.Speedups(cluster, chain, nodeCounts)
-
-	// Measured rows: real coordinators over width-1 loopback workers, with
-	// cold shard caches for every node count. Each coordinator carries a
-	// metric set so the shard-balance gauges quantify the hash skew the
-	// scaling plateau comes from.
-	walls := make([]time.Duration, len(nodeCounts))
-	maxShard := make([]int64, len(nodeCounts))
-	imbalance := make([]int64, len(nodeCounts))
-	for ni, n := range nodeCounts {
-		fm := perf.NewMetrics()
-		coord := fleet.NewCoordinator(fleet.Config{Metrics: fm})
-		for i := 0; i < n; i++ {
-			name := fmt.Sprintf("node-%02d", i)
-			if err := coord.AddNode(name, fleet.NewLocalNode(fleet.NewWorker(name, 0), 1)); err != nil {
-				coord.Close()
-				return Table{}, err
-			}
-		}
-		if err := coord.RegisterAssemblies(names, capped); err != nil {
-			coord.Close()
-			return Table{}, err
-		}
-		snap := fm.Snapshot()
-		imbalance[ni] = snap.Gauges["fleet.shard_imbalance_milli"].Value
-		for i := 0; i < n; i++ {
-			key := obs.WithLabel("fleet.shard_pairs", "node", fmt.Sprintf("node-%02d", i))
-			if v := snap.Gauges[key].Value; v > maxShard[ni] {
-				maxShard[ni] = v
-			}
-		}
-		t1 := time.Now()
-		_, _, _, err := coord.AllPairMatches(context.Background(), names, s.Cfg.K, s.Cfg.W)
-		walls[ni] = time.Since(t1)
-		coord.Close()
-		if err != nil {
-			return Table{}, err
-		}
-	}
-
-	tbl := Table{
-		ID:     "fig5-fleet",
-		Title:  "Fleet Node Scaling (PGGB all-pair construction, speedup vs 1 node)",
-		Header: []string{"Nodes", "Predicted x", "Measured wall", "Measured x", "Max shard", "Imbalance"},
-		Notes: []string{
-			fmt.Sprintf("%d pair tasks sharded by canonical pair hash over width-1 loopback workers;", len(tasks)),
-			"predicted: sched.GrowthChain makespan with greedy task placement;",
-			"measured: hash routing cannot rebalance, so skewed shards lag the greedy bound,",
-			"and the curve plateaus once nodes outnumber the heaviest shard's task load;",
-			"max shard / imbalance: the fleet.shard_pairs / fleet.shard_imbalance_milli gauges",
-			"(heaviest shard's pair count; max/mean ratio ×1000, 1000 = perfectly balanced)",
-		},
-	}
-	for ni, n := range nodeCounts {
-		meas := 0.0
-		if walls[ni] > 0 {
-			meas = walls[0].Seconds() / walls[ni].Seconds()
-		}
-		tbl.Rows = append(tbl.Rows, []string{
-			fmt.Sprintf("%d", n), f2(predicted[ni]), walls[ni].Round(time.Microsecond).String(), f2(meas),
-			fmt.Sprintf("%d", maxShard[ni]), fmt.Sprintf("%.2f", float64(imbalance[ni])/1000),
-		})
 	}
 	return tbl, nil
 }
@@ -928,7 +817,7 @@ func (s *Suite) Fig11() (Table, error) {
 // extension studies beyond the paper's figures: the §6.1 proposed
 // optimization, and the §5.2 index contrast.
 func Experiments() []string {
-	return []string{"table1", "table2-3", "table4", "fig2", "fig3", "fig5", "fig5-fleet", "fig6+table6", "fig7", "fig8", "fig9", "table7", "fig10", "fig11", "opt-gssw", "gbwt-vs-fmindex"}
+	return []string{"table1", "table2-3", "table4", "fig2", "fig3", "fig5", "fig6+table6", "fig7", "fig8", "fig9", "table7", "fig10", "fig11", "opt-gssw", "gbwt-vs-fmindex"}
 }
 
 // Run dispatches an experiment by ID.
@@ -946,8 +835,6 @@ func (s *Suite) Run(id string) (Table, error) {
 		return s.Fig3()
 	case "fig5":
 		return s.Fig5()
-	case "fig5-fleet":
-		return s.Fig5Fleet()
 	case "fig6+table6", "fig6", "table6":
 		return s.Fig6Table6()
 	case "fig7":

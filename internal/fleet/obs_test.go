@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"pangenomicsbench/internal/obs"
@@ -18,27 +17,17 @@ func attrValue(d *obs.SpanData, key string) string {
 	return ""
 }
 
-// TestCoordinatorTraceTree runs a loopback fleet build under a root span and
+// TestCoordinatorTraceTree runs a fleet build under a root span and
 // checks the assembled tree: one fleet.dispatch child per pair, each in the
 // root's trace and parented under the root.
 func TestCoordinatorTraceTree(t *testing.T) {
 	names, seqs := testCatalog(t, 5000, 4)
-	c := NewCoordinator(Config{Metrics: perf.NewMetrics()})
-	t.Cleanup(c.Close)
-	if err := c.RegisterAssemblies(names, seqs); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("node-%d", i)
-		if err := c.AddNode(name, NewLocalNode(NewWorker(name, 0), 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c := localFleet(t, Config{Metrics: perf.NewMetrics()}, names, 2)
 
 	ctr := obs.NewTracer(obs.TracerConfig{})
 	root := ctr.StartRoot("fleet.build")
 	ctx := obs.ContextWithSpan(context.Background(), root)
-	if _, _, _, err := c.AllPairMatches(ctx, names, testK, testW); err != nil {
+	if _, _, _, err := cohortMatches(ctx, c, names, seqs); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

@@ -7,19 +7,21 @@ import (
 
 	"pangenomicsbench/internal/build"
 	"pangenomicsbench/internal/fleet"
+	"pangenomicsbench/internal/obs"
 	"pangenomicsbench/internal/perf"
 )
 
-// fleetService wires a service onto an in-process loopback fleet of n
-// workers and registers the catalog (which RegisterAssemblies forwards to
-// the coordinator).
-func fleetService(t testing.TB, n int, names []string, seqs [][]byte) (*Service, *fleet.Coordinator) {
+// fleetService wires a service onto a fleet of n workers and registers the
+// catalog (which RegisterAssemblies forwards to the coordinator). It
+// returns the fleet's metrics.
+func fleetService(t testing.TB, n int, names []string, seqs [][]byte) (*Service, *perf.Metrics) {
 	t.Helper()
-	c := fleet.NewCoordinator(fleet.Config{Metrics: perf.NewMetrics()})
+	m := perf.NewMetrics()
+	c := fleet.NewCoordinator(fleet.Config{Metrics: m})
 	t.Cleanup(c.Close)
 	for i := 0; i < n; i++ {
 		name := string(rune('a'+i)) + "-node"
-		if err := c.AddNode(name, fleet.NewLocalNode(fleet.NewWorker(name, 0), 0)); err != nil {
+		if err := c.AddNode(name, fleet.NewWorker(name, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -27,7 +29,7 @@ func fleetService(t testing.TB, n int, names []string, seqs [][]byte) (*Service,
 	if err := s.RegisterAssemblies(names, seqs); err != nil {
 		t.Fatal(err)
 	}
-	return s, c
+	return s, m
 }
 
 // TestFleetBuildIdenticalToLocal is the serve-mode fleet acceptance test:
@@ -114,16 +116,22 @@ func TestFleetBuildReverseCohort(t *testing.T) {
 }
 
 // TestFleetRegisterForwards checks RegisterAssembly forwards the catalog
-// to the fleet coordinator so workers can be config-pushed.
+// to the fleet coordinator: a duplicate is rejected, and the forwarded
+// names are what the shard gauges count, so fleet.shard_pairs over the
+// nodes sums to every unordered catalog pair.
 func TestFleetRegisterForwards(t *testing.T) {
 	names, seqs := testCatalog(t, 3000, 3)
-	s, c := fleetService(t, 1, names, seqs)
+	s, m := fleetService(t, 2, names, seqs)
 
-	// Forwarded twice (serve + fleet both reject duplicates).
 	if err := s.RegisterAssembly(names[0], seqs[0]); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
-	if _, _, _, err := c.Match(context.Background(), names[0], names[1], 15, 10); err != nil {
-		t.Fatalf("fleet did not receive forwarded catalog: %v", err)
+	var sum int64
+	for _, node := range []string{"a-node", "b-node"} {
+		v, _ := m.Gauge(obs.WithLabel("fleet.shard_pairs", "node", node))
+		sum += v
+	}
+	if want := int64(len(names) * (len(names) - 1) / 2); sum != want {
+		t.Fatalf("fleet.shard_pairs sums to %d over the nodes, want %d", sum, want)
 	}
 }

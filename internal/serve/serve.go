@@ -68,13 +68,14 @@ type Config struct {
 	// so a restarted coordinator can Recover crash-interrupted cohorts.
 	// Coalesced joiners are not journaled — they share the leader's record.
 	Journal *Journal
-	// Fleet, when set, routes PGGB pair matching through a multi-node
-	// construction fleet instead of the in-process pair cache: each pair is
-	// dispatched to the worker owning its canonical hash shard, and workers'
-	// pair caches replace the local one. Set Fleet before registering
-	// assemblies — RegisterAssembly forwards the catalog to the fleet so
-	// workers can be config-pushed. Results are byte-identical to the local
-	// path per the fleet determinism contract. MC requests are unaffected.
+	// Fleet, when set, routes PGGB pair matching through a sharded pair
+	// cache instead of the service's own: each pair is dispatched to the
+	// worker owning its canonical hash shard, and the workers' pair caches
+	// replace the local one. Set Fleet before registering assemblies —
+	// RegisterAssembly forwards each name to the fleet, whose shard-balance
+	// gauges count the catalog's pairs. Results are byte-identical to the
+	// local path per the fleet determinism contract. MC requests are
+	// unaffected.
 	Fleet *fleet.Coordinator
 }
 
@@ -169,7 +170,7 @@ func (s *Service) RegisterAssembly(name string, seq []byte) error {
 	s.catalog[name] = seq
 	s.mu.Unlock()
 	if s.cfg.Fleet != nil {
-		return s.cfg.Fleet.RegisterAssembly(name, seq)
+		return s.cfg.Fleet.RegisterAssembly(name)
 	}
 	return nil
 }
@@ -415,7 +416,7 @@ func (s *Service) buildPGGB(ctx context.Context, req Request, seqs [][]byte, res
 	cfg := req.PGGB
 	pair := func(ctx context.Context, a, b string, seqA, seqB []byte) ([]build.MatchBlock, build.PairStats, bool, error) {
 		if s.cfg.Fleet != nil {
-			return s.cfg.Fleet.Match(ctx, a, b, cfg.K, cfg.W)
+			return s.cfg.Fleet.Match(ctx, a, b, seqA, seqB, cfg.K, cfg.W)
 		}
 		return s.cache.Get(ctx, a, b, cfg.K, cfg.W, func() ([]build.MatchBlock, build.PairStats, error) {
 			return build.PairMatches(0, seqA, 1, seqB, cfg.K, cfg.W, nil)

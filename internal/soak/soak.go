@@ -16,7 +16,6 @@
 package soak
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -29,9 +28,7 @@ import (
 	"time"
 
 	"pangenomicsbench/internal/build"
-	"pangenomicsbench/internal/fleet"
 	"pangenomicsbench/internal/gensim"
-	"pangenomicsbench/internal/gfa"
 	"pangenomicsbench/internal/mapserve"
 	"pangenomicsbench/internal/obs"
 	"pangenomicsbench/internal/perf"
@@ -58,12 +55,6 @@ const (
 	// ChaosBuildReject takes the build tier down for a window
 	// (serve.SetChaosRejectBuilds) while queries keep flowing.
 	ChaosBuildReject ChaosKind = "build-reject"
-	// ChaosWorkerKill kills one construction-fleet worker while a cohort
-	// rebuild is in flight — requires Config.FleetNodes ≥ 2. The run asserts
-	// the build still completes with byte-identical output (dead worker's
-	// tasks reassigned along the shard ring) and that the fleet registry
-	// marks the node dead.
-	ChaosWorkerKill ChaosKind = "worker-kill"
 )
 
 // ParseChaos parses a comma-separated chaos list ("swap,restart").
@@ -75,10 +66,10 @@ func ParseChaos(s string) ([]ChaosKind, error) {
 	for _, f := range strings.Split(s, ",") {
 		k := ChaosKind(strings.TrimSpace(f))
 		switch k {
-		case ChaosSwap, ChaosShed, ChaosRestart, ChaosBuildReject, ChaosWorkerKill:
+		case ChaosSwap, ChaosShed, ChaosRestart, ChaosBuildReject:
 			out = append(out, k)
 		default:
-			return nil, fmt.Errorf("soak: unknown chaos kind %q (want swap, shed, restart, build-reject or worker-kill)", f)
+			return nil, fmt.Errorf("soak: unknown chaos kind %q (want swap, shed, restart or build-reject)", f)
 		}
 	}
 	return out, nil
@@ -116,11 +107,6 @@ type Config struct {
 	// Chaos lists the fault injections, fired in order at even fractions of
 	// Duration.
 	Chaos []ChaosKind
-	// FleetNodes > 0 routes the build tier's pair matching through an
-	// in-process loopback construction fleet of that many workers
-	// (serve.Config.Fleet); required ≥ 2 by ChaosWorkerKill so a build can
-	// survive losing one.
-	FleetNodes int
 	// StoreDir persists published snapshots and is required by ChaosRestart.
 	StoreDir string
 	// Sink, when non-nil, receives structured JSONL records: samples every
@@ -141,12 +127,12 @@ type Config struct {
 
 // Result summarizes one completed soak run.
 type Result struct {
-	Issued, Mapped, Shed, Failed, Lost      int64
-	Swaps, Restarts, Storms, Rejects, Kills int
-	Generations                             uint64
-	Wall                                    time.Duration
-	Report                                  obs.SoakReport
-	Metrics                                 perf.MetricsSnapshot
+	Issued, Mapped, Shed, Failed, Lost int64
+	Swaps, Restarts, Storms, Rejects   int
+	Generations                        uint64
+	Wall                               time.Duration
+	Report                             obs.SoakReport
+	Metrics                            perf.MetricsSnapshot
 
 	repeats repeatStats
 }
@@ -245,9 +231,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if k == ChaosRestart && cfg.StoreDir == "" {
 			return nil, fmt.Errorf("soak: chaos %q needs StoreDir — a warm restart reloads the last persisted generation", k)
 		}
-		if k == ChaosWorkerKill && cfg.FleetNodes < 2 {
-			return nil, fmt.Errorf("soak: chaos %q needs FleetNodes ≥ 2 — a build must survive losing one worker", k)
-		}
 	}
 	sc := cfg.Scenario
 
@@ -304,27 +287,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	names, seqs := pop.AssemblyView()
 
-	// Optional construction fleet: loopback workers sharding the build
-	// tier's pair matching. Tight heartbeats so a killed worker is noticed
-	// well inside a soak-scale run.
-	var coord *fleet.Coordinator
-	var fleetNodes []*fleet.LocalNode
-	if cfg.FleetNodes > 0 {
-		coord = fleet.NewCoordinator(fleet.Config{
-			HeartbeatEvery: 100 * time.Millisecond,
-			Metrics:        metrics,
-		})
-		defer coord.Close()
-		for i := 0; i < cfg.FleetNodes; i++ {
-			name := fmt.Sprintf("soak-node-%d", i)
-			ln := fleet.NewLocalNode(fleet.NewWorker(name, 0), 0)
-			fleetNodes = append(fleetNodes, ln)
-			if err := coord.AddNode(name, ln); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	var snapSeq uint64
 	var publishErr error
 	var publishMu sync.Mutex
@@ -339,7 +301,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	builder := serve.New(serve.Config{
 		Metrics: metrics,
 		Tracer:  tracer,
-		Fleet:   coord,
 		OnResult: func(req serve.Request, res *build.Result) {
 			n := atomic.AddUint64(&snapSeq, 1)
 			snap, err := mapserve.SnapshotFromBuild(fmt.Sprintf("cohort-%d", n), res, cfg.Tool)
@@ -370,16 +331,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		"build_ms": time.Since(t0).Milliseconds(),
 		"trace_id": first.TraceID,
 	})
-	// Baseline graph bytes: worker-kill chaos asserts rebuilds under fault
-	// reproduce this exactly.
-	var baselineGFA []byte
-	if len(fleetNodes) > 0 {
-		var buf bytes.Buffer
-		if err := gfa.Write(&buf, first.Result.Graph); err != nil {
-			return nil, fmt.Errorf("soak: baseline GFA: %w", err)
-		}
-		baselineGFA = buf.Bytes()
-	}
 	if err := takePublishErr(); err != nil {
 		return nil, fmt.Errorf("soak: snapshot publish: %w", err)
 	}
@@ -452,11 +403,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}()
 
-	// Worker-kill verdicts, written by the chaos driver and read after
-	// bg.Wait(): every faulted rebuild must reproduce the baseline graph,
-	// and every killed worker must end up marked dead in the registry.
-	killIdentical, killMarkedDead := true, true
-
 	// Chaos driver.
 	bg.Add(1)
 	go func() {
@@ -512,66 +458,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 					elapsed, time.Since(rt0).Round(time.Millisecond))
 				cfg.Sink.Emit("chaos", map[string]any{"event": "restart", "elapsed_ms": elapsed.Milliseconds(),
 					"restart_ms": time.Since(rt0).Milliseconds()})
-			case ChaosWorkerKill:
-				if res.Kills >= len(fleetNodes)-1 {
-					fmt.Fprintf(out, "soak: worker-kill at %v skipped — would leave no live workers\n", elapsed)
-					res.Kills++ // counted so chaos-complete still balances
-					continue
-				}
-				victim := fleetNodes[res.Kills]
-				victimName := fmt.Sprintf("soak-node-%d", res.Kills)
-				kt0 := time.Now()
-				type buildOut struct {
-					resp *serve.Response
-					err  error
-				}
-				done := make(chan buildOut, 1)
-				go func() {
-					r, err := builder.Build(ctx, cohort)
-					done <- buildOut{r, err}
-				}()
-				// Let pair dispatch begin, then drop the worker mid-build;
-				// its in-flight and still-owned tasks must be reassigned
-				// along the shard ring.
-				time.Sleep(2 * time.Millisecond)
-				victim.Kill()
-				bo := <-done
-				res.Kills++
-				switch {
-				case bo.err != nil:
-					killIdentical = false
-					fmt.Fprintf(out, "soak: rebuild under worker-kill failed: %v\n", bo.err)
-				default:
-					var buf bytes.Buffer
-					if err := gfa.Write(&buf, bo.resp.Result.Graph); err != nil || !bytes.Equal(buf.Bytes(), baselineGFA) {
-						killIdentical = false
-						fmt.Fprintf(out, "soak: rebuild under worker-kill diverged from baseline graph\n")
-					}
-				}
-				// The registry must mark the victim dead — either instantly
-				// via a failed task call or within a few heartbeats — which
-				// the fleet.nodes_live gauge shows as one live node fewer
-				// per kill.
-				marked := false
-				for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
-					if live, _ := metrics.Gauge("fleet.nodes_live"); live <= int64(len(fleetNodes)-res.Kills) {
-						marked = true
-						break
-					}
-					time.Sleep(20 * time.Millisecond)
-				}
-				if !marked {
-					killMarkedDead = false
-				}
-				rebuildTrace := ""
-				if bo.resp != nil {
-					rebuildTrace = bo.resp.TraceID
-				}
-				fmt.Fprintf(out, "soak: chaos worker-kill at %v — %s killed mid-build, rebuild finished in %v (identical=%v dead-marked=%v)\n",
-					elapsed, victimName, time.Since(kt0).Round(time.Millisecond), killIdentical, marked)
-				cfg.Sink.Emit("chaos", map[string]any{"event": "worker-kill", "elapsed_ms": elapsed.Milliseconds(),
-					"victim": victimName, "rebuild_ms": time.Since(kt0).Milliseconds(),
-					"identical": killIdentical, "dead_marked": marked, "trace_id": rebuildTrace})
 			case ChaosBuildReject:
 				builder.SetChaosRejectBuilds(true)
 				fmt.Fprintf(out, "soak: chaos build outage at %v for %v\n", elapsed, stormLen)
@@ -686,15 +572,9 @@ dispatch:
 	res.Report.CheckShedRate(res.Issued, res.Shed, chaosShed, cfg.MaxShedRate)
 	res.Report.CheckGoroutines(goroutineBase, 16)
 	res.Report.CheckHeapGrowth(heapBase, 256<<20)
-	chaosDone := res.Swaps + res.Restarts + res.Storms + res.Rejects + res.Kills
+	chaosDone := res.Swaps + res.Restarts + res.Storms + res.Rejects
 	res.Report.Add("chaos-complete", chaosDone == len(cfg.Chaos),
 		"%d of %d chaos events completed", chaosDone, len(cfg.Chaos))
-	if res.Kills > 0 {
-		res.Report.Add("worker-kill-identical", killIdentical,
-			"rebuilds under worker-kill reproduce the baseline graph byte-for-byte: %v", killIdentical)
-		res.Report.Add("worker-kill-dead", killMarkedDead,
-			"killed workers marked dead in the fleet registry: %v", killMarkedDead)
-	}
 	// Repeated reads must map exactly as their originals did, across swaps
 	// and restarts. Workers still running would race the comparison.
 	if workersDrained {

@@ -22,68 +22,10 @@ func TestParseChaos(t *testing.T) {
 	if got, err := ParseChaos(""); err != nil || got != nil {
 		t.Fatalf("empty chaos = %v, %v", got, err)
 	}
-	if _, err := ParseChaos("swap,meteor"); err == nil {
-		t.Fatal("unknown chaos kind accepted")
-	}
-	if got, err := ParseChaos("worker-kill"); err != nil || len(got) != 1 || got[0] != ChaosWorkerKill {
-		t.Fatalf("ParseChaos(worker-kill) = %v, %v", got, err)
-	}
-}
-
-func TestWorkerKillRequiresFleet(t *testing.T) {
-	sc, err := gensim.LookupScenario("baseline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(context.Background(), Config{Scenario: sc, Chaos: []ChaosKind{ChaosWorkerKill}})
-	if err == nil || !strings.Contains(err.Error(), "FleetNodes") {
-		t.Fatalf("worker-kill without a fleet = %v, want a FleetNodes error", err)
-	}
-	_, err = Run(context.Background(), Config{Scenario: sc, Chaos: []ChaosKind{ChaosWorkerKill}, FleetNodes: 1})
-	if err == nil || !strings.Contains(err.Error(), "FleetNodes") {
-		t.Fatalf("worker-kill with one node = %v, want a FleetNodes error", err)
-	}
-}
-
-// TestSoakWorkerKill is the fleet chaos acceptance run (ISSUE): a soak over
-// a two-worker construction fleet kills one worker while a cohort rebuild is
-// in flight, and the run asserts the rebuild still completed with output
-// byte-identical to the baseline graph and that the registry marked the
-// victim dead.
-func TestSoakWorkerKill(t *testing.T) {
-	sc, err := gensim.LookupScenario("baseline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var progress bytes.Buffer
-	res, err := Run(context.Background(), Config{
-		Scenario:   sc,
-		RefLen:     12_000,
-		Haps:       4,
-		Duration:   3 * time.Second,
-		Clients:    4,
-		Chaos:      []ChaosKind{ChaosWorkerKill},
-		FleetNodes: 2,
-		Out:        &progress,
-	})
-	if err != nil {
-		t.Fatalf("soak run: %v\n%s", err, progress.String())
-	}
-	if res.Kills != 1 {
-		t.Fatalf("kills = %d, want 1\n%s", res.Kills, progress.String())
-	}
-	if res.Lost != 0 {
-		t.Fatalf("%d in-flight queries lost", res.Lost)
-	}
-	if res.Report.Failed() != 0 {
-		t.Fatalf("soak report failed:\n%s\nprogress:\n%s", res.Report.Render(), progress.String())
-	}
-	if !hasCheck(res.Report, "worker-kill-identical") {
-		t.Fatal("worker-kill-identical check missing from report")
-	}
-	if res.Metrics.Gauges["fleet.nodes_live"].Value != 1 {
-		t.Fatalf("fleet.nodes_live = %d at run end, want 1 (victim dead)",
-			res.Metrics.Gauges["fleet.nodes_live"].Value)
+	for _, in := range []string{"swap,meteor", "worker-kill"} {
+		if _, err := ParseChaos(in); err == nil || !strings.Contains(err.Error(), "unknown chaos kind") {
+			t.Fatalf("ParseChaos(%q) = %v, want an unknown-kind error", in, err)
+		}
 	}
 }
 
