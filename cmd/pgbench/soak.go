@@ -87,7 +87,6 @@ func soakCmd(args []string) error {
 	metrics := perf.NewMetrics()
 	tracer := obs.NewTracer(obs.TracerConfig{
 		Capacity:       512,
-		Metrics:        metrics,
 		SampleEvery:    *sampleEvery,
 		ExemplarMaxAge: time.Minute,
 	})

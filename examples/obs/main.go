@@ -2,12 +2,14 @@
 // stack — the serve-mode builder publishes a cohort graph into a mapserve
 // registry, the query service maps a read burst against it — runs
 // with the obs admin server attached, then scrapes its own endpoints
-// (/healthz, /metrics, /snapshots, /traces) over HTTP and prints the
-// slowest query's span tree.
+// (/healthz, /metrics, /snapshots, /traces) over HTTP, looks the slowest
+// query up by trace id, and prints its span tree. It exits non-zero unless
+// the lookup answers with exactly that trace.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -37,7 +39,7 @@ func main() {
 	names, seqs := pop.AssemblyView()
 
 	metrics := perf.NewMetrics()
-	tracer := obs.NewTracer(obs.TracerConfig{Metrics: metrics})
+	tracer := obs.NewTracer(obs.TracerConfig{})
 	reg := &mapserve.Registry{}
 	toolCfg := mapserve.DefaultToolConfig(mapserve.ToolGiraffe)
 	builder := serve.New(serve.Config{
@@ -134,14 +136,27 @@ func main() {
 	}
 
 	fmt.Printf("\nGET /snapshots →\n%s\n", get("/snapshots"))
-	fmt.Printf("GET /traces?which=slow&n=1 →\n\n")
 
-	// The slowest query's span tree, straight from the flight recorder.
+	// The slowest query, looked up by its trace id over HTTP the way an
+	// operator follows a trace_id from a log line.
+	var slowest obs.SpanData
 	for _, d := range tracer.Recorder().Slowest(3) {
-		if d.Name != "mapserve.query" {
-			continue
+		if d.Name == "mapserve.query" {
+			slowest = d
+			break
 		}
-		fmt.Println(d.Tree())
-		break
 	}
+	if slowest.TraceID == 0 {
+		log.Fatal("no mapserve.query trace among the slowest retained traces")
+	}
+	path := fmt.Sprintf("/traces?trace_id=%d&format=jsonl", slowest.TraceID)
+	var got obs.SpanData
+	if err := json.Unmarshal([]byte(get(path)), &got); err != nil {
+		log.Fatalf("GET %s: %v", path, err)
+	}
+	if got.TraceID != slowest.TraceID || got.Name != slowest.Name || got.Duration != slowest.Duration {
+		log.Fatalf("GET %s answered trace %d (%s, %v), want %d (%s, %v)", path,
+			got.TraceID, got.Name, got.Duration, slowest.TraceID, slowest.Name, slowest.Duration)
+	}
+	fmt.Printf("GET %s →\n\n%s\n", path, got.Tree())
 }

@@ -14,6 +14,3 @@ package mapserve
 func (s *Service) SetChaosShed(on bool) {
 	s.chaosShed.Store(on)
 }
-
-// ChaosShedding reports whether admission fault injection is on.
-func (s *Service) ChaosShedding() bool { return s.chaosShed.Load() }

@@ -60,12 +60,12 @@ type Response struct {
 	// QueueWait is time from admission to a worker taking the query; MapTime
 	// the in-kernel mapping time.
 	QueueWait, MapTime time.Duration
-	// TraceID identifies this query's trace ("" with tracing disabled) —
+	// TraceID identifies this query's trace (0 with tracing disabled) —
 	// the join key between flight-log events and /traces?trace_id=. Shed
 	// and failed queries still return a TraceID-carrying response alongside
 	// their error when tracing is on, since exactly those traces are the
 	// ones the recorder always retains.
-	TraceID string
+	TraceID uint64
 }
 
 // pending is one admitted query awaiting execution.
@@ -197,7 +197,7 @@ func errResp(sp *obs.Span) *Response {
 	if sp == nil {
 		return nil
 	}
-	return &Response{TraceID: sp.TraceID().String()}
+	return &Response{TraceID: sp.TraceID()}
 }
 
 // worker maps queued queries one at a time. After Close it empties what was
@@ -225,7 +225,8 @@ func (s *Service) worker() {
 // run executes one query and answers it exactly once. The root span ends
 // here, not after the caller wakes, so request latency excludes the client
 // goroutine's wake-up delay and the span's children account for (nearly)
-// all of it; Map's own End is idempotent.
+// all of it; Map's own End is idempotent. The same admission-to-answer
+// latency is the mapserve.query series.
 func (s *Service) run(p *pending) {
 	s.metrics.GaugeAdd("mapserve.queue_depth", -1)
 	<-s.slots
@@ -243,6 +244,9 @@ func (s *Service) run(p *pending) {
 		snap.Release()
 	}
 	p.span.End()
+	if s.metrics != nil {
+		s.metrics.Observe("mapserve.query", time.Since(p.enq))
+	}
 	close(p.done)
 }
 
@@ -275,7 +279,7 @@ func (s *Service) mapOn(snap *Snapshot, p *pending, wait time.Duration) {
 		Generation: snap.Generation,
 		BatchSize:  1,
 		QueueWait:  wait,
-		TraceID:    p.span.TraceID().String(),
+		TraceID:    p.span.TraceID(),
 	}
 	var err error
 	t0 := time.Now()

@@ -51,7 +51,7 @@ func (b *blockingTool) MapBatch(ctx context.Context, reads [][]byte, results []p
 }
 
 // stubService wires a blockingTool snapshot into a fresh service.
-func stubService(t *testing.T, tool *blockingTool, cfg Config) (*Service, *Registry) {
+func stubService(t testing.TB, tool *blockingTool, cfg Config) (*Service, *Registry) {
 	t.Helper()
 	pop := testPop(t, 2000, 2)
 	snap, err := NewSnapshotWithTool("stub", pop.Graph, tool)

@@ -116,7 +116,7 @@ func TestTracedQueryStageSum(t *testing.T) {
 func TestShedTracesDistinctCountersAndExemplars(t *testing.T) {
 	tool := &blockingTool{gate: make(chan struct{}), started: make(chan struct{}, 8)}
 	m := perf.NewMetrics()
-	tr := obs.NewTracer(obs.TracerConfig{Capacity: 2, Metrics: m})
+	tr := obs.NewTracer(obs.TracerConfig{Capacity: 2})
 	s, _ := stubService(t, tool, Config{Workers: 1, QueueDepth: 1, Metrics: m, Tracer: tr})
 	parked := parkWorker(t, s, tool)
 
@@ -158,6 +158,11 @@ func TestShedTracesDistinctCountersAndExemplars(t *testing.T) {
 		}
 	}
 	s.Close()
+	// mapserve.query times every query a worker answered: the parked one,
+	// the deadline shed and the four above — not the admission shed.
+	if got := m.Snapshot().Latencies["mapserve.query"].Count; got != 6 {
+		t.Errorf("mapserve.query count = %d, want 6", got)
+	}
 
 	for _, d := range tr.Recorder().Last(2) {
 		if d.Failed() {
@@ -203,17 +208,28 @@ func BenchmarkMapTraced(b *testing.B) {
 	benchmarkMap(b, obs.NewTracer(obs.TracerConfig{}))
 }
 
+// TestTracedQueryAllocs pins the traced query path of benchmarkMap at 1.2×
+// the 13 allocations per query measured when the ceiling was set: 3 are the
+// untraced service's own, the rest the root and map spans, their attribute
+// and child slices, and the map span's context. Per-span ids, hex rendering
+// or a copy of the tree at End would each push it over.
+func TestTracedQueryAllocs(t *testing.T) {
+	const ceiling = 15
+	s, _ := stubService(t, &blockingTool{}, Config{Workers: 2, Tracer: obs.NewTracer(obs.TracerConfig{})})
+	defer s.Close()
+	read := []byte("ACGTACGTACGTACGT")
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := s.Map(context.Background(), read); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("traced query allocates %.1f allocs/op, ceiling %d", allocs, ceiling)
+	}
+}
+
 func benchmarkMap(b *testing.B, tr *obs.Tracer) {
-	pop := testPop(b, 2000, 2)
-	snap, err := NewSnapshotWithTool("bench", pop.Graph, &blockingTool{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg := &Registry{}
-	if _, err := reg.Publish(snap); err != nil {
-		b.Fatal(err)
-	}
-	s := New(reg, Config{Workers: 2, Tracer: tr})
+	s, _ := stubService(b, &blockingTool{}, Config{Workers: 2, Tracer: tr})
 	defer s.Close()
 	read := []byte("ACGTACGTACGTACGT")
 	b.ReportAllocs()

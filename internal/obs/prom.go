@@ -63,15 +63,6 @@ func seriesName(base, suffix, labels string) string {
 	return promName(base) + suffix + labels
 }
 
-// withLE merges an le label into an existing label block.
-func withLE(labels string, le string) string {
-	pair := `le="` + le + `"`
-	if labels == "" {
-		return "{" + pair + "}"
-	}
-	return labels[:len(labels)-1] + "," + pair + "}"
-}
-
 // family is one metric family: all raw keys sharing a base name.
 type family struct {
 	base string
@@ -99,8 +90,7 @@ func families[V any](m map[string]V) []family {
 // PromText renders a perf.MetricsSnapshot in the Prometheus text exposition
 // format (version 0.0.4): counters as <name>_total, gauges as <name> plus a
 // <name>_watermark gauge, latency accumulators as <name>_seconds summaries
-// (count/sum plus a _max gauge), and log2 value histograms as cumulative
-// le-bucketed histograms. Metric names are sanitized (every character
+// (count/sum plus a _max gauge). Metric names are sanitized (every character
 // outside [a-zA-Z0-9_:] becomes '_'), keys may carry label blocks (see
 // WithLabel), and families are emitted in sorted order so consecutive
 // scrapes diff cleanly.
@@ -146,29 +136,6 @@ func PromText(s perf.MetricsSnapshot) string {
 				seriesName(fam.base, "_seconds_max", labels), promFloat(s.Latencies[k].Max.Seconds()))
 		}
 	}
-	for _, fam := range families(s.Values) {
-		name := promName(fam.base)
-		fmt.Fprintf(&b, "# HELP %s Value distribution %q (log2 buckets).\n# TYPE %s histogram\n", name, fam.base, name)
-		for _, k := range fam.keys {
-			v := s.Values[k]
-			_, labels := splitLabels(k)
-			idxs := make([]int, 0, len(v.Buckets))
-			for i := range v.Buckets {
-				idxs = append(idxs, i)
-			}
-			sort.Ints(idxs)
-			var cum int64
-			for _, i := range idxs {
-				cum += v.Buckets[i]
-				fmt.Fprintf(&b, "%s %d\n",
-					seriesName(fam.base, "_bucket", withLE(labels, fmt.Sprintf("%d", int64(1)<<uint(i)))), cum)
-			}
-			fmt.Fprintf(&b, "%s %d\n", seriesName(fam.base, "_bucket", withLE(labels, "+Inf")), v.Count)
-			fmt.Fprintf(&b, "%s %s\n%s %d\n",
-				seriesName(fam.base, "_sum", labels), promFloat(v.Sum),
-				seriesName(fam.base, "_count", labels), v.Count)
-		}
-	}
 	return b.String()
 }
 
@@ -197,13 +164,4 @@ func promName(name string) string {
 // format does: NaN, +Inf, -Inf).
 func promFloat(f float64) string {
 	return fmt.Sprintf("%g", f)
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -40,7 +40,6 @@ func TestPromTextLabeledFamilies(t *testing.T) {
 	m.GaugeSet(WithLabel("fleet.shard_pairs", "node", "w1"), 22)
 	m.GaugeSet(WithLabel("fleet.shard_pairs", "node", "w2"), 6)
 	m.Observe(WithLabel("fleet.rpc", "node", "w1"), 5*time.Millisecond)
-	m.ObserveValue(WithLabel("fleet.batch", "node", "w1"), 4)
 
 	text := PromText(m.Snapshot())
 	series := parseProm(t, text) // also rejects duplicate series
@@ -59,9 +58,6 @@ func TestPromTextLabeledFamilies(t *testing.T) {
 	}
 	if got := series[`fleet_rpc_seconds_count{node="w1"}`]; got != 1 {
 		t.Errorf("labeled latency count = %v, want 1", got)
-	}
-	if got := series[`fleet_batch_bucket{node="w1",le="+Inf"}`]; got != 1 {
-		t.Errorf("labeled +Inf bucket = %v, want 1", got)
 	}
 
 	// One TYPE line per family, and every series of a family consecutive

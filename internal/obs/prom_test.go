@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,9 +56,6 @@ func TestPromTextFormat(t *testing.T) {
 	m.GaugeAdd("mapserve.queue_depth", -1)
 	m.Observe("mapserve.map", 4*time.Millisecond)
 	m.Observe("mapserve.map", 6*time.Millisecond)
-	for _, v := range []float64{1, 2, 3, 5, 30} {
-		m.ObserveValue("example.sizes", v)
-	}
 
 	text := PromText(m.Snapshot())
 	series := parseProm(t, text)
@@ -80,35 +75,6 @@ func TestPromTextFormat(t *testing.T) {
 	if got := series["mapserve_map_seconds_sum"]; got < 0.0099 || got > 0.0101 {
 		t.Errorf("map_seconds_sum = %v, want ~0.01", got)
 	}
-	if got := series[`example_sizes_bucket{le="+Inf"}`]; got != 5 {
-		t.Errorf("+Inf bucket = %v, want 5", got)
-	}
-
-	// Histogram buckets must be cumulative (monotonic in le order).
-	var les []int
-	for name := range series {
-		if strings.HasPrefix(name, "example_sizes_bucket{le=\"") && !strings.Contains(name, "+Inf") {
-			raw := strings.TrimSuffix(strings.TrimPrefix(name, "example_sizes_bucket{le=\""), "\"}")
-			le, err := strconv.Atoi(raw)
-			if err != nil {
-				t.Fatalf("bucket le %q: %v", raw, err)
-			}
-			les = append(les, le)
-		}
-	}
-	sort.Ints(les)
-	prev := -1.0
-	for _, le := range les {
-		cur := series[fmt.Sprintf("example_sizes_bucket{le=%q}", strconv.Itoa(le))]
-		if cur < prev {
-			t.Fatalf("bucket le=%d count %v < previous %v (not cumulative)", le, cur, prev)
-		}
-		prev = cur
-	}
-	if prev > series[`example_sizes_bucket{le="+Inf"}`] {
-		t.Fatal("finite buckets exceed +Inf bucket")
-	}
-
 	// TYPE comments: exactly one per family.
 	typed := map[string]int{}
 	for _, line := range strings.Split(text, "\n") {
@@ -127,7 +93,7 @@ func TestPromTextFormat(t *testing.T) {
 func TestPromNameSanitization(t *testing.T) {
 	cases := map[string]string{
 		"mapserve.stage.seed": "mapserve_stage_seed",
-		"span.serve.build":    "span_serve_build",
+		"serve.stage.layout":  "serve_stage_layout",
 		"a-b c":               "a_b_c",
 		"9lives":              "_9lives",
 		"ok_name:x":           "ok_name:x",

@@ -8,14 +8,13 @@ import (
 
 // SpanData is one immutable node of a completed trace tree — what the
 // flight recorder retains and the /traces endpoint serves. Duration
-// marshals as nanoseconds.
+// marshals as nanoseconds; TraceID is set on the root only, and nesting
+// links each child to its parent.
 type SpanData struct {
 	Name     string        `json:"name"`
 	Start    time.Time     `json:"start"`
 	Duration time.Duration `json:"duration_ns"`
-	TraceID  string        `json:"trace_id,omitempty"`
-	SpanID   string        `json:"span_id,omitempty"`
-	ParentID string        `json:"parent_span_id,omitempty"`
+	TraceID  uint64        `json:"trace_id,omitempty"`
 	Attrs    []Attr        `json:"attrs,omitempty"`
 	Error    string        `json:"error,omitempty"`
 	Shed     bool          `json:"shed,omitempty"`
@@ -52,7 +51,6 @@ type Recorder struct {
 	next        int
 	filled      bool
 	total       uint64
-	sampledOut  uint64
 	sampleEvery int
 	maxAge      time.Duration
 	now         func() time.Time // injectable for aging tests
@@ -92,8 +90,6 @@ func (r *Recorder) add(d SpanData) {
 			r.next = 0
 			r.filled = true
 		}
-	} else {
-		r.sampledOut++
 	}
 	cur, ok := r.slowest[d.Name]
 	stale := ok && r.maxAge > 0 && r.now().Sub(cur.at) > r.maxAge
@@ -106,17 +102,6 @@ func (r *Recorder) add(d SpanData) {
 			r.errs = r.errs[len(r.errs)-errorCapacity:]
 		}
 	}
-}
-
-// SampledOut returns how many successful traces the 1-in-N sampler dropped
-// from the ring (they still challenged the exemplar set).
-func (r *Recorder) SampledOut() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sampledOut
 }
 
 // Total returns the number of traces ever completed (including those that
@@ -175,8 +160,8 @@ func (r *Recorder) Exemplars() []SpanData {
 // exemplars, and error exemplars are all searched (most recent ring entry
 // wins on the impossible-in-practice case of a duplicate). ok=false when
 // the id has scrolled out of every retention tier.
-func (r *Recorder) ByTraceID(id string) (SpanData, bool) {
-	if r == nil || id == "" {
+func (r *Recorder) ByTraceID(id uint64) (SpanData, bool) {
+	if r == nil || id == 0 {
 		return SpanData{}, false
 	}
 	r.mu.Lock()

@@ -110,7 +110,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, `pangenomicsbench admin endpoint
   /metrics    Prometheus text exposition of the service metric set
-  /traces     flight-recorder traces (?format=jsonl|tree, ?n=20, ?which=slow|recent|exemplars, ?min_dur=5ms, ?trace_id=<32hex> exact lookup)
+  /traces     flight-recorder traces (?format=jsonl|tree, ?n=20, ?which=slow|recent|exemplars, ?min_dur=5ms, ?trace_id=<decimal id> exact lookup)
   /snapshots  mapserve registry generations, refcounts, in-flight queries
   /healthz    liveness
 `)
@@ -129,10 +129,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if id := r.URL.Query().Get("trace_id"); id != "" {
+	if raw := r.URL.Query().Get("trace_id"); raw != "" {
+		id, err := strconv.ParseUint(raw, 10, 64)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("bad trace_id=%q (want a decimal trace id)", raw), http.StatusBadRequest)
+			return
+		}
 		d, ok := s.cfg.Recorder.ByTraceID(id)
 		if !ok {
-			http.Error(w, fmt.Sprintf("no retained trace with trace_id=%q", id), http.StatusNotFound)
+			http.Error(w, fmt.Sprintf("no retained trace with trace_id=%d", id), http.StatusNotFound)
 			return
 		}
 		if format := r.URL.Query().Get("format"); format == "jsonl" {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -37,9 +38,8 @@ func TestServerScrape(t *testing.T) {
 	m.Add("svc.requests", 3)
 	m.GaugeAdd("svc.inflight", 1)
 	m.Observe("svc.exec", 5*time.Millisecond)
-	m.ObserveValue("svc.batch", 4)
 
-	tr := NewTracer(TracerConfig{Metrics: m})
+	tr := NewTracer(TracerConfig{})
 	sp := tr.StartRoot("svc.request")
 	sp.Stage("admission", time.Now(), time.Millisecond)
 	sp.End()
@@ -222,7 +222,8 @@ func TestTracesMinDurFilter(t *testing.T) {
 // FuzzTracesQuery drives the /traces query parsing with arbitrary n,
 // min_dur, which, format and trace_id values against a recorder holding
 // traces: the handler must never panic, and every answer is a 200, a 400
-// (bad n, min_dur, which or format) or a 404 (unknown trace_id).
+// (bad n, min_dur, which, format or trace_id) or a 404 (a well-formed
+// trace_id that is not retained).
 func FuzzTracesQuery(f *testing.F) {
 	tr := NewTracer(TracerConfig{Capacity: 8})
 	for i := 0; i < 12; i++ {
@@ -231,14 +232,16 @@ func FuzzTracesQuery(f *testing.F) {
 		sp.End()
 	}
 	h := NewServer(ServerConfig{Recorder: tr.Recorder()}).Handler()
-	id := tr.Recorder().Last(1)[0].TraceID
+	id := strconv.FormatUint(tr.Recorder().Last(1)[0].TraceID, 10)
 
 	f.Add("20", "", "", "", "")
 	f.Add("9223372036854775807", "1ms", "slow", "jsonl", "")
 	f.Add("-1", "-3ms", "recent", "tree", "")
 	f.Add("5", "bogus", "exemplars", "bogus", "")
 	f.Add("", "", "", "jsonl", id)
-	f.Add("x", "1h", "nope", "", "00000000000000000000000000000000")
+	f.Add("x", "1h", "nope", "", "0")
+	f.Add("", "", "", "", "ffffffffffffffffffffffffffffffff")
+	f.Add("", "", "", "tree", "18446744073709551616")
 	f.Fuzz(func(t *testing.T, n, minDur, which, format, traceID string) {
 		q := url.Values{}
 		for k, v := range map[string]string{"n": n, "min_dur": minDur, "which": which, "format": format, "trace_id": traceID} {
@@ -311,13 +314,15 @@ func TestServerTimeouts(t *testing.T) {
 }
 
 // TestTracesTraceIDLookup exercises the exact-lookup path: a known id
-// returns exactly that trace (tree or jsonl), an unknown id is a 404.
+// returns exactly that trace (tree or jsonl), a well-formed id that is not
+// retained is a 404, and an id that is not a decimal uint64 is a 400.
 func TestTracesTraceIDLookup(t *testing.T) {
 	tr := NewTracer(TracerConfig{})
 	sp := tr.StartRoot("fleet.build")
 	sp.Child("fleet.dispatch").End()
 	sp.End()
-	id := sp.TraceID().String()
+	id := sp.TraceID()
+	idStr := strconv.FormatUint(id, 10)
 	// A second trace ensures the lookup is exact, not "most recent".
 	other := tr.StartRoot("unrelated")
 	other.End()
@@ -330,7 +335,7 @@ func TestTracesTraceIDLookup(t *testing.T) {
 	defer srv.Close()
 	base := "http://" + addr
 
-	code, body := get(t, base+"/traces?trace_id="+id)
+	code, body := get(t, base+"/traces?trace_id="+idStr)
 	if code != http.StatusOK {
 		t.Fatalf("trace_id lookup = %d: %s", code, body)
 	}
@@ -341,7 +346,7 @@ func TestTracesTraceIDLookup(t *testing.T) {
 		t.Fatal("exact lookup leaked another trace")
 	}
 
-	code, body = get(t, base+"/traces?trace_id="+id+"&format=jsonl")
+	code, body = get(t, base+"/traces?trace_id="+idStr+"&format=jsonl")
 	if code != http.StatusOK {
 		t.Fatalf("jsonl lookup = %d", code)
 	}
@@ -353,8 +358,13 @@ func TestTracesTraceIDLookup(t *testing.T) {
 		t.Fatalf("jsonl lookup returned %+v", d)
 	}
 
-	if code, _ = get(t, base+"/traces?trace_id=ffffffffffffffffffffffffffffffff"); code != http.StatusNotFound {
+	if code, _ = get(t, base+"/traces?trace_id=999"); code != http.StatusNotFound {
 		t.Fatalf("unknown trace_id = %d, want 404", code)
+	}
+	for _, bad := range []string{"ffffffffffffffffffffffffffffffff", "-1", "1.5", "18446744073709551616"} {
+		if code, body = get(t, base+"/traces?trace_id="+bad); code != http.StatusBadRequest || !strings.Contains(body, "bad trace_id=") {
+			t.Errorf("trace_id=%s = %d %q, want 400 naming trace_id", bad, code, body)
+		}
 	}
 	// No recorder wired: any lookup is a 404, not a panic.
 	bare := NewServer(ServerConfig{})
@@ -363,7 +373,7 @@ func TestTracesTraceIDLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bare.Close()
-	if code, _ = get(t, "http://"+addr2+"/traces?trace_id="+id); code != http.StatusNotFound {
+	if code, _ = get(t, "http://"+addr2+"/traces?trace_id="+idStr); code != http.StatusNotFound {
 		t.Fatalf("recorder-less lookup = %d, want 404", code)
 	}
 }

@@ -21,8 +21,7 @@ package obs
 
 import (
 	"context"
-	"encoding/hex"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,22 +50,20 @@ type TracerConfig struct {
 	// unchallenged longer than this: the next trace of that name replaces it
 	// even if faster. 0 retains exemplars forever.
 	ExemplarMaxAge time.Duration
-	// Metrics, when non-nil, receives one latency observation per completed
-	// span under "span.<name>" — the bridge from traces to the aggregate
-	// metric set the /metrics endpoint renders.
-	Metrics *perf.Metrics
 }
 
 // Tracer creates root spans and delivers completed traces to its flight
 // recorder. A nil Tracer is a no-op.
 type Tracer struct {
-	metrics *perf.Metrics
-	rec     *Recorder
+	rec *Recorder
+	// lastID is the id of the most recent root: trace ids count up from 1
+	// in start order, so 0 always means "untraced".
+	lastID atomic.Uint64
 }
 
 // NewTracer returns a tracer with an attached flight recorder.
 func NewTracer(cfg TracerConfig) *Tracer {
-	return &Tracer{metrics: cfg.Metrics, rec: newRecorder(cfg)}
+	return &Tracer{rec: newRecorder(cfg)}
 }
 
 // Recorder returns the tracer's flight recorder (nil for a nil tracer).
@@ -84,33 +81,33 @@ func (t *Tracer) StartRoot(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	s := &Span{name: name, tracer: t, id: newSpanID(), traceID: newTraceID()}
-	s.root = s
+	s := &Span{tracer: t, d: SpanData{Name: name, TraceID: t.lastID.Add(1)}}
 	// Stamped last: the span's own allocation (and any GC assist it draws)
 	// happens before the request's clock starts, not inside it where no
 	// child stage could account for it.
-	s.start = time.Now()
+	s.d.Start = time.Now()
 	return s
 }
 
-// Span is one timed node of a trace tree. All methods are nil-receiver
-// safe; a span must not be mutated after End.
+// Span is one timed node of a trace tree. It accumulates its own SpanData:
+// attributes, and children in start order — a completed stage (Stage) is
+// stored as a value, a running child (Child) as a placeholder that End
+// fills from the child span. All methods are nil-receiver safe; mutations
+// after End are ignored.
 type Span struct {
-	tracer  *Tracer // set on the root only
-	root    *Span
-	name    string
-	start   time.Time
-	id      SpanID
-	traceID TraceID // set on the root only
+	tracer *Tracer // set on the root only
 
-	mu       sync.Mutex
-	dur      time.Duration
-	attrs    []Attr
-	children []*Span
-	errMsg   string
-	shed     bool
-	ended    bool
-	probe    *perf.Probe
+	mu    sync.Mutex
+	d     SpanData
+	open  []openChild
+	probe *perf.Probe
+	ended bool
+}
+
+// openChild is a running child span and its slot in the parent's children.
+type openChild struct {
+	at   int
+	span *Span
 }
 
 // Name returns the span's name ("" for nil).
@@ -118,7 +115,7 @@ func (s *Span) Name() string {
 	if s == nil {
 		return ""
 	}
-	return s.name
+	return s.d.Name
 }
 
 // Child starts a child span (nil for a nil receiver).
@@ -126,25 +123,28 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{root: s.root, name: name, start: time.Now(), id: newSpanID()}
+	c := &Span{d: SpanData{Name: name, Start: time.Now()}}
 	s.mu.Lock()
-	s.children = append(s.children, c)
+	if !s.ended {
+		s.open = append(s.open, openChild{at: len(s.d.Children), span: c})
+		s.d.Children = append(s.d.Children, SpanData{})
+	}
 	s.mu.Unlock()
 	return c
 }
 
-// Stage records an already-completed child span with explicit timing — the
+// Stage records an already-completed child with explicit timing — the
 // post-hoc form used when a stage's duration is known only after the fact
 // (queue waits measured at dispatch, kernel StageTimes).
 func (s *Span) Stage(name string, start time.Time, d time.Duration) {
 	if s == nil {
 		return
 	}
-	c := &Span{root: s.root, name: name, start: start, dur: d, ended: true, id: newSpanID()}
 	s.mu.Lock()
-	s.children = append(s.children, c)
+	if !s.ended {
+		s.d.Children = append(s.d.Children, SpanData{Name: name, Start: start, Duration: d})
+	}
 	s.mu.Unlock()
-	s.root.observe(name, d)
 }
 
 // Set attaches a string attribute.
@@ -153,7 +153,9 @@ func (s *Span) Set(key, value string) {
 		return
 	}
 	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+	if !s.ended {
+		s.d.Attrs = append(s.d.Attrs, Attr{Key: key, Value: value})
+	}
 	s.mu.Unlock()
 }
 
@@ -162,7 +164,7 @@ func (s *Span) SetInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.Set(key, fmt.Sprintf("%d", v))
+	s.Set(key, strconv.FormatInt(v, 10))
 }
 
 // Error marks the span failed. Error traces are retained by the flight
@@ -172,7 +174,9 @@ func (s *Span) Error(err error) {
 		return
 	}
 	s.mu.Lock()
-	s.errMsg = err.Error()
+	if !s.ended {
+		s.d.Error = err.Error()
+	}
 	s.mu.Unlock()
 }
 
@@ -183,8 +187,10 @@ func (s *Span) Shed(reason string) {
 		return
 	}
 	s.mu.Lock()
-	s.shed = true
-	s.attrs = append(s.attrs, Attr{Key: "shed", Value: reason})
+	if !s.ended {
+		s.d.Shed = true
+		s.d.Attrs = append(s.d.Attrs, Attr{Key: "shed", Value: reason})
+	}
 	s.mu.Unlock()
 }
 
@@ -199,8 +205,10 @@ func (s *Span) AttachProbe(p *perf.Probe) {
 	s.mu.Unlock()
 }
 
-// End completes the span. Ending the root of a trace delivers the whole
-// tree to the flight recorder; End is idempotent.
+// End completes the span: it stamps the duration and fills each running
+// child's slot with that child's data, after which the span's SpanData is
+// immutable. Ending the root of a trace delivers the whole tree to the
+// flight recorder; End is idempotent.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -210,21 +218,24 @@ func (s *Span) End() {
 		s.mu.Unlock()
 		return
 	}
-	s.ended = true
-	s.dur = time.Since(s.start)
-	if s.probe != nil {
-		s.attrs = append(s.attrs,
-			Attr{Key: "instructions", Value: fmt.Sprintf("%d", s.probe.Instructions())},
-			Attr{Key: "loads", Value: fmt.Sprintf("%d", s.probe.Loads)},
-			Attr{Key: "stores", Value: fmt.Sprintf("%d", s.probe.Stores)},
-			Attr{Key: "mispredicts", Value: fmt.Sprintf("%d", s.probe.Mispredicts)},
+	s.d.Duration = time.Since(s.d.Start)
+	if p := s.probe; p != nil {
+		s.d.Attrs = append(s.d.Attrs,
+			Attr{Key: "instructions", Value: strconv.FormatUint(p.Instructions(), 10)},
+			Attr{Key: "loads", Value: strconv.FormatUint(p.Loads, 10)},
+			Attr{Key: "stores", Value: strconv.FormatUint(p.Stores, 10)},
+			Attr{Key: "mispredicts", Value: strconv.FormatUint(p.Mispredicts, 10)},
 		)
 	}
-	dur := s.dur
+	for _, c := range s.open {
+		s.d.Children[c.at] = c.span.Data()
+	}
+	s.open = nil
+	s.ended = true
+	d := s.d
 	s.mu.Unlock()
-	s.root.observe(s.name, dur)
-	if s == s.root && s.tracer != nil {
-		s.tracer.rec.add(s.snapshot())
+	if s.tracer != nil {
+		s.tracer.rec.add(d)
 	}
 }
 
@@ -235,59 +246,35 @@ func (s *Span) Duration() time.Duration {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dur
+	return s.d.Duration
 }
 
-// observe forwards one completed span duration to the tracer's metric set.
-// Called on the root span (which carries the tracer pointer).
-func (s *Span) observe(name string, d time.Duration) {
-	if s == nil || s.tracer == nil {
-		return
-	}
-	s.tracer.metrics.Observe("span."+name, d)
-}
-
-// TraceID returns the id of the trace this span belongs to (zero for nil).
-func (s *Span) TraceID() TraceID {
+// TraceID returns the id of the trace a root span starts — 1, 2, 3, … per
+// tracer in start order. It is 0 for a nil span and for a child span.
+func (s *Span) TraceID() uint64 {
 	if s == nil {
-		return TraceID{}
+		return 0
 	}
-	return s.root.traceID
+	return s.d.TraceID
 }
 
-// Data returns the span's immutable snapshot. It is meant for a completed
-// span (after End). A nil span returns the zero SpanData.
+// Data returns the span's tree. After End it is the immutable tree End
+// built; before End it is a copy of the tree so far, with running children
+// at zero duration. A nil span returns the zero SpanData.
 func (s *Span) Data() SpanData {
 	if s == nil {
 		return SpanData{}
 	}
-	return s.snapshot()
-}
-
-// snapshot converts the (completed) span tree to immutable SpanData.
-func (s *Span) snapshot() SpanData {
-	return s.snap(s.root.traceID, SpanID{})
-}
-
-func (s *Span) snap(trace TraceID, parent SpanID) SpanData {
 	s.mu.Lock()
-	d := SpanData{
-		Name:     s.name,
-		Start:    s.start,
-		Duration: s.dur,
-		TraceID:  trace.String(),
-		SpanID:   s.id.String(),
-		ParentID: parent.String(),
-		Error:    s.errMsg,
-		Shed:     s.shed,
+	defer s.mu.Unlock()
+	if s.ended {
+		return s.d
 	}
-	if len(s.attrs) > 0 {
-		d.Attrs = append([]Attr(nil), s.attrs...)
-	}
-	children := append([]*Span(nil), s.children...)
-	s.mu.Unlock()
-	for _, c := range children {
-		d.Children = append(d.Children, c.snap(trace, s.id))
+	d := s.d
+	d.Attrs = append([]Attr(nil), d.Attrs...)
+	d.Children = append([]SpanData(nil), d.Children...)
+	for _, c := range s.open {
+		d.Children[c.at] = c.span.Data()
 	}
 	return d
 }
@@ -308,8 +295,8 @@ func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 	return context.WithValue(ctx, spanCtxKey{}, sp)
 }
 
-// SpanFromContext returns the span carried by ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
+// spanFromContext returns the span carried by ctx, or nil.
+func spanFromContext(ctx context.Context) *Span {
 	if ctx == nil {
 		return nil
 	}
@@ -321,7 +308,7 @@ func SpanFromContext(ctx context.Context) *Span {
 // carrying the child. Without a span in ctx it returns (ctx, nil) — zero
 // cost beyond the context lookup.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	parent := SpanFromContext(ctx)
+	parent := spanFromContext(ctx)
 	if parent == nil {
 		return ctx, nil
 	}
@@ -332,86 +319,5 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // AddStage records a completed stage on the span carried by ctx (no-op
 // without one) — the hook the mapping kernels' stage timers call.
 func AddStage(ctx context.Context, name string, start time.Time, d time.Duration) {
-	if sp := SpanFromContext(ctx); sp != nil {
-		sp.Stage(name, start, d)
-	}
-}
-
-// Span identity: a 16-byte trace id shared by every span of one trace and
-// an 8-byte per-span id, rendered as hex in SpanData and looked up by
-// /traces?trace_id=.
-//
-// Identity generation is deliberately not cryptographic: a process-local
-// atomic counter run through a splitmix64 finalizer is collision-free within
-// a process and costs no allocation, preserving the nil-tracer zero-alloc
-// contract (ids are only generated on the non-nil path anyway).
-
-// TraceID identifies a trace (zero value = absent).
-type TraceID [16]byte
-
-// IsZero reports whether the id is unset.
-func (t TraceID) IsZero() bool { return t == TraceID{} }
-
-// String returns the 32-char lowercase hex form, or "" when unset.
-func (t TraceID) String() string {
-	if t.IsZero() {
-		return ""
-	}
-	return hex.EncodeToString(t[:])
-}
-
-// SpanID identifies one span within a trace (zero value = absent).
-type SpanID [8]byte
-
-// IsZero reports whether the id is unset.
-func (s SpanID) IsZero() bool { return s == SpanID{} }
-
-// String returns the 16-char lowercase hex form, or "" when unset.
-func (s SpanID) String() string {
-	if s.IsZero() {
-		return ""
-	}
-	return hex.EncodeToString(s[:])
-}
-
-// idCounter seeds span/trace id generation; the clock offset decorrelates
-// runs, splitmix64 decorrelates successive values.
-var idCounter atomic.Uint64
-
-func init() { idCounter.Store(uint64(time.Now().UnixNano())) }
-
-// idMix64 is the splitmix64 finalizer (same construction fleet.PairHash
-// uses): every input bit flips ~half the output bits.
-func idMix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-func newSpanID() SpanID {
-	var id SpanID
-	for id.IsZero() {
-		v := idMix64(idCounter.Add(1))
-		for i := 0; i < 8; i++ {
-			id[i] = byte(v >> (56 - 8*i))
-		}
-	}
-	return id
-}
-
-func newTraceID() TraceID {
-	var id TraceID
-	for id.IsZero() {
-		hi := idMix64(idCounter.Add(1))
-		lo := idMix64(idCounter.Add(1))
-		for i := 0; i < 8; i++ {
-			id[i] = byte(hi >> (56 - 8*i))
-			id[8+i] = byte(lo >> (56 - 8*i))
-		}
-	}
-	return id
+	spanFromContext(ctx).Stage(name, start, d)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -58,11 +59,11 @@ func TestSpanContextPropagation(t *testing.T) {
 	tr := NewTracer(TracerConfig{})
 	root := tr.StartRoot("root")
 	ctx := ContextWithSpan(context.Background(), root)
-	if got := SpanFromContext(ctx); got != root {
+	if got := spanFromContext(ctx); got != root {
 		t.Fatal("span did not round-trip through context")
 	}
 	ctx2, child := StartSpan(ctx, "child")
-	if child == nil || SpanFromContext(ctx2) != child {
+	if child == nil || spanFromContext(ctx2) != child {
 		t.Fatal("StartSpan did not install the child")
 	}
 	AddStage(ctx2, "stage", time.Now(), time.Millisecond)
@@ -137,21 +138,6 @@ func TestErrorAndShedMarking(t *testing.T) {
 	}
 	if tree := d.Tree(); !strings.Contains(tree, "shed=deadline") || !strings.Contains(tree, "ERROR(") {
 		t.Fatalf("tree does not surface the failure:\n%s", tree)
-	}
-}
-
-func TestSpanMetricsAttachment(t *testing.T) {
-	m := perf.NewMetrics()
-	tr := NewTracer(TracerConfig{Metrics: m})
-	sp := tr.StartRoot("query")
-	sp.Stage("seed", time.Now(), 2*time.Millisecond)
-	sp.End()
-	snap := m.Snapshot()
-	if snap.Latencies["span.query"].Count != 1 {
-		t.Errorf("span.query latency not observed: %+v", snap.Latencies)
-	}
-	if got := snap.Latencies["span.seed"]; got.Count != 1 || got.Total != 2*time.Millisecond {
-		t.Errorf("span.seed latency = %+v", got)
 	}
 }
 
@@ -231,9 +217,10 @@ func TestRecorderSlowestDistinct(t *testing.T) {
 }
 
 // TestTracerConcurrent exercises the tracer under -race: many goroutines
-// build and complete traces (with children) against one recorder.
+// build and complete traces (with children) against one recorder, and then
+// many goroutines grow one shared root, whose tree must hold every child.
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 64, Metrics: perf.NewMetrics()})
+	tr := NewTracer(TracerConfig{Capacity: 64})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -258,53 +245,109 @@ func TestTracerConcurrent(t *testing.T) {
 	if got := len(tr.Recorder().Last(100)); got != 64 {
 		t.Fatalf("ring retained %d, want 64", got)
 	}
-}
 
-func TestRecorderByTraceID(t *testing.T) {
-	tr := NewTracer(TracerConfig{})
-	var ids []string
-	for i := 0; i < 3; i++ {
-		sp := tr.StartRoot("q")
-		ids = append(ids, sp.TraceID().String())
-		sp.End()
+	const goroutines, rounds = 8, 50
+	shared := tr.StartRoot("shared")
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				c := shared.Child("child")
+				c.Stage("stage", time.Now(), time.Microsecond)
+				c.End()
+				shared.Stage("stage", time.Now(), time.Microsecond)
+				shared.Set("g", strconv.Itoa(g))
+			}
+		}(g)
 	}
-	for _, id := range ids {
-		d, ok := tr.Recorder().ByTraceID(id)
-		if !ok || d.TraceID != id {
-			t.Fatalf("ByTraceID(%s) = %+v, %v", id, d.TraceID, ok)
+	wg.Wait()
+	shared.End()
+	d, ok := tr.Recorder().ByTraceID(shared.TraceID())
+	if !ok {
+		t.Fatal("shared root not retained")
+	}
+	names := map[string]int{}
+	for _, c := range d.Children {
+		names[c.Name]++
+		if c.Name == "child" && len(c.Children) != 1 {
+			t.Fatalf("child not filled from its ended span: %+v", c)
 		}
 	}
-	if _, ok := tr.Recorder().ByTraceID("ffffffffffffffffffffffffffffffff"); ok {
-		t.Fatal("ByTraceID found a trace that was never recorded")
-	}
-	if _, ok := tr.Recorder().ByTraceID(""); ok {
-		t.Fatal("ByTraceID matched the empty id")
+	if want := goroutines * rounds; names["child"] != want || names["stage"] != want || len(d.Attrs) != want {
+		t.Fatalf("shared root holds %v children and %d attrs, want %d of each", names, len(d.Attrs), want)
 	}
 }
 
+// TestNilSpanWireIdentity pins that a nil span carries trace id 0, the id
+// that marks anything untraced.
 func TestNilSpanWireIdentity(t *testing.T) {
 	var sp *Span
-	if id := sp.TraceID(); !id.IsZero() {
-		t.Fatalf("nil span trace id %s", id)
+	if id := sp.TraceID(); id != 0 {
+		t.Fatalf("nil span trace id %d", id)
 	}
-	if d := sp.Data(); d.Name != "" || d.TraceID != "" {
+	if d := sp.Data(); d.Name != "" || d.TraceID != 0 {
 		t.Fatalf("nil span Data = %+v", d)
 	}
 }
 
+// TestIDGeneration pins that roots started from many goroutines at once
+// get distinct, nonzero trace ids.
 func TestIDGeneration(t *testing.T) {
-	seen := map[SpanID]bool{}
-	for i := 0; i < 1000; i++ {
-		id := newSpanID()
-		if id.IsZero() {
-			t.Fatal("generated a zero span id")
+	const goroutines, rounds = 8, 125
+	tr := NewTracer(TracerConfig{})
+	ids := make(chan uint64, goroutines*rounds)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				sp := tr.StartRoot("q")
+				ids <- sp.TraceID()
+				sp.End()
+			}
+		}()
+	}
+	wg.Wait()
+	close(ids)
+	seen := map[uint64]bool{}
+	for id := range ids {
+		if id == 0 {
+			t.Fatal("generated a zero trace id")
 		}
 		if seen[id] {
-			t.Fatalf("span id collision at %d: %s", i, id)
+			t.Fatalf("trace id collision: %d", id)
 		}
 		seen[id] = true
 	}
-	if newTraceID() == newTraceID() {
-		t.Fatal("consecutive trace ids collide")
+	if len(seen) != goroutines*rounds {
+		t.Fatalf("%d distinct ids, want %d", len(seen), goroutines*rounds)
+	}
+}
+
+// TestRecorderByTraceID pins trace lookup: ids are 1, 2, 3 in start
+// order, each finds exactly its trace, and 0 — the id of anything
+// untraced — finds nothing.
+func TestRecorderByTraceID(t *testing.T) {
+	tr := NewTracer(TracerConfig{})
+	for want := uint64(1); want <= 3; want++ {
+		sp := tr.StartRoot(fmt.Sprintf("q%d", want))
+		if got := sp.TraceID(); got != want {
+			t.Fatalf("root %d has trace id %d", want, got)
+		}
+		sp.End()
+	}
+	for id := uint64(1); id <= 3; id++ {
+		d, ok := tr.Recorder().ByTraceID(id)
+		if !ok || d.TraceID != id || d.Name != fmt.Sprintf("q%d", id) {
+			t.Fatalf("ByTraceID(%d) = %s #%d, %v", id, d.Name, d.TraceID, ok)
+		}
+	}
+	if _, ok := tr.Recorder().ByTraceID(4); ok {
+		t.Fatal("ByTraceID found a trace that was never recorded")
+	}
+	if _, ok := tr.Recorder().ByTraceID(0); ok {
+		t.Fatal("ByTraceID matched the zero id")
 	}
 }

@@ -22,7 +22,6 @@ type Metrics struct {
 	counters map[string]int64
 	gauges   map[string]*gaugeAcc
 	lats     map[string]*latAcc
-	hists    map[string]*histAcc
 }
 
 // gaugeAcc is a settable level with a high watermark — the right shape for
@@ -39,21 +38,12 @@ type latAcc struct {
 	max   time.Duration
 }
 
-// histAcc is a log2-bucketed value distribution (batch sizes, queue depths).
-type histAcc struct {
-	count    int64
-	sum      float64
-	min, max float64
-	buckets  map[int]int64 // bucket i counts samples v with 2^(i-1) < v ≤ 2^i
-}
-
 // NewMetrics returns an empty metric set.
 func NewMetrics() *Metrics {
 	return &Metrics{
 		counters: map[string]int64{},
 		gauges:   map[string]*gaugeAcc{},
 		lats:     map[string]*latAcc{},
-		hists:    map[string]*histAcc{},
 	}
 }
 
@@ -138,41 +128,6 @@ func (m *Metrics) Observe(name string, d time.Duration) {
 	m.mu.Unlock()
 }
 
-// logBucket returns the histogram bucket of v: the smallest i ≥ 0 with
-// v ≤ 2^i (negative values clamp into bucket 0).
-func logBucket(v float64) int {
-	i := 0
-	for b := 1.0; b < v && i < 63; b *= 2 {
-		i++
-	}
-	return i
-}
-
-// ObserveValue records one sample of a value distribution under name —
-// the histogram companion to Observe's latencies, used for batch sizes and
-// queue depths. Buckets are powers of two.
-func (m *Metrics) ObserveValue(name string, v float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	h := m.hists[name]
-	if h == nil {
-		h = &histAcc{buckets: map[int]int64{}}
-		m.hists[name] = h
-	}
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	h.buckets[logBucket(v)]++
-	m.mu.Unlock()
-}
-
 // Counter returns the named counter's current value (0 if never touched).
 func (m *Metrics) Counter(name string) int64 {
 	if m == nil {
@@ -198,66 +153,6 @@ func (l LatencySummary) Mean() time.Duration {
 	return l.Total / time.Duration(l.Count)
 }
 
-// ValueSummary is one value distribution's snapshot.
-type ValueSummary struct {
-	Count    int64
-	Sum      float64
-	Min, Max float64
-	// Buckets maps log2 bucket index i to the count of samples v with
-	// 2^(i-1) < v ≤ 2^i (bucket 0 holds v ≤ 1).
-	Buckets map[int]int64
-}
-
-// Mean returns the average sample, or 0 with no samples.
-func (v ValueSummary) Mean() float64 {
-	if v.Count == 0 {
-		return 0
-	}
-	return v.Sum / float64(v.Count)
-}
-
-// Quantile returns the upper edge of the bucket holding the q-th sample —
-// a ≤2× overestimate, which is all a log2 histogram can promise — clamped
-// into [Min, Max] so it never extrapolates past an observed sample. The
-// edges answer exactly: no samples returns 0, q ≤ 0 returns Min, and q ≥ 1
-// or a single-sample summary returns Max.
-func (v ValueSummary) Quantile(q float64) float64 {
-	if v.Count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return v.Min
-	}
-	if q >= 1 || v.Count == 1 {
-		return v.Max
-	}
-	rank := int64(q * float64(v.Count))
-	if rank >= v.Count {
-		rank = v.Count - 1
-	}
-	idxs := make([]int, 0, len(v.Buckets))
-	for i := range v.Buckets {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	est := v.Max
-	var seen int64
-	for _, i := range idxs {
-		seen += v.Buckets[i]
-		if seen > rank {
-			est = float64(int64(1) << uint(i))
-			break
-		}
-	}
-	if est < v.Min {
-		est = v.Min
-	}
-	if est > v.Max {
-		est = v.Max
-	}
-	return est
-}
-
 // GaugeSummary is one gauge's snapshot: its instant value and the high
 // watermark it ever reached.
 type GaugeSummary struct {
@@ -270,7 +165,6 @@ type MetricsSnapshot struct {
 	Counters  map[string]int64
 	Gauges    map[string]GaugeSummary
 	Latencies map[string]LatencySummary
-	Values    map[string]ValueSummary
 }
 
 // Snapshot copies the current state. A nil receiver snapshots empty maps.
@@ -279,7 +173,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		Counters:  map[string]int64{},
 		Gauges:    map[string]GaugeSummary{},
 		Latencies: map[string]LatencySummary{},
-		Values:    map[string]ValueSummary{},
 	}
 	if m == nil {
 		return snap
@@ -294,13 +187,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	for k, acc := range m.lats {
 		snap.Latencies[k] = LatencySummary{Count: acc.count, Total: acc.total, Max: acc.max}
-	}
-	for k, h := range m.hists {
-		buckets := make(map[int]int64, len(h.buckets))
-		for i, c := range h.buckets {
-			buckets[i] = c
-		}
-		snap.Values[k] = ValueSummary{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, Buckets: buckets}
 	}
 	return snap
 }
@@ -335,30 +221,5 @@ func (s MetricsSnapshot) Render() string {
 		fmt.Fprintf(&b, "%-28s n=%-8d mean=%-12v max=%v\n",
 			k, l.Count, l.Mean().Round(time.Microsecond), l.Max.Round(time.Microsecond))
 	}
-	names = names[:0]
-	for k := range s.Values {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		v := s.Values[k]
-		fmt.Fprintf(&b, "%-28s n=%-8d mean=%-8.2f min=%g max=%g  %s\n",
-			k, v.Count, v.Mean(), v.Min, v.Max, v.renderBuckets())
-	}
 	return b.String()
-}
-
-// renderBuckets formats the non-empty histogram buckets as "≤edge:count"
-// pairs in ascending edge order.
-func (v ValueSummary) renderBuckets() string {
-	idxs := make([]int, 0, len(v.Buckets))
-	for i := range v.Buckets {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	parts := make([]string, 0, len(idxs))
-	for _, i := range idxs {
-		parts = append(parts, fmt.Sprintf("≤%d:%d", int64(1)<<uint(i), v.Buckets[i]))
-	}
-	return strings.Join(parts, " ")
 }

@@ -13,7 +13,6 @@ func TestNilMetricsIsSafe(t *testing.T) {
 	m.GaugeSet("g", 7)
 	m.GaugeAdd("g", 1)
 	m.Observe("y", time.Second)
-	m.ObserveValue("z", 4)
 	if got := m.Counter("x"); got != 0 {
 		t.Fatalf("nil metrics counter = %d", got)
 	}
@@ -21,7 +20,7 @@ func TestNilMetricsIsSafe(t *testing.T) {
 		t.Fatalf("nil metrics gauge = %d/%d", v, w)
 	}
 	snap := m.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Latencies) != 0 || len(snap.Values) != 0 {
+	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Latencies) != 0 {
 		t.Fatalf("nil metrics snapshot not empty: %+v", snap)
 	}
 }
@@ -47,84 +46,6 @@ func TestGaugeWatermark(t *testing.T) {
 	}
 	if out := snap.Render(); !strings.Contains(out, "inflight") || !strings.Contains(out, "high watermark 3") {
 		t.Fatalf("render missing gauge watermark:\n%s", out)
-	}
-}
-
-// TestQuantileEdgeCases pins the histogram quantile contract at its edges:
-// empty summaries, out-of-range q, single samples, and clamping into
-// [Min, Max] instead of extrapolating past an observed sample.
-func TestQuantileEdgeCases(t *testing.T) {
-	single := NewMetrics()
-	single.ObserveValue("s", 100) // lands in bucket ≤128
-	one := single.Snapshot().Values["s"]
-
-	multi := NewMetrics()
-	for _, v := range []float64{3, 5, 100} {
-		multi.ObserveValue("m", v)
-	}
-	three := multi.Snapshot().Values["m"]
-
-	low := NewMetrics()
-	for _, v := range []float64{5, 6, 7} { // all in bucket ≤8, min 5
-		low.ObserveValue("l", v)
-	}
-	clamped := low.Snapshot().Values["l"]
-
-	tests := []struct {
-		name string
-		sum  ValueSummary
-		q    float64
-		want float64
-	}{
-		{"empty", ValueSummary{}, 0.5, 0},
-		{"q below zero", three, -0.1, 3},
-		{"q zero is min", three, 0, 3},
-		{"q one is max", three, 1, 100},
-		{"q above one", three, 1.5, 100},
-		{"single sample mid-q is the sample", one, 0.5, 100},
-		{"single sample q0", one, 0, 100},
-		{"single sample q1", one, 1, 100},
-		{"mid-q stays a bucket edge", three, 0.5, 8},
-		{"shared-bucket q0 is min", clamped, 0, 5},
-		{"bucket edge clamps down to max", clamped, 0.5, 7},
-	}
-	for _, tc := range tests {
-		if got := tc.sum.Quantile(tc.q); got != tc.want {
-			t.Errorf("%s: Quantile(%v) = %v, want %v", tc.name, tc.q, got, tc.want)
-		}
-	}
-}
-
-func TestMetricsValueHistogram(t *testing.T) {
-	m := NewMetrics()
-	for _, v := range []float64{1, 1, 2, 3, 5, 8, 100} {
-		m.ObserveValue("batch", v)
-	}
-	h := m.Snapshot().Values["batch"]
-	if h.Count != 7 || h.Min != 1 || h.Max != 100 {
-		t.Fatalf("summary = %+v", h)
-	}
-	if got := h.Mean(); got < 17.1 || got > 17.2 { // 120/7
-		t.Fatalf("mean = %v", got)
-	}
-	// Buckets: ≤1:{1,1} ≤2:{2} ≤4:{3} ≤8:{5,8} ≤128:{100}.
-	want := map[int]int64{0: 2, 1: 1, 2: 1, 3: 2, 7: 1}
-	for i, c := range want {
-		if h.Buckets[i] != c {
-			t.Fatalf("bucket %d = %d, want %d (all: %v)", i, h.Buckets[i], c, h.Buckets)
-		}
-	}
-	if q := h.Quantile(0); q != 1 {
-		t.Fatalf("p0 = %v, want 1", q)
-	}
-	if q := h.Quantile(0.5); q != 4 {
-		t.Fatalf("p50 = %v, want 4 (bucket edge over median sample 3)", q)
-	}
-	if q := h.Quantile(0.99); q != 100 {
-		t.Fatalf("p99 = %v, want 100 (bucket edge 128 clamped to observed max)", q)
-	}
-	if out := m.Snapshot().Render(); !strings.Contains(out, "batch") || !strings.Contains(out, "≤8:2") {
-		t.Fatalf("render missing histogram:\n%s", out)
 	}
 }
 

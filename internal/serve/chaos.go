@@ -24,6 +24,3 @@ type chaos struct {
 func (s *Service) SetChaosRejectBuilds(on bool) {
 	s.chaos.rejectBuilds.Store(on)
 }
-
-// ChaosRejectingBuilds reports whether build fault injection is on.
-func (s *Service) ChaosRejectingBuilds() bool { return s.chaos.rejectBuilds.Load() }

@@ -102,11 +102,11 @@ type Response struct {
 	// QueueWait is the time spent waiting for a build slot; Exec the build
 	// execution time.
 	QueueWait, Exec time.Duration
-	// TraceID identifies this request's trace ("" with tracing disabled);
+	// TraceID identifies this request's trace (0 with tracing disabled);
 	// /traces?trace_id= on the admin endpoint looks it up directly. A
 	// coalesced response carries the leader's trace id — the trace that
 	// actually holds the execution detail.
-	TraceID string
+	TraceID uint64
 }
 
 // flight is one in-flight request execution that identical requests join.
@@ -322,7 +322,7 @@ func (s *Service) execute(ctx context.Context, req Request, seqs [][]byte, sp *o
 		return nil, ctx.Err()
 	}
 	defer func() { <-s.slots }()
-	resp := &Response{QueueWait: time.Since(t0), TraceID: sp.TraceID().String()}
+	resp := &Response{QueueWait: time.Since(t0), TraceID: sp.TraceID()}
 	s.metrics.Observe("serve.queue_wait", resp.QueueWait)
 	sp.Stage("admission", t0, resp.QueueWait)
 

@@ -265,7 +265,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if tracer == nil {
 		tracer = obs.NewTracer(obs.TracerConfig{
 			Capacity:       512,
-			Metrics:        metrics,
 			SampleEvery:    traceSampleEvery,
 			ExemplarMaxAge: time.Minute,
 		})
@@ -507,7 +506,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				// recorder. Mapped queries stay in the periodic samples only —
 				// one JSONL line per success would dwarf the log.
 				if outcome != "mapped" {
-					traceID := ""
+					var traceID uint64
 					if resp != nil {
 						traceID = resp.TraceID
 					}
