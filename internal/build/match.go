@@ -88,11 +88,12 @@ func PairMatches(ia int, a []byte, ib int, b []byte, k, w int, probe *perf.Probe
 		return nil, st, fmt.Errorf("build: PairMatches needs non-empty sequences (len a=%d, b=%d)", len(a), len(b))
 	}
 	tMin := time.Now()
-	ma, err := minimizer.Compute(a, k, w, probe)
+	var msc minimizer.Scratch
+	ma, err := msc.ComputeInto(nil, a, k, w, probe)
 	if err != nil {
 		return nil, st, err
 	}
-	mb, err := minimizer.Compute(b, k, w, probe)
+	mb, err := msc.ComputeInto(nil, b, k, w, probe)
 	if err != nil {
 		return nil, st, err
 	}

@@ -300,18 +300,21 @@ func mapAssembly(ctx context.Context, g *graph.Graph, idx *minimizer.GraphIndex,
 		wall time.Duration
 	}
 	results := make([]chunkResult, len(chunks))
-	runChunk := func(ci int, pr *perf.Probe) {
-		chunkLo := chunks[ci]
-		chunkHi := chunkLo + cfg.MapChunk
-		if chunkHi > len(asm) {
-			chunkHi = len(asm)
+	newWorker := func() func(int, *perf.Probe) {
+		var sc seedScratch
+		return func(ci int, pr *perf.Probe) {
+			chunkLo := chunks[ci]
+			chunkHi := chunkLo + cfg.MapChunk
+			if chunkHi > len(asm) {
+				chunkHi = len(asm)
+			}
+			t0 := time.Now()
+			plan, gwfa := mapChunk(g, idx, asm[chunkLo:chunkHi], chunkLo, cfg, &sc, pr)
+			results[ci] = chunkResult{plan: plan, gwfa: gwfa, wall: time.Since(t0)}
 		}
-		t0 := time.Now()
-		plan, gwfa := mapChunk(g, idx, asm[chunkLo:chunkHi], chunkLo, cfg, pr)
-		results[ci] = chunkResult{plan: plan, gwfa: gwfa, wall: time.Since(t0)}
 	}
 
-	err := forEach(ctx, len(chunks), cfg.Workers, probe, func() func(int, *perf.Probe) { return runChunk })
+	err := forEach(ctx, len(chunks), cfg.Workers, probe, newWorker)
 	if err != nil {
 		return nil, err
 	}
@@ -325,12 +328,21 @@ func mapAssembly(ctx context.Context, g *graph.Graph, idx *minimizer.GraphIndex,
 	return plan, nil
 }
 
+// seedScratch is one mapping worker's minimizer state and output slice,
+// reused across the chunks it maps.
+type seedScratch struct {
+	msc minimizer.Scratch
+	ms  []minimizer.Minimizer
+}
+
 // mapChunk maps one assembly chunk against the graph: anchors → graph
 // chaining → GWFA bridging at MinSpan stride, returning the chunk's walk
 // plan in assembly coordinates (chunkLo is the chunk's offset) and the
-// GWFA wall time spent bridging it.
-func mapChunk(g *graph.Graph, idx *minimizer.GraphIndex, sub []byte, chunkLo int, cfg MCConfig, probe *perf.Probe) ([]planItem, time.Duration) {
-	ms, err := minimizer.Compute(sub, cfg.K, cfg.W, probe)
+// GWFA wall time spent bridging it. sc is the calling worker's seeding
+// scratch.
+func mapChunk(g *graph.Graph, idx *minimizer.GraphIndex, sub []byte, chunkLo int, cfg MCConfig, sc *seedScratch, probe *perf.Probe) ([]planItem, time.Duration) {
+	ms, err := sc.msc.ComputeInto(sc.ms[:0], sub, cfg.K, cfg.W, probe)
+	sc.ms = ms
 	if err != nil {
 		return nil, 0
 	}

@@ -218,7 +218,7 @@ func TestMCBridgedGapNovelty(t *testing.T) {
 	for pos := 20; pos < len(snps); pos += 47 { // ~2% against mcDivergence 6%
 		snps[pos] = flipBase(snps[pos])
 	}
-	plan, _ := mapChunk(g, idx, snps, 0, cfg, nil)
+	plan, _ := mapChunk(g, idx, snps, 0, cfg, new(seedScratch), nil)
 	matched := 0
 	for _, item := range plan {
 		if item.node != 0 {
@@ -235,7 +235,7 @@ func TestMCBridgedGapNovelty(t *testing.T) {
 
 	const insAt, insLen = 4000, 300
 	withIns := append(append(append([]byte(nil), snps[:insAt]...), randSeqMC(rng, insLen)...), snps[insAt:]...)
-	plan, _ = mapChunk(g, idx, withIns, 0, cfg, nil)
+	plan, _ = mapChunk(g, idx, withIns, 0, cfg, new(seedScratch), nil)
 	novel := bridgedNovel(plan)
 	if len(novel) != 1 {
 		t.Fatalf("one planted insertion made %d bridged gaps novel: %+v", len(novel), novel)
@@ -299,7 +299,7 @@ func TestMCGapDivergenceScaledToSpan(t *testing.T) {
 		t.Fatalf("only %d edits planted", edits)
 	}
 
-	plan, _ := mapChunk(g, idx, asm, 0, cfg, nil)
+	plan, _ := mapChunk(g, idx, asm, 0, cfg, new(seedScratch), nil)
 	if len(plan) == 0 {
 		t.Fatal("chunk produced no plan")
 	}

@@ -30,14 +30,16 @@ func hashKmer(x uint64) uint64 {
 	return x
 }
 
-// Scratch holds the per-read rolling buffers of Compute so the seeding hot
-// path reuses them across reads instead of allocating two slices per call
-// (the per-read allocation bug the batched mapping path fixes). The zero
-// value is ready; buffers grow to the longest read seen and stay.
+// Scratch holds the per-read state of ComputeInto so the seeding hot path
+// reuses it across reads instead of allocating per call: the ring backing
+// the sliding-minimum deque. The zero value is ready; the ring grows to the
+// largest window seen and stays.
 type Scratch struct {
-	hashes []uint64
-	valid  []bool
+	ring []Minimizer
 }
+
+// ringBase is the modelled address of the deque ring in probe streams.
+const ringBase = uintptr(0x100000)
 
 // Compute returns the (w,k)-minimizers of seq: for every window of w
 // consecutive k-mers, the one with the smallest hash (leftmost on ties).
@@ -49,9 +51,23 @@ func Compute(seq []byte, k, w int, probe *perf.Probe) ([]Minimizer, error) {
 
 // ComputeInto is the allocation-free variant of Compute: minimizers are
 // appended to dst (which may be nil or a recycled slice) and the extended
-// slice is returned, byte-identical to Compute's output in content and
-// order. Steady state performs zero allocations once dst and the scratch
-// buffers have grown to the working size.
+// slice is returned, identical to Compute's output in content and order.
+// Steady state performs zero allocations once dst and the ring have grown
+// to the working size.
+//
+// It is one streaming pass, O(len(seq)) whatever w is. Each k-mer's hash
+// joins a monotone deque of (pos, hash) candidates whose hashes never
+// decrease from front to back: it first pops every back entry with a
+// strictly greater hash, so among equal hashes the leftmost stays ahead and
+// wins its window, and the front entry leaves once its position falls out of
+// the window. From the first full window on, the front is the window's
+// minimizer, emitted when it differs from the last one emitted. K-mers
+// containing N never enter the deque, nor does a hash of ^uint64(0), which
+// no window selects.
+//
+// The probe records 6 integer ops per k-mer; per window, w integer ops and
+// one branch, taken when a minimizer is emitted; and one 16-byte load per
+// deque comparison, at the compared entry's slot in the ring.
 func (s *Scratch) ComputeInto(dst []Minimizer, seq []byte, k, w int, probe *perf.Probe) ([]Minimizer, error) {
 	if k < 1 || k > 31 || w < 1 {
 		return dst, fmt.Errorf("minimizer: invalid parameters k=%d w=%d", k, w)
@@ -60,9 +76,21 @@ func (s *Scratch) ComputeInto(dst []Minimizer, seq []byte, k, w int, probe *perf
 	if n < k {
 		return dst, nil
 	}
-	// Rolling k-mer encoding.
-	hashes := s.hashes[:0]
-	valid := s.valid[:0]
+	// The deque never holds more than w entries; a power-of-two ring lets
+	// head and tail count up freely and index by mask.
+	size := 1
+	for size < w {
+		size <<= 1
+	}
+	if len(s.ring) < size {
+		s.ring = make([]Minimizer, size)
+	}
+	ring, rmask := s.ring[:size], size-1
+	head, tail := 0, 0 // the deque is ring[head&rmask .. tail&rmask)
+	// Load is too large to inline; skip the call when nothing records it.
+	traced := probe != nil
+	out := dst
+	lastPos := -1
 	var kmer uint64
 	mask := (uint64(1) << uint(2*k)) - 1
 	badUntil := -1
@@ -72,28 +100,44 @@ func (s *Scratch) ComputeInto(dst []Minimizer, seq []byte, k, w int, probe *perf
 			badUntil = i + k // k-mers covering position i are invalid
 		}
 		kmer = ((kmer << 2) | uint64(c&3)) & mask
-		if i >= k-1 {
-			hashes = append(hashes, hashKmer(kmer))
-			valid = append(valid, i >= badUntil)
-			probe.Op(perf.ScalarInt, 6)
+		if i < k-1 {
+			continue
 		}
-	}
-	s.hashes, s.valid = hashes, valid
-	out := dst
-	lastPos := -1
-	for win := 0; win+w <= len(hashes); win++ {
-		bestPos, bestHash := -1, ^uint64(0)
-		for j := win; j < win+w; j++ {
-			probe.Load(uintptr(0x100000)+uintptr(j*8), 8)
-			if valid[j] && hashes[j] < bestHash {
-				bestPos, bestHash = j, hashes[j]
+		pos := i - k + 1
+		h := hashKmer(kmer)
+		probe.Op(perf.ScalarInt, 6)
+		win := pos - w + 1 // first k-mer of the window ending at pos
+		// Deque positions are distinct and inside the previous window, so
+		// only the front one can have just left.
+		if head < tail {
+			if traced {
+				probe.Load(ringBase+uintptr(head&rmask)*16, 16)
+			}
+			if ring[head&rmask].Pos < win {
+				head++
 			}
 		}
+		if i >= badUntil && h != ^uint64(0) {
+			for head < tail {
+				if traced {
+					probe.Load(ringBase+uintptr((tail-1)&rmask)*16, 16)
+				}
+				if ring[(tail-1)&rmask].Hash <= h {
+					break
+				}
+				tail--
+			}
+			ring[tail&rmask] = Minimizer{Pos: pos, Hash: h}
+			tail++
+		}
+		if win < 0 {
+			continue
+		}
 		probe.Op(perf.ScalarInt, w)
-		if bestPos >= 0 && bestPos != lastPos {
+		if head < tail && ring[head&rmask].Pos != lastPos {
 			probe.TakeBranch(0x30, true)
-			out = append(out, Minimizer{Pos: bestPos, Hash: bestHash})
-			lastPos = bestPos
+			out = append(out, ring[head&rmask])
+			lastPos = ring[head&rmask].Pos
 		} else {
 			probe.TakeBranch(0x30, false)
 		}

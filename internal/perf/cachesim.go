@@ -39,9 +39,9 @@ type cacheLevel struct {
 	lineBits uint
 	setMask  uint64
 	tags     []uint64 // sets × ways
-	age      []uint32 // LRU clocks, same layout
+	age      []uint64 // LRU clocks, same layout
 	valid    []bool
-	clock    uint32
+	clock    uint64
 
 	Accesses uint64
 	Misses   uint64
@@ -66,7 +66,7 @@ func newCacheLevel(g CacheGeometry) *cacheLevel {
 		lineBits: lineBits,
 		setMask:  uint64(sets - 1),
 		tags:     make([]uint64, sets*g.Ways),
-		age:      make([]uint32, sets*g.Ways),
+		age:      make([]uint64, sets*g.Ways),
 		valid:    make([]bool, sets*g.Ways),
 	}
 }

@@ -118,6 +118,22 @@ func TestCacheExclusiveMissCounting(t *testing.T) {
 	}
 }
 
+// TestCacheLRUAcrossClockWrap: an input large enough to run a level's
+// clock past 2^32 accesses must keep exact LRU order, not invert it.
+func TestCacheLRUAcrossClockWrap(t *testing.T) {
+	c := newCacheLevel(CacheGeometry{SizeBytes: 128, Ways: 2, LineBytes: 64}) // one set, two ways
+	c.clock = 1<<32 - 2
+	c.access(1) // stamped 2^32-1
+	c.access(2) // stamped 2^32
+	c.access(3) // evicts the least recently used line, 1
+	if !c.access(2) {
+		t.Fatal("line 2 was evicted: LRU order inverted at the 2^32 wrap")
+	}
+	if c.access(1) {
+		t.Fatal("line 1 survived, but it was the least recently used")
+	}
+}
+
 func TestBranchSimLearnsLoop(t *testing.T) {
 	b := NewBranchSim(12)
 	// A branch taken 999 times then not taken once (classic loop) should be
