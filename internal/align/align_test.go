@@ -329,29 +329,6 @@ func TestMyers64Bounds(t *testing.T) {
 	}
 }
 
-func TestMyersProfileRoundTrip(t *testing.T) {
-	f := func(raw []byte, seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 1 + rng.Intn(64)
-		// Build a valid profile: D[0]=0, adjacent deltas in {-1,0,1}.
-		p := make([]int, m+1)
-		for j := 1; j <= m; j++ {
-			p[j] = p[j-1] + rng.Intn(3) - 1
-		}
-		st := fromProfile(p)
-		got := st.profile(m, nil)
-		for j := range p {
-			if got[j] != p[j] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // randomGraph may contain cycles (for GBV).
 func randomGraph(rng *rand.Rand, allowCycles bool) *graph.Graph {
 	g := graph.New()

@@ -1,6 +1,8 @@
 package align
 
 import (
+	"math/bits"
+
 	"pangenomicsbench/internal/bio"
 	"pangenomicsbench/internal/graph"
 	"pangenomicsbench/internal/perf"
@@ -20,27 +22,25 @@ func GBV(g *graph.Graph, query []byte, probe *perf.Probe) (EditResult, error) {
 }
 
 // GBVWorkspace holds the fixpoint state of one GBV alignment: the priority
-// queue, per-node entry/exit profiles, and the synthetic address space. All
-// buffers are grow-only, so a reused workspace aligns with zero steady-state
-// allocations. Results are byte-identical to a fresh-allocation run: the
-// manual heap replicates container/heap's sift order exactly, and the
-// address space resets to the same base every Align.
+// queue, per-node entry/exit column states, and the synthetic address space.
+// All buffers are grow-only, so a reused workspace aligns with zero
+// steady-state allocations. Results are byte-identical to a fresh-allocation
+// run: the manual heap replicates container/heap's sift order exactly, and
+// the address space resets to the same base every Align.
 type GBVWorkspace struct {
-	fresh, scratch, merged []int
-	inBuf                  []int // (n+1) entry profiles of m+1 ints each
-	inSet                  []bool
-	out                    []myersState
-	hasOut                 []bool
-	inQueue                []bool
-	pq                     []gbvItem
+	in      []myersState // entry column per node
+	inSet   []bool
+	out     []myersState // exit column per node
+	hasOut  []bool
+	inQueue []bool
+	pq      []gbvItem
 
 	as perf.AddrSpace
 }
 
-// ensureInts returns buf with length n (grow-only, contents unspecified).
-func ensureInts(buf []int, n int) []int {
+func ensureStates(buf []myersState, n int) []myersState {
 	if cap(buf) < n {
-		return make([]int, n)
+		return make([]myersState, n)
 	}
 	return buf[:n]
 }
@@ -73,19 +73,9 @@ func (ws *GBVWorkspace) Align(g *graph.Graph, query []byte, probe *perf.Probe) (
 	stateBase := ws.as.Alloc(n * (m + 1) * 8)
 	stateStride := uintptr((m + 1) * 8)
 
-	// fresh is the free-start profile D[j] = j.
-	ws.fresh = ensureInts(ws.fresh, m+1)
-	for j := range ws.fresh {
-		ws.fresh[j] = j
-	}
-	ws.scratch = ensureInts(ws.scratch, m+1)
-	ws.merged = ensureInts(ws.merged, m+1)
-	ws.inBuf = ensureInts(ws.inBuf, (n+1)*(m+1))
+	ws.in = ensureStates(ws.in, n+1)
 	ws.inSet = ensureBools(ws.inSet, n+1)
-	if cap(ws.out) < n+1 {
-		ws.out = make([]myersState, n+1)
-	}
-	ws.out = ws.out[:n+1]
+	ws.out = ensureStates(ws.out, n+1)
 	ws.hasOut = ensureBools(ws.hasOut, n+1)
 	ws.inQueue = ensureBools(ws.inQueue, n+1)
 
@@ -103,8 +93,8 @@ func (ws *GBVWorkspace) Align(g *graph.Graph, query []byte, probe *perf.Probe) (
 		probe.Op(perf.ScalarInt, 6) // heap pop bookkeeping
 		probe.Frontend(4)           // data-dependent dispatch on queue order
 
-		// Merge the entry profile: fresh start ∪ parents' exits.
-		copy(ws.merged, ws.fresh)
+		// Merge the entry column: free start (D[j] = j) ∪ parents' exits.
+		merged := initialMyersState(m)
 		for _, p := range g.In(id) {
 			if !ws.hasOut[p] {
 				probe.TakeBranch(0x80, false)
@@ -112,37 +102,31 @@ func (ws *GBVWorkspace) Align(g *graph.Graph, query []byte, probe *perf.Probe) (
 			}
 			probe.TakeBranch(0x80, true)
 			probe.Load(uintptr(stateBase)+uintptr(p-1)*stateStride, (m+1)*8)
-			prof := ws.out[p].profile(m, ws.scratch)
-			for j := 0; j <= m; j++ {
-				if prof[j] < ws.merged[j] {
-					probe.TakeBranch(0x81, true)
-					ws.merged[j] = prof[j]
-				} else {
-					probe.TakeBranch(0x81, false)
-				}
-			}
+			merged = mergeMin(merged, ws.out[p], m, probe)
 			probe.Op(perf.ScalarInt, m+1)
 		}
 
-		in := ws.inBuf[int(id)*(m+1) : int(id+1)*(m+1)]
-		if ws.inSet[id] && equalProfile(in, ws.merged) {
+		if ws.inSet[id] && ws.in[id] == merged {
 			probe.TakeBranch(0x82, false)
 			continue // entry unchanged: exit unchanged
 		}
 		probe.TakeBranch(0x82, true)
 		ws.inSet[id] = true
-		copy(in, ws.merged)
+		ws.in[id] = merged
 
 		// Step the column through the node's bases.
-		st := fromProfile(ws.merged)
-		seq := g.Seq(id)
-		for i, b := range seq {
+		st := merged
+		block := uintptr(stateBase) + uintptr(id-1)*stateStride
+		var rowOff uintptr // (i·16) mod stateStride, kept without a division
+		for _, b := range g.Seq(id) {
 			st.step(eq[bio.Code(b)], m, probe)
 			// Row state read-modify-write: each row's bitvectors live in
 			// the per-node state block.
-			rowAddr := uintptr(stateBase) + uintptr(id-1)*stateStride + uintptr((i*16)%int(stateStride))
-			probe.Load(rowAddr, 16)
-			probe.Store(rowAddr, 16)
+			probe.Load(block+rowOff, 16)
+			probe.Store(block+rowOff, 16)
+			if rowOff += 16; rowOff >= stateStride {
+				rowOff -= stateStride
+			}
 			if st.score < best.Distance {
 				probe.TakeBranch(0x83, true)
 				best = EditResult{Distance: st.score, EndNode: id}
@@ -176,13 +160,35 @@ func (ws *GBVWorkspace) Align(g *graph.Graph, query []byte, probe *perf.Probe) (
 	return best, nil
 }
 
-func equalProfile(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+// mergeMin returns the column whose score profile is the row-wise minimum of
+// a's and b's, D[j] = min(Da[j], Db[j]) for rows 0..m, recording one 0x81
+// branch per row on whether b (the parent) is below a (the running merge).
+// The profiles are walked top-down from D[0], which is the bottom score less
+// the deltas of rows 0..m-1. Only rows below m are read, so a stepped state's
+// stray high bits are ignored, and the result is clean (bits ≥ m zero) so
+// that merged columns compare equal as words exactly when their profiles do.
+// vp and vn of a Myers column never share a row, so each row's delta is
+// vp − vn.
+func mergeMin(a, b myersState, m int, probe *perf.Probe) myersState {
+	mask := ones(m)
+	da := a.score - bits.OnesCount64(a.vp&mask) + bits.OnesCount64(a.vn&mask)
+	db := b.score - bits.OnesCount64(b.vp&mask) + bits.OnesCount64(b.vn&mask)
+	probe.TakeBranch(0x81, db < da)
+	prev := min(da, db)
+	var out myersState
+	for j := 0; j < m; j++ {
+		s := uint(j) & 63 // j < m ≤ 64; the mask spares Go's over-width shift handling
+		da += int(a.vp>>s&1) - int(a.vn>>s&1)
+		db += int(b.vp>>s&1) - int(b.vn>>s&1)
+		probe.TakeBranch(0x81, db < da)
+		cur := min(da, db)
+		// cur−prev is −1, 0 or +1: +1 sets the row's vp bit, −1 its vn bit.
+		out.vp |= uint64(cur-prev+1) >> 1 << s
+		out.vn |= uint64(prev-cur+1) >> 1 << s
+		prev = cur
 	}
-	return true
+	out.score = prev
+	return out
 }
 
 type gbvItem struct {

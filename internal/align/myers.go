@@ -74,44 +74,6 @@ func (s *myersState) step(eq uint64, m int, probe *perf.Probe) {
 	probe.TakeBranch(0x70, hp&(top<<1) != 0)
 }
 
-// profile reconstructs the full column score profile D[0..m] (D[0] = 0 in
-// the search variant) by walking the delta bitvectors up from the bottom.
-func (s *myersState) profile(m int, out []int) []int {
-	if cap(out) < m+1 {
-		out = make([]int, m+1)
-	}
-	out = out[:m+1]
-	out[m] = s.score
-	for j := m - 1; j >= 0; j-- {
-		d := out[j+1]
-		bit := uint64(1) << uint(j)
-		if s.vp&bit != 0 {
-			d--
-		} else if s.vn&bit != 0 {
-			d++
-		}
-		out[j] = d
-	}
-	return out
-}
-
-// fromProfile rebuilds a column state from a score profile whose adjacent
-// deltas are in {-1, 0, +1}.
-func fromProfile(p []int) myersState {
-	m := len(p) - 1
-	var s myersState
-	for j := 0; j < m; j++ {
-		switch p[j+1] - p[j] {
-		case 1:
-			s.vp |= 1 << uint(j)
-		case -1:
-			s.vn |= 1 << uint(j)
-		}
-	}
-	s.score = p[m]
-	return s
-}
-
 // Myers64 computes the semi-global edit distance of query (≤64 bp) against
 // ref: the match may start at any reference position and must consume the
 // whole query. It is the Seq2Seq ancestor of the GBV kernel.

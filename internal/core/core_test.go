@@ -153,6 +153,34 @@ func TestCharacterizationShapes(t *testing.T) {
 			t.Errorf("%s L3 MPKI %.2f too high for local subgraphs", name, r.L3MPKI)
 		}
 	}
+	// (7) The event streams themselves are pinned: exact instruction and
+	// misprediction counts, and MPKI as Fig. 7 prints it. The values were
+	// recorded before the probe's recording methods were made inlinable and
+	// GBV's parent merge moved onto column words, both of which keep the
+	// stream identical. A deliberate stream change updates this table.
+	pinned := []struct {
+		kernel                 string
+		instructions, mispreds uint64
+		l1, l2, l3             string
+	}{
+		{"GSSW", 20576847, 5731, "9.48", "0.00", "0.37"},
+		{"GBWT", 598619, 32, "0.00", "0.00", "0.92"},
+		{"GBV", 2076492, 15810, "0.00", "0.00", "0.09"},
+		{"GWFA-lr", 3451378, 14095, "0.00", "0.00", "0.13"},
+		{"GWFA-cr", 4535544, 18995, "0.00", "0.00", "0.20"},
+		{"TC", 13587028, 2450, "0.02", "0.00", "0.55"},
+		{"PGSGD", 12800000, 0, "3.97", "59.38", "57.56"},
+	}
+	for _, p := range pinned {
+		r := reports[get(p.kernel)]
+		if r.Instructions != p.instructions || r.Mispredicts != p.mispreds {
+			t.Errorf("%s: %d instructions, %d mispredicts; pinned %d, %d",
+				p.kernel, r.Instructions, r.Mispredicts, p.instructions, p.mispreds)
+		}
+		if l1, l2, l3 := f2(r.L1MPKI), f2(r.L2MPKI), f2(r.L3MPKI); l1 != p.l1 || l2 != p.l2 || l3 != p.l3 {
+			t.Errorf("%s: MPKI L1/L2/L3 %s/%s/%s; pinned %s/%s/%s", p.kernel, l1, l2, l3, p.l1, p.l2, p.l3)
+		}
+	}
 }
 
 func TestExperimentDispatch(t *testing.T) {

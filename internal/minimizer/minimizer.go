@@ -87,8 +87,6 @@ func (s *Scratch) ComputeInto(dst []Minimizer, seq []byte, k, w int, probe *perf
 	}
 	ring, rmask := s.ring[:size], size-1
 	head, tail := 0, 0 // the deque is ring[head&rmask .. tail&rmask)
-	// Load is too large to inline; skip the call when nothing records it.
-	traced := probe != nil
 	out := dst
 	lastPos := -1
 	var kmer uint64
@@ -110,18 +108,14 @@ func (s *Scratch) ComputeInto(dst []Minimizer, seq []byte, k, w int, probe *perf
 		// Deque positions are distinct and inside the previous window, so
 		// only the front one can have just left.
 		if head < tail {
-			if traced {
-				probe.Load(ringBase+uintptr(head&rmask)*16, 16)
-			}
+			probe.Load(ringBase+uintptr(head&rmask)*16, 16)
 			if ring[head&rmask].Pos < win {
 				head++
 			}
 		}
 		if i >= badUntil && h != ^uint64(0) {
 			for head < tail {
-				if traced {
-					probe.Load(ringBase+uintptr((tail-1)&rmask)*16, 16)
-				}
+				probe.Load(ringBase+uintptr((tail-1)&rmask)*16, 16)
 				if ring[(tail-1)&rmask].Hash <= h {
 					break
 				}
