@@ -1,10 +1,12 @@
 // Warmrestart: the persistence layer end to end. "Process 1" cold-builds a
 // cohort, publishes it into the query registry, and persists it as a store
 // generation — then dies with one more accepted build journaled but
-// unfinished. "Process 2" boots from the same store directory: it loads the
-// last published generation in milliseconds (no construction), maps the same
+// unfinished: its result is never published and its done record never
+// lands. "Process 2" boots from the same store directory: it loads the last
+// published generation in milliseconds (no construction), maps the same
 // reads byte-identically, finds the crash-interrupted request in the WAL,
-// and replays it to completion.
+// and replays it to completion. It exits non-zero unless the WAL lists
+// exactly that request and the replay completes exactly one build.
 package main
 
 import (
@@ -13,6 +15,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"pangenomicsbench/internal/build"
@@ -49,13 +52,17 @@ func main() {
 	}
 
 	// newCoordinator wires one "process": a store-backed builder whose
-	// OnResult publishes each finished cohort into reg AND persists it.
-	newCoordinator := func(reg *mapserve.Registry, journal *serve.Journal, persist *mapserve.Persister, label string) *serve.Service {
+	// OnResult publishes each finished cohort into reg AND persists it —
+	// unless dies reports that the process crashed before it could.
+	newCoordinator := func(reg *mapserve.Registry, journal *serve.Journal, persist *mapserve.Persister, label string, dies func(serve.Request) bool) *serve.Service {
 		n := 0
 		svc := serve.New(serve.Config{
 			CacheCapacity: 32 << 20,
 			Journal:       journal,
 			OnResult: func(req serve.Request, res *build.Result) {
+				if dies != nil && dies(req) {
+					return
+				}
 				n++
 				snap, err := mapserve.SnapshotFromBuild(fmt.Sprintf("%s-%d", label, n), res, toolCfg)
 				if err == nil {
@@ -92,7 +99,20 @@ func main() {
 		log.Fatal(err)
 	}
 	reg1 := &mapserve.Registry{}
-	b1 := newCoordinator(reg1, j1, persist, "cold")
+	// The crash: OnResult runs after a build's begin record is durable and
+	// before its done record is appended, so holding the crash cohort there
+	// until the journal is closed leaves that build begun but never done.
+	crash := serve.Request{Tool: serve.ToolPGGB, Cohort: names[:3], PGGB: build.DefaultPGGBConfig()}
+	begun := make(chan struct{})
+	dead := make(chan struct{})
+	b1 := newCoordinator(reg1, j1, persist, "cold", func(req serve.Request) bool {
+		if !slices.Equal(req.Cohort, crash.Cohort) {
+			return false
+		}
+		close(begun)
+		<-dead
+		return true
+	})
 
 	t0 := time.Now()
 	full := serve.Request{Tool: serve.ToolPGGB, Cohort: names, PGGB: build.DefaultPGGBConfig()}
@@ -115,20 +135,18 @@ func main() {
 
 	// One more build is accepted... and the process "crashes" before it
 	// finishes: the begin record is fsynced, then the journal is gone before
-	// the done can land and the build itself is torn down.
-	crash := serve.Request{Tool: serve.ToolPGGB, Cohort: names[:3], PGGB: build.DefaultPGGBConfig()}
-	crashCtx, crashCancel := context.WithCancel(context.Background())
+	// the result is published or the done can land.
 	crashed := make(chan struct{})
 	go func() {
 		defer close(crashed)
-		_, _ = b1.Build(crashCtx, crash)
+		_, _ = b1.Build(context.Background(), crash)
 	}()
-	time.Sleep(5 * time.Millisecond) // let the begin record hit the WAL
+	<-begun
 	j1.Close()
-	crashCancel()
+	close(dead)
 	<-crashed
 	q1.Close()
-	fmt.Printf("  [cold] process dies mid-build of %v\n\n", crash.Cohort)
+	fmt.Printf("  [cold] process dies before its build of %v is done\n\n", crash.Cohort)
 
 	// ---- process 2: warm restart ----
 	fmt.Println("process 2: warm restart from", storeDir)
@@ -136,8 +154,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range j2.Unfinished() {
+	unfinished := j2.Unfinished()
+	for _, r := range unfinished {
 		fmt.Printf("  [warm] WAL holds a crash-interrupted build: %v\n", r.Cohort)
+	}
+	if len(unfinished) != 1 || !slices.Equal(unfinished[0].Cohort, crash.Cohort) {
+		log.Fatalf("WAL lists %d unfinished builds, want exactly the crash cohort %v", len(unfinished), crash.Cohort)
 	}
 
 	reg2 := &mapserve.Registry{}
@@ -164,12 +186,15 @@ func main() {
 	}
 	fmt.Printf("  [warm] %d/%d reads map byte-identically to process 1\n", identical, len(reads))
 
-	b2 := newCoordinator(reg2, j2, persist, "warm")
+	b2 := newCoordinator(reg2, j2, persist, "warm", nil)
 	n, err := b2.Recover(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  [warm] journal replay completed %d crash-interrupted build(s)\n", n)
+	if n != 1 {
+		log.Fatalf("journal replay completed %d builds, want 1", n)
+	}
 
 	gens, err := sdir.Generations()
 	if err != nil {

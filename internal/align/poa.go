@@ -22,8 +22,6 @@ type POA struct {
 	// smoothXG's default configuration).
 	Scoring bio.Scoring
 
-	nseq int
-
 	// scratch is grow-only working memory reused across AddSequence and
 	// Consensus calls — and, through Reset, across graphs — so repeated
 	// alignments (smoothXG polish windows, MC novel-segment induction)
@@ -68,9 +66,6 @@ func NewPOA() *POA {
 // NumNodes returns the node count.
 func (p *POA) NumNodes() int { return len(p.nodes) }
 
-// NumSequences returns how many sequences were added.
-func (p *POA) NumSequences() int { return p.nseq }
-
 // AddSequence aligns seq to the graph and merges it in. The first sequence
 // becomes the backbone.
 func (p *POA) AddSequence(seq []byte, probe *perf.Probe) error {
@@ -86,12 +81,10 @@ func (p *POA) AddSequence(seq []byte, probe *perf.Probe) error {
 			}
 			prev = id
 		}
-		p.nseq++
 		return nil
 	}
 	order, rank := p.topo()
 	p.merge(seq, p.alignToGraph(seq, order, rank, probe), rank)
-	p.nseq++
 	return nil
 }
 
@@ -100,7 +93,6 @@ func (p *POA) AddSequence(seq []byte, probe *perf.Probe) error {
 // their edge lists) for reuse.
 func (p *POA) Reset() {
 	p.nodes = p.nodes[:0]
-	p.nseq = 0
 }
 
 func (p *POA) newNode(b byte) int {

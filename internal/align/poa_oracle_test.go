@@ -276,12 +276,10 @@ func (p *POA) oracleAddSequence(seq []byte) []poaOp {
 			}
 			prev = id
 		}
-		p.nseq++
 		return nil
 	}
 	ops := p.oracleAlignToGraph(seq)
 	p.oracleMerge(seq, ops)
-	p.nseq++
 	return ops
 }
 
@@ -301,8 +299,8 @@ func intsEqual(a, b []int) bool {
 // holds empty non-nil slices where a fresh one holds nil, so DeepEqual
 // would be too strict).
 func samePOAGraph(a, b *POA) error {
-	if len(a.nodes) != len(b.nodes) || a.nseq != b.nseq {
-		return fmt.Errorf("%d nodes / %d seqs vs %d / %d", len(a.nodes), a.nseq, len(b.nodes), b.nseq)
+	if len(a.nodes) != len(b.nodes) {
+		return fmt.Errorf("%d nodes vs %d", len(a.nodes), len(b.nodes))
 	}
 	for i := range a.nodes {
 		x, y := &a.nodes[i], &b.nodes[i]
@@ -495,8 +493,8 @@ func TestPOAResetMatchesFresh(t *testing.T) {
 		p.Band = band
 		for ci, set := range poaOracleCorpus() {
 			p.Reset()
-			if p.NumNodes() != 0 || p.NumSequences() != 0 || p.Consensus() != nil {
-				t.Fatalf("Reset left %d nodes / %d sequences", p.NumNodes(), p.NumSequences())
+			if p.NumNodes() != 0 || p.Consensus() != nil {
+				t.Fatalf("Reset left %d nodes", p.NumNodes())
 			}
 			if err := checkPOAAgainstOracle(p, set); err != nil {
 				t.Fatalf("band %d set %d on a reused POA: %v", band, ci, err)

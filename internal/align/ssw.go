@@ -108,9 +108,6 @@ func NewProfile(query []byte, sc bio.Scoring) *Profile {
 	return p
 }
 
-// SegLen returns the number of striped segments.
-func (p *Profile) SegLen() int { return p.segLen }
-
 // sswState is the rolling striped state of one Smith-Waterman pass.
 type sswState struct {
 	pf          *Profile

@@ -22,26 +22,20 @@ var Alphabet = [5]byte{'A', 'C', 'G', 'T', 'N'}
 // not a (case-insensitive) DNA base.
 var codeOf [256]byte
 
-// complementOf maps an ASCII base to its complement, preserving case.
-var complementOf [256]byte
-
 func init() {
 	for i := range codeOf {
 		codeOf[i] = BaseN
-		complementOf[i] = 'N'
 	}
-	set := func(b byte, code byte, comp byte) {
+	set := func(b byte, code byte) {
 		codeOf[b] = code
 		codeOf[b|0x20] = code // lowercase
-		complementOf[b] = comp
-		complementOf[b|0x20] = comp | 0x20
 	}
-	set('A', BaseA, 'T')
-	set('C', BaseC, 'G')
-	set('G', BaseG, 'C')
-	set('T', BaseT, 'A')
-	set('U', BaseT, 'A')
-	set('N', BaseN, 'N')
+	set('A', BaseA)
+	set('C', BaseC)
+	set('G', BaseG)
+	set('T', BaseT)
+	set('U', BaseT)
+	set('N', BaseN)
 }
 
 // Code returns the 2-bit code (0..3) of base b, or BaseN (4) if b is not a
@@ -54,31 +48,6 @@ func Base(code byte) byte {
 		return 'N'
 	}
 	return Alphabet[code]
-}
-
-// Complement returns the complementary base of b, preserving case. Non-base
-// bytes complement to 'N'.
-func Complement(b byte) byte { return complementOf[b] }
-
-// ReverseComplement returns the reverse complement of seq as a new slice.
-func ReverseComplement(seq []byte) []byte {
-	out := make([]byte, len(seq))
-	for i, b := range seq {
-		out[len(seq)-1-i] = complementOf[b]
-	}
-	return out
-}
-
-// ReverseComplementInPlace reverse-complements seq in place.
-func ReverseComplementInPlace(seq []byte) {
-	i, j := 0, len(seq)-1
-	for i < j {
-		seq[i], seq[j] = complementOf[seq[j]], complementOf[seq[i]]
-		i, j = i+1, j-1
-	}
-	if i == j {
-		seq[i] = complementOf[seq[i]]
-	}
 }
 
 // IsDNA reports whether every byte of seq is an A/C/G/T/N letter (any case).

@@ -2,7 +2,6 @@ package bio
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -22,28 +21,6 @@ func TestCodeBase(t *testing.T) {
 	}
 	if Base(9) != 'N' {
 		t.Error("out-of-range code must decode to N")
-	}
-}
-
-func TestReverseComplement(t *testing.T) {
-	got := ReverseComplement([]byte("ACGTN"))
-	if string(got) != "NACGT" {
-		t.Fatalf("ReverseComplement = %q", got)
-	}
-	in := []byte("ACGTT")
-	ReverseComplementInPlace(in)
-	if string(in) != "AACGT" {
-		t.Fatalf("in place = %q", in)
-	}
-}
-
-func TestReverseComplementInvolution(t *testing.T) {
-	f := func(raw []byte) bool {
-		seq := randomizeToDNA(raw)
-		return bytes.Equal(ReverseComplement(ReverseComplement(seq)), seq)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -82,36 +59,6 @@ func TestGC(t *testing.T) {
 	if got := GC(nil); got != 0 {
 		t.Fatalf("GC(nil) = %v", got)
 	}
-}
-
-func TestPackedRoundTrip(t *testing.T) {
-	f := func(raw []byte) bool {
-		seq := bytes.ToUpper(randomizeToDNAWithN(raw))
-		p := Pack(seq)
-		if p.Len() != len(seq) {
-			return false
-		}
-		return bytes.Equal(p.Unpack(), seq)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPackedSlice(t *testing.T) {
-	p := Pack([]byte("ACGTACGTN"))
-	if got := string(p.Slice(2, 6)); got != "GTAC" {
-		t.Fatalf("Slice = %q", got)
-	}
-	if got := p.At(8); got != 'N' {
-		t.Fatalf("At(8) = %q, want N", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range slice must panic")
-		}
-	}()
-	p.Slice(5, 100)
 }
 
 func TestFastaRoundTrip(t *testing.T) {
@@ -236,28 +183,4 @@ func randomizeToDNA(raw []byte) []byte {
 		out[i] = Base(b & 3)
 	}
 	return out
-}
-
-func randomizeToDNAWithN(raw []byte) []byte {
-	out := make([]byte, len(raw))
-	for i, b := range raw {
-		if b%17 == 0 {
-			out[i] = 'N'
-		} else {
-			out[i] = Base(b & 3)
-		}
-	}
-	return out
-}
-
-func BenchmarkReverseComplement(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	seq := make([]byte, 10000)
-	for i := range seq {
-		seq[i] = Base(byte(rng.Intn(4)))
-	}
-	b.SetBytes(int64(len(seq)))
-	for i := 0; i < b.N; i++ {
-		ReverseComplementInPlace(seq)
-	}
 }

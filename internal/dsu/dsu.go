@@ -9,12 +9,11 @@ import "sync/atomic"
 type DSU struct {
 	parent []int32
 	rank   []int8
-	sets   int
 }
 
 // New returns a DSU over n singleton elements.
 func New(n int) *DSU {
-	d := &DSU{parent: make([]int32, n), rank: make([]int8, n), sets: n}
+	d := &DSU{parent: make([]int32, n), rank: make([]int8, n)}
 	for i := range d.parent {
 		d.parent[i] = int32(i)
 	}
@@ -47,15 +46,11 @@ func (d *DSU) Union(a, b int) bool {
 	if d.rank[ra] == d.rank[rb] {
 		d.rank[ra]++
 	}
-	d.sets--
 	return true
 }
 
 // Same reports whether a and b are in the same set.
 func (d *DSU) Same(a, b int) bool { return d.Find(a) == d.Find(b) }
-
-// Sets returns the number of disjoint sets.
-func (d *DSU) Sets() int { return d.sets }
 
 // Len returns the number of elements.
 func (d *DSU) Len() int { return len(d.parent) }

@@ -7,9 +7,18 @@ import (
 	"testing/quick"
 )
 
+// sets counts the disjoint sets as the distinct Find roots.
+func sets(d *DSU) int {
+	roots := map[int]bool{}
+	for i := 0; i < d.Len(); i++ {
+		roots[d.Find(i)] = true
+	}
+	return len(roots)
+}
+
 func TestDSUBasic(t *testing.T) {
 	d := New(5)
-	if d.Sets() != 5 || d.Len() != 5 {
+	if sets(d) != 5 || d.Len() != 5 {
 		t.Fatal("initial state wrong")
 	}
 	if !d.Union(0, 1) {
@@ -19,8 +28,8 @@ func TestDSUBasic(t *testing.T) {
 		t.Fatal("repeat union must not merge")
 	}
 	d.Union(2, 3)
-	if d.Sets() != 3 {
-		t.Fatalf("Sets = %d, want 3", d.Sets())
+	if sets(d) != 3 {
+		t.Fatalf("sets = %d, want 3", sets(d))
 	}
 	if !d.Same(0, 1) || d.Same(0, 2) {
 		t.Fatal("Same wrong")
@@ -62,7 +71,7 @@ func TestDSUMatchesNaive(t *testing.T) {
 		for _, l := range label {
 			uniq[l] = true
 		}
-		return d.Sets() == len(uniq)
+		return sets(d) == len(uniq)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

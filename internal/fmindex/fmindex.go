@@ -10,24 +10,20 @@ import (
 // sentinel is the terminator code, smaller than every base code.
 const sentinel = 0
 
-// Index is an FM-Index over a DNA text supporting backward search (Count)
-// and position lookup (Locate) via a sampled suffix array. The paper
-// contrasts its memory-bandwidth-hungry occurrence-table accesses with
-// GBWT's cache-friendly per-node records (§5.2).
+// Index is an FM-Index over a DNA text supporting backward search (Count).
+// The paper contrasts its memory-bandwidth-hungry occurrence-table accesses
+// with GBWT's cache-friendly per-node records (§5.2).
 type Index struct {
-	n        int
-	bwt      []byte     // codes 0(sentinel) + 1..5 (base code+1)
-	counts   [7]int     // C table over codes
-	occ      [][6]int32 // checkpoints every occRate positions
-	saSample []int32    // suffix array sampled every saRate
-	saRate   int
-	occRate  int
-	addrOcc  uint64
-	addrBWT  uint64
+	n       int
+	bwt     []byte     // codes 0(sentinel) + 1..5 (base code+1)
+	counts  [7]int     // C table over codes
+	occ     [][6]int32 // checkpoints every occRate positions
+	occRate int
+	addrOcc uint64
+	addrBWT uint64
 }
 
 const defaultOccRate = 64
-const defaultSARate = 8
 
 // New builds the index of text (bases A/C/G/T/N).
 func New(text []byte) (*Index, error) {
@@ -42,7 +38,7 @@ func New(text []byte) (*Index, error) {
 	seq[n-1] = sentinel
 	sa := SuffixArrayInts(seq)
 
-	idx := &Index{n: n, saRate: defaultSARate, occRate: defaultOccRate}
+	idx := &Index{n: n, occRate: defaultOccRate}
 	idx.bwt = make([]byte, n)
 	for i, p := range sa {
 		if p == 0 {
@@ -69,13 +65,6 @@ func New(text []byte) (*Index, error) {
 		running[idx.bwt[i]]++
 	}
 	idx.occ[(n-1)/idx.occRate+1] = running
-	// SA samples.
-	idx.saSample = make([]int32, (n+idx.saRate-1)/idx.saRate)
-	for i, p := range sa {
-		if i%idx.saRate == 0 {
-			idx.saSample[i/idx.saRate] = p
-		}
-	}
 	as := perf.NewAddrSpace()
 	idx.addrBWT = as.Alloc(n)
 	idx.addrOcc = as.Alloc(nCheck * 24)
@@ -124,31 +113,4 @@ func (x *Index) Count(pattern []byte, probe *perf.Probe) (int, SearchRange) {
 		}
 	}
 	return hi - lo, SearchRange{lo, hi}
-}
-
-// Locate resolves every text position in the given range (as returned by
-// Count) by LF-walking to the nearest suffix-array sample.
-func (x *Index) Locate(r SearchRange, probe *perf.Probe) []int {
-	out := make([]int, 0, r.Hi-r.Lo)
-	for i := r.Lo; i < r.Hi; i++ {
-		pos, steps := i, 0
-		text := -1
-		for pos%x.saRate != 0 {
-			c := x.bwt[pos]
-			probe.Load(uintptr(x.addrBWT)+uintptr(pos), 1)
-			if c == sentinel {
-				// The character before this suffix is the terminator, so
-				// the suffix starts at text position 0.
-				text = steps
-				break
-			}
-			pos = x.counts[c] + x.occAt(c, pos, probe)
-			steps++
-		}
-		if text < 0 {
-			text = int(x.saSample[pos/x.saRate]) + steps
-		}
-		out = append(out, text)
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package fmindex
 import (
 	"bytes"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -88,32 +87,6 @@ func TestCountMatchesBruteForce(t *testing.T) {
 		got, _ := idx.Count(pat, nil)
 		if got != want {
 			t.Fatalf("Count(%s) = %d, want %d", pat, got, want)
-		}
-	}
-}
-
-func TestLocateMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	text := randDNA(rng, 1500)
-	idx, err := New(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 60; trial++ {
-		plen := 4 + rng.Intn(10)
-		start := rng.Intn(len(text) - plen)
-		pat := text[start : start+plen]
-		want := bruteOccurrences(text, pat)
-		n, r := idx.Count(pat, nil)
-		if n != len(want) {
-			t.Fatalf("count mismatch for %s", pat)
-		}
-		got := idx.Locate(r, nil)
-		sort.Ints(got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("Locate(%s) = %v, want %v", pat, got, want)
-			}
 		}
 	}
 }

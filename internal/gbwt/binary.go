@@ -10,21 +10,19 @@ import (
 
 // AppendBinary appends the GBWT's flat little-endian encoding to buf.
 // Records are written in ascending node order — the same order Build
-// creates them in (BWT first-symbol order) — and only the primary data is
-// stored: successor alphabet, LF offsets, body and the origin document
-// array. The rank samples and the synthetic cache-model base addresses are
-// pure functions of that data and are recomputed on decode, so the loaded
-// index is field-identical to the built one (including the probe addresses
-// the microarchitectural simulation sees). Layout:
+// creates them in (BWT first-symbol order) — and only what Find reads is
+// stored: successor alphabet, LF offsets and body. The rank samples and the
+// synthetic cache-model base addresses are pure functions of that data and
+// are recomputed on decode, so the loaded index is field-identical to the
+// built one (including the probe addresses the microarchitectural
+// simulation sees). Layout:
 //
-//	u64 pathCount, u64 recordCount
+//	u64 recordCount
 //	per record (node ascending):
 //	  u32 node
 //	  u64 succCount, per successor: u32 node ID, u32 LF offset
 //	  u64 bodyLen, per visit: u16 edge index
-//	  per visit: u32 path index, u32 step (two's complement; -1 = path end)
 func (x *Index) AppendBinary(buf []byte) []byte {
-	buf = binio.AppendU64(buf, uint64(x.paths))
 	buf = binio.AppendU64(buf, uint64(len(x.records)))
 	nodes := make([]graph.NodeID, 0, len(x.records))
 	for id := range x.records {
@@ -43,24 +41,21 @@ func (x *Index) AppendBinary(buf []byte) []byte {
 		for _, e := range rec.body {
 			buf = binio.AppendU16(buf, e)
 		}
-		for _, o := range rec.origins {
-			buf = binio.AppendU32(buf, uint32(o.Path))
-			buf = binio.AppendU32(buf, uint32(o.Step))
-		}
 	}
 	return buf
 }
 
 // DecodeIndex decodes an AppendBinary payload, recomputing the rank samples
-// and record base addresses exactly as Build does.
+// and record base addresses exactly as Build does. It rejects any payload
+// whose LF-mapping could step outside a record, so Find on an accepted
+// index never indexes out of range.
 func DecodeIndex(data []byte) (*Index, error) {
 	r := binio.NewReader(data)
-	paths := int(r.U64())
-	nrec := r.Count(4)
-	if r.Err() == nil && paths < 1 {
-		return nil, fmt.Errorf("gbwt: decode: invalid path count %d", paths)
+	nrec := r.Count(4 + 8 + 8)
+	if r.Err() == nil && nrec == 0 {
+		return nil, fmt.Errorf("gbwt: decode: no records")
 	}
-	x := &Index{records: make(map[graph.NodeID]*record, nrec), paths: paths}
+	x := &Index{records: make(map[graph.NodeID]*record, nrec)}
 	nextBase := uint64(1 << 20)
 	prev := graph.NodeID(0)
 	for i := 0; i < nrec; i++ {
@@ -71,6 +66,9 @@ func DecodeIndex(data []byte) (*Index, error) {
 		prev = id
 		rec := &record{}
 		ns := r.Count(8)
+		if ns > 1<<16 {
+			return nil, fmt.Errorf("gbwt: decode: node %d has %d successors, more than a u16 edge index names", id, ns)
+		}
 		rec.succs = make([]graph.NodeID, ns)
 		rec.offsets = make([]int32, ns)
 		for e := 0; e < ns; e++ {
@@ -87,10 +85,6 @@ func DecodeIndex(data []byte) (*Index, error) {
 			if r.Err() == nil && int(rec.body[k]) >= ns {
 				return nil, fmt.Errorf("gbwt: decode: node %d visit %d takes edge %d of %d", id, k, rec.body[k], ns)
 			}
-		}
-		rec.origins = make([]PathPosition, nb)
-		for k := 0; k < nb; k++ {
-			rec.origins[k] = PathPosition{Path: int32(r.U32()), Step: int32(r.U32())}
 		}
 		if r.Err() != nil {
 			return nil, fmt.Errorf("gbwt: decode record %d: %w", i, r.Err())
@@ -125,6 +119,24 @@ func DecodeIndex(data []byte) (*Index, error) {
 	}
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("gbwt: decode: %d trailing bytes", r.Remaining())
+	}
+	// LF-mapping bounds: every visit taking edge e lands in succs[e]'s
+	// record at offsets[e] + rank, so that whole run must fit its body.
+	for id, rec := range x.records {
+		for e, succ := range rec.succs {
+			if succ == endMarker {
+				continue
+			}
+			next, ok := x.records[succ]
+			if !ok {
+				return nil, fmt.Errorf("gbwt: decode: node %d successor %d has no record", id, succ)
+			}
+			end := int64(rec.offsets[e]) + int64(rec.rank(e, int32(len(rec.body)), nil))
+			if rec.offsets[e] < 0 || end > int64(len(next.body)) {
+				return nil, fmt.Errorf("gbwt: decode: node %d edge to %d maps visits [%d,%d) outside its %d-visit record",
+					id, succ, rec.offsets[e], end, len(next.body))
+			}
+		}
 	}
 	return x, nil
 }

@@ -37,10 +37,6 @@ type record struct {
 	// body[i] is the edge index (into succs) taken by the i-th visit of
 	// this node in BWT order.
 	body []uint16
-	// origins[i] identifies which haplotype visit row i is: the path index
-	// and the step index of this node within that path. The real GBWT
-	// samples this "document array"; at benchmark scale it is stored fully.
-	origins []PathPosition
 	// ranks[e][i] = occurrences of edge e in body[0:i*rankRate], sampled.
 	ranks [][]int32
 	base  uint64 // synthetic address for the cache model
@@ -51,7 +47,6 @@ const rankRate = 16
 // Index is a GBWT over the haplotype paths of a graph.
 type Index struct {
 	records map[graph.NodeID]*record
-	paths   int
 }
 
 // Build constructs the GBWT from the embedded paths of g.
@@ -61,20 +56,16 @@ func Build(g *graph.Graph) (*Index, error) {
 		return nil, fmt.Errorf("gbwt: graph has no paths to index")
 	}
 	// T = concat over paths of reverse(path) + endMarker. An FM-index over
-	// T supports forward extension through the original paths. origin[t]
-	// remembers which (path, step) each text position came from.
+	// T supports forward extension through the original paths.
 	var text []int32
-	var origin []PathPosition
-	for pi, p := range paths {
+	for _, p := range paths {
 		if len(p.Nodes) == 0 {
 			return nil, fmt.Errorf("gbwt: path %q is empty", p.Name)
 		}
 		for i := len(p.Nodes) - 1; i >= 0; i-- {
 			text = append(text, int32(p.Nodes[i]))
-			origin = append(origin, PathPosition{Path: int32(pi), Step: int32(i)})
 		}
 		text = append(text, endMarker)
-		origin = append(origin, PathPosition{Path: int32(pi), Step: -1})
 	}
 	sa := fmindex.SuffixArrayInts(text)
 
@@ -95,7 +86,7 @@ func Build(g *graph.Graph) (*Index, error) {
 	// Slice the BWT into per-node records. Records are packed back to back
 	// (as in the real GBWT's byte-aligned record array), which is what
 	// gives consecutive-node queries their spatial locality (§5.2).
-	idx := &Index{records: make(map[graph.NodeID]*record), paths: len(paths)}
+	idx := &Index{records: make(map[graph.NodeID]*record)}
 	nextBase := uint64(1 << 20)
 	globalOcc := map[graph.NodeID]int32{}
 	i := 0
@@ -127,10 +118,6 @@ func Build(g *graph.Graph) (*Index, error) {
 				edgeOf[s] = uint16(e)
 			}
 			rec.body = make([]uint16, j-i)
-			rec.origins = make([]PathPosition, j-i)
-			for k := i; k < j; k++ {
-				rec.origins[k-i] = origin[sa[k]]
-			}
 			rec.ranks = make([][]int32, len(rec.succs))
 			nSamples := (j-i)/rankRate + 2
 			for e := range rec.ranks {
@@ -163,9 +150,6 @@ func Build(g *graph.Graph) (*Index, error) {
 	}
 	return idx, nil
 }
-
-// NumPaths returns the number of indexed haplotypes.
-func (x *Index) NumPaths() int { return x.paths }
 
 // State is a search state: a node and a half-open visit range within its
 // record. Size reports how many haplotype positions match the searched
@@ -271,38 +255,9 @@ func (x *Index) successors(s State, probe *perf.Probe) []graph.NodeID {
 	return out
 }
 
-// PathPosition identifies one haplotype visit: the path index (in the
-// graph's path list) and the step index within that path.
-type PathPosition struct {
-	Path int32
-	Step int32
-}
-
-// Locate resolves a state's matches to haplotype positions: for a state
-// obtained by Find(S), each result names a path and the step of S's *last*
-// node in that path.
-func (x *Index) Locate(s State, probe *perf.Probe) []PathPosition {
-	rec, ok := x.records[s.Node]
-	if !ok || s.Empty() {
-		return nil
-	}
-	out := make([]PathPosition, 0, s.Size())
-	for i := s.Lo; i < s.Hi; i++ {
-		probe.Load(uintptr(rec.base)+uintptr(len(rec.body)*2+int(i)*8), 8)
-		out = append(out, rec.origins[i])
-	}
-	return out
-}
-
 // Contains reports whether the node sequence occurs in at least one
 // haplotype.
 func (x *Index) Contains(s []graph.NodeID, probe *perf.Probe) bool {
 	st, _ := x.Find(s, probe)
 	return !st.Empty()
-}
-
-// CountOccurrences returns how many haplotype positions match s.
-func (x *Index) CountOccurrences(s []graph.NodeID, probe *perf.Probe) int {
-	st, _ := x.Find(s, probe)
-	return st.Size()
 }

@@ -24,8 +24,8 @@ const (
 	magic = "PGSTORE1"
 	// FormatVersion is bumped on any incompatible layout change; loading a
 	// file with a different version fails with ErrVersion rather than
-	// misinterpreting bytes.
-	FormatVersion = 1
+	// misinterpreting bytes. Version 2 dropped the GBWT's document array.
+	FormatVersion = 2
 
 	headerSize       = 8 + 4 + 4
 	sectionEntrySize = 8 + 8 + 8 + 4

@@ -54,10 +54,14 @@ func TestFormatErrors(t *testing.T) {
 		}
 	})
 	t.Run("unknown version", func(t *testing.T) {
-		bad := append([]byte{}, image...)
-		copy(bad[8:], binio.AppendU32(nil, FormatVersion+7))
-		if _, err := DecodeSections(bad); !errors.Is(err, ErrVersion) {
-			t.Fatalf("err = %v, want ErrVersion", err)
+		// Version 1 images carry the GBWT document array that version 2
+		// dropped; they must be refused, not misparsed.
+		for _, v := range []uint32{1, FormatVersion + 7} {
+			bad := append([]byte{}, image...)
+			copy(bad[8:], binio.AppendU32(nil, v))
+			if _, err := DecodeSections(bad); !errors.Is(err, ErrVersion) {
+				t.Fatalf("version %d: err = %v, want ErrVersion", v, err)
+			}
 		}
 	})
 	t.Run("flipped blob byte", func(t *testing.T) {
