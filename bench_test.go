@@ -75,7 +75,7 @@ func BenchmarkKernel_TC(b *testing.B)     { kernelBench(b, "TC") }
 func BenchmarkKernel_PGSGD(b *testing.B)  { kernelBench(b, "PGSGD") }
 
 // Table 1 / Fig. 2: end-to-end tool mapping (per-read cost of each tool).
-func benchTool(b *testing.B, mk func(s *core.Suite) (pipeline.Tool, []gensim.Read, error)) {
+func benchTool(b *testing.B, mk func(s *core.Suite) (pipeline.ContextTool, []gensim.Read, error)) {
 	s := getSuite(b)
 	tool, reads, err := mk(s)
 	if err != nil {
@@ -89,34 +89,34 @@ func benchTool(b *testing.B, mk func(s *core.Suite) (pipeline.Tool, []gensim.Rea
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range reads {
-			tool.Map(r.Seq, nil)
+			tool.MapCtx(context.Background(), r.Seq, nil)
 		}
 	}
 }
 
 func BenchmarkTable1_VgMap(b *testing.B) {
-	benchTool(b, func(s *core.Suite) (pipeline.Tool, []gensim.Read, error) {
+	benchTool(b, func(s *core.Suite) (pipeline.ContextTool, []gensim.Read, error) {
 		t, err := pipeline.NewVgMap(s.Pop.Graph, s.Cfg.K, s.Cfg.W)
 		return t, s.ShortReads, err
 	})
 }
 
 func BenchmarkTable1_VgGiraffe(b *testing.B) {
-	benchTool(b, func(s *core.Suite) (pipeline.Tool, []gensim.Read, error) {
+	benchTool(b, func(s *core.Suite) (pipeline.ContextTool, []gensim.Read, error) {
 		t, err := pipeline.NewVgGiraffe(s.Pop.Graph, s.Cfg.K, s.Cfg.W)
 		return t, s.ShortReads, err
 	})
 }
 
 func BenchmarkTable1_GraphAligner(b *testing.B) {
-	benchTool(b, func(s *core.Suite) (pipeline.Tool, []gensim.Read, error) {
+	benchTool(b, func(s *core.Suite) (pipeline.ContextTool, []gensim.Read, error) {
 		t, err := pipeline.NewGraphAligner(s.Pop.Graph, s.Cfg.K, s.Cfg.W)
 		return t, s.LongReads, err
 	})
 }
 
 func BenchmarkTable1_MinigraphLR(b *testing.B) {
-	benchTool(b, func(s *core.Suite) (pipeline.Tool, []gensim.Read, error) {
+	benchTool(b, func(s *core.Suite) (pipeline.ContextTool, []gensim.Read, error) {
 		t, err := pipeline.NewMinigraph(s.Pop.Graph, s.Cfg.K, s.Cfg.W, false)
 		return t, s.LongReads, err
 	})
@@ -325,7 +325,7 @@ func BenchmarkTable7_PGSGDGPU(b *testing.B) {
 	}
 }
 
-// Fig. 10: SSW vs GSSW on the same reads.
+// Fig. 10: SSW on the reads whose graph alignment is BenchmarkKernel_GSSW.
 func BenchmarkFig10_SSW(b *testing.B) {
 	s := getSuite(b)
 	refs, qrys, err := s.SSWInputs()
@@ -341,12 +341,8 @@ func BenchmarkFig10_SSW(b *testing.B) {
 	}
 }
 
-func BenchmarkFig10_GSSW(b *testing.B) { kernelBench(b, "GSSW") }
-
-// Extension: the §6.1 optimization ablation — full GSSW vs GSSWLean on the
-// same corpus.
-func BenchmarkOptGSSW_Full(b *testing.B) { kernelBench(b, "GSSW") }
-
+// Extension: the §6.1 optimization ablation — GSSWLean on the corpus
+// BenchmarkKernel_GSSW runs in full.
 func BenchmarkOptGSSW_Lean(b *testing.B) {
 	s := getSuite(b)
 	inputs, err := s.GSSWInputs()
@@ -364,7 +360,8 @@ func BenchmarkOptGSSW_Lean(b *testing.B) {
 	}
 }
 
-// Extension: index contrast — FM-index count vs GBWT find on matched loads.
+// Extension: index contrast — FM-index count (GBWT find is
+// BenchmarkKernel_GBWT).
 func BenchmarkExt_FMIndexCount(b *testing.B) {
 	s := getSuite(b)
 	idx, err := fmindex.New(s.Pop.Ref)
@@ -378,8 +375,6 @@ func BenchmarkExt_FMIndexCount(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkExt_GBWTFind(b *testing.B) { kernelBench(b, "GBWT") }
 
 // Extension: affine-gap WFA (the WFA2-lib algorithm).
 func BenchmarkExt_WFAAffine(b *testing.B) {
@@ -417,7 +412,7 @@ func BenchmarkFig11_SplitGraphGSSW(b *testing.B) {
 	var inputs []pipeline.GSSWInput
 	tool.Capture = &inputs
 	for _, r := range s.ShortReads {
-		tool.Map(r.Seq, nil)
+		tool.MapCtx(context.Background(), r.Seq, nil)
 	}
 	sc := bio.DefaultScoring
 	b.ResetTimer()

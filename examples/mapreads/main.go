@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -33,7 +34,7 @@ func main() {
 	}
 
 	type job struct {
-		tool  pipeline.Tool
+		tool  pipeline.ContextTool
 		reads []gensim.Read
 	}
 	var jobs []job
@@ -56,7 +57,7 @@ func main() {
 		mapped := 0
 		t0 := time.Now()
 		for _, r := range j.reads {
-			res, st := j.tool.Map(r.Seq, nil)
+			res, st, _ := j.tool.MapCtx(context.Background(), r.Seq, nil)
 			agg.Add(st)
 			if res.Mapped {
 				mapped++

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -49,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, r := range reads {
-		res, st := tool.Map(r.Seq, nil)
+		res, st, _ := tool.MapCtx(context.Background(), r.Seq, nil)
 		if !res.Mapped {
 			fmt.Printf("%s: unmapped\n", r.Name)
 			continue

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -81,6 +83,40 @@ func TestProfileKernelProducesEvents(t *testing.T) {
 		}
 		if td.IPC <= 0 || td.IPC > 4 {
 			t.Fatalf("kernel %s IPC %v out of range", k.Name, td.IPC)
+		}
+	}
+}
+
+// TestMeasureMemo: the memoised report of every registry kernel equals a
+// fresh profile, and a second request for a name returns the stored
+// measurement without running the kernel again.
+func TestMeasureMemo(t *testing.T) {
+	s := getSuite(t)
+	ks, err := s.Kernels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range ks {
+		m, err := s.measure(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := ProfileKernel(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m.report, fresh) {
+			t.Errorf("%s: memoised report differs from a fresh profile:\n  memo:  %+v\n  fresh: %+v", k.Name, m.report, fresh)
+		}
+		runs := 0
+		again := k
+		again.Run = func(*perf.Probe) error { runs++; return nil }
+		m2, err := s.measure(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs != 0 || !reflect.DeepEqual(m, m2) {
+			t.Errorf("%s: second request ran the kernel %d times or changed the result", k.Name, runs)
 		}
 	}
 }
@@ -188,6 +224,16 @@ func TestExperimentDispatch(t *testing.T) {
 	if _, err := s.Run("nonsense"); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
+	// Every listed ID and every alias resolves to a driver.
+	names := append(Experiments(), "table2", "table3", "fig6", "table6")
+	for _, id := range names {
+		if _, ok := lookup(id); !ok {
+			t.Errorf("experiment %q does not resolve", id)
+		}
+	}
+	if n := len(Experiments()); n != 15 {
+		t.Errorf("%d experiments listed, want 15", n)
+	}
 	for _, id := range []string{"table2-3", "table4"} {
 		tbl, err := s.Run(id)
 		if err != nil {
@@ -245,13 +291,28 @@ func TestFig2Shape(t *testing.T) {
 		v, _ := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
 		return v
 	}
-	// GraphAligner: alignment dominates.
-	if ga, ok := rows["GraphAligner"]; ok {
-		if parse(ga[4]) < 50 {
-			t.Errorf("GraphAligner align share %.1f%% should dominate", parse(ga[4]))
+	// GraphAligner: alignment dominates. The share is read off the wall
+	// clock, so the bound holds for the median of three fresh tool runs
+	// (suites with empty memos): one run on a loaded host can dip below it.
+	var shares []float64
+	for i := 0; i < 3; i++ {
+		fresh := &Suite{Cfg: s.Cfg, Pop: s.Pop, ShortReads: s.ShortReads, LongReads: s.LongReads}
+		tbl, err := fresh.Fig2()
+		if err != nil {
+			t.Fatal(err)
 		}
-	} else {
-		t.Error("missing GraphAligner row")
+		for _, row := range tbl.Rows {
+			if row[0] == "GraphAligner" {
+				shares = append(shares, parse(row[4]))
+			}
+		}
+	}
+	if len(shares) != 3 {
+		t.Fatalf("GraphAligner row in %d of 3 runs", len(shares))
+	}
+	sort.Float64s(shares)
+	if shares[1] < 50 {
+		t.Errorf("GraphAligner median align share %.1f%% (runs %v) should dominate", shares[1], shares)
 	}
 	// Giraffe: filter is a major stage.
 	if gf, ok := rows["VgGiraffe"]; ok {

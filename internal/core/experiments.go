@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -29,16 +30,21 @@ type toolRun struct {
 	kernel time.Duration // time inside the tool's extracted kernel stage
 }
 
-// runSeq2GraphTools executes the four tool models on their read sets.
+// runSeq2GraphTools executes the four tool models on their read sets, once
+// per Suite: Table 1 and Fig. 2 share the run.
 func (s *Suite) runSeq2GraphTools() ([]toolRun, error) {
+	if s.tools != nil {
+		return s.tools, nil
+	}
 	g := s.Pop.Graph
+	ctx := context.Background()
 	var runs []toolRun
 
-	mapAll := func(tool pipeline.Tool, reads []gensim.Read) toolRun {
+	mapAll := func(tool pipeline.ContextTool, reads []gensim.Read) toolRun {
 		r := toolRun{name: tool.Name()}
 		t0 := time.Now()
 		for _, rd := range reads {
-			_, st := tool.Map(rd.Seq, nil)
+			_, st, _ := tool.MapCtx(ctx, rd.Seq, nil)
 			r.stages.Add(st)
 			r.reads++
 			r.bases += len(rd.Seq)
@@ -86,11 +92,12 @@ func (s *Suite) runSeq2GraphTools() ([]toolRun, error) {
 		asm = asm[:120_000]
 	}
 	t0 := time.Now()
-	_, st := mgCR.Map(asm, nil)
+	_, st, _ := mgCR.MapCtx(ctx, asm, nil)
 	cr := toolRun{name: mgCR.Name(), total: time.Since(t0), stages: st, reads: 1, bases: len(asm)}
 	cr.kernel = gwfaCR.Chain
 	runs = append(runs, cr)
 
+	s.tools = runs
 	return runs, nil
 }
 
@@ -113,7 +120,8 @@ func (s *Suite) Table1() (Table, error) {
 		m.Map(r.Seq, nil, nil)
 		bases += len(r.Seq)
 	}
-	runs = append(runs, toolRun{name: "BWA-MEM2", total: time.Since(t0), reads: len(s.ShortReads), bases: bases})
+	// Clipped, so the append copies instead of writing past the shared memo.
+	runs = append(slices.Clip(runs), toolRun{name: "BWA-MEM2", total: time.Since(t0), reads: len(s.ShortReads), bases: bases})
 
 	const genomeBases = 3.1e9 * 30 // 30× coverage of a human genome
 	tbl := Table{
@@ -269,28 +277,30 @@ func (s *Suite) Table4() (Table, error) {
 		Notes:  []string{"paper (Machine B, full datasets): GBV 192s GSSW 35s GBWT 23s GWFA-cr 16657s GWFA-lr 720s PGSGD 285s TC 755s"},
 	}
 	for _, k := range ks {
-		d, err := TimeKernel(k)
+		m, err := s.measure(k)
 		if err != nil {
-			return Table{}, fmt.Errorf("kernel %s: %w", k.Name, err)
+			return Table{}, err
 		}
-		tbl.Rows = append(tbl.Rows, []string{k.Name, d.Round(time.Microsecond).String(), fmt.Sprintf("%d", k.Inputs)})
+		tbl.Rows = append(tbl.Rows, []string{k.Name, m.wall.Round(time.Microsecond).String(), fmt.Sprintf("%d", k.Inputs)})
 	}
 	return tbl, nil
 }
 
-// profileAll profiles every CPU kernel once (shared by fig6/7/8/table6).
+// profileAll returns every registry kernel's report in registry order.
+// Each kernel is profiled once per Suite (see measure), so fig6/7/8 and
+// table6 share one probed run.
 func (s *Suite) profileAll() ([]perf.Report, error) {
 	ks, err := s.Kernels()
 	if err != nil {
 		return nil, err
 	}
-	var reports []perf.Report
+	reports := make([]perf.Report, 0, len(ks))
 	for _, k := range ks {
-		r, err := ProfileKernel(k)
+		m, err := s.measure(k)
 		if err != nil {
-			return nil, fmt.Errorf("kernel %s: %w", k.Name, err)
+			return nil, err
 		}
-		reports = append(reports, r)
+		reports = append(reports, m.report)
 	}
 	return reports, nil
 }
@@ -409,11 +419,11 @@ func (s *Suite) scalingWorkloads() ([]sched.Workload, error) {
 	var out []sched.Workload
 
 	// Mapping tools: per-read independent tasks.
-	measure := func(name string, tool pipeline.Tool, reads [][]byte) sched.Workload {
+	measure := func(name string, tool pipeline.ContextTool, reads [][]byte) sched.Workload {
 		var tasks []float64
 		for _, r := range reads {
 			t0 := time.Now()
-			tool.Map(r, nil)
+			tool.MapCtx(context.Background(), r, nil)
 			tasks = append(tasks, time.Since(t0).Seconds())
 		}
 		// Clamp outliers at 5× the median: single-read costs measured on a
@@ -458,7 +468,7 @@ func (s *Suite) scalingWorkloads() ([]sched.Workload, error) {
 			asm = asm[:60_000]
 		}
 		t0 := time.Now()
-		tool.Map(asm, nil)
+		tool.MapCtx(context.Background(), asm, nil)
 		out = append(out, sched.Workload{Name: "Minigraph-cr", Phases: []sched.Phase{{
 			Name: "map", Tasks: []float64{time.Since(t0).Seconds()}, MaxParallel: 1,
 		}}})
@@ -695,24 +705,19 @@ func (s *Suite) Fig10() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	sswProbe := perf.NewProbe()
-	sc := bio.DefaultScoring
-	for i := range refs {
-		align.StripedSW(refs[i], qrys[i], sc, sswProbe)
-	}
-	sswRep := perf.NewReport("SSW", sswProbe)
-
-	gsswIn, err := s.GSSWInputs()
+	ssw, err := s.measure(Kernel{Name: "SSW", Inputs: len(refs), Run: func(p *perf.Probe) error {
+		for i := range refs {
+			align.StripedSW(refs[i], qrys[i], bio.DefaultScoring, p)
+		}
+		return nil
+	}})
 	if err != nil {
 		return Table{}, err
 	}
-	gsswProbe := perf.NewProbe()
-	for _, in := range gsswIn {
-		if _, err := align.GSSW(in.Sub, in.Query, sc, gsswProbe); err != nil {
-			return Table{}, err
-		}
+	gssw, err := s.measureNamed("GSSW")
+	if err != nil {
+		return Table{}, err
 	}
-	gsswRep := perf.NewReport("GSSW", gsswProbe)
 
 	tbl := Table{
 		ID:     "fig10",
@@ -722,71 +727,54 @@ func (s *Suite) Fig10() (Table, error) {
 			"paper: GSSW has ~3x the memory stalls of SSW, from swizzle writes of the full DP matrix",
 		},
 	}
-	for _, r := range []perf.Report{sswRep, gsswRep} {
-		probe := sswProbe
-		if r.Kernel == "GSSW" {
-			probe = gsswProbe
-		}
-		storesPerInstr := float64(probe.Stores) / float64(nonzeroU(probe.Instructions()))
+	for _, r := range []perf.Report{ssw.report, gssw.report} {
 		td := r.TopDown
 		tbl.Rows = append(tbl.Rows, []string{
 			r.Kernel, pct(td.Retiring), pct(td.FrontEndBound), pct(td.BadSpeculation),
-			pct(td.CoreBound), pct(td.MemoryBound), f2(td.IPC), f2(storesPerInstr),
+			pct(td.CoreBound), pct(td.MemoryBound), f2(td.IPC), f2(storesPerInstr(r)),
 		})
 	}
 	return tbl, nil
 }
 
-func nonzeroU(v uint64) uint64 {
-	if v == 0 {
-		return 1
-	}
-	return v
+// storesPerInstr is a report's modelled stores per instruction.
+func storesPerInstr(r perf.Report) float64 {
+	return float64(r.Stores) / float64(max(r.Instructions, 1))
 }
 
 // Fig11 compares GSSW on the M-Graph against the Split-M-Graph (case study
-// §6.2).
+// §6.2). The M-Graph row is the registry's GSSW measurement.
 func (s *Suite) Fig11() (Table, error) {
-	sc := bio.DefaultScoring
-	// M-Graph capture.
 	mIn, err := s.GSSWInputs()
+	if err != nil {
+		return Table{}, err
+	}
+	mGraph, err := s.measureNamed("GSSW")
 	if err != nil {
 		return Table{}, err
 	}
 	// Split-M-Graph capture: re-run Vg Map on the node-split graph.
 	split := s.SplitGraph(8)
-	tool, err := pipeline.NewVgMap(split, s.Cfg.K, s.Cfg.W)
+	splitIn, err := s.captureGSSW(split)
+	if err != nil {
+		return Table{}, fmt.Errorf("core: Split-M-Graph: %w", err)
+	}
+	splitGraph, err := s.measure(gsswKernel("GSSW-split", splitIn, align.GSSW))
 	if err != nil {
 		return Table{}, err
 	}
-	var splitIn []pipeline.GSSWInput
-	tool.Capture = &splitIn
-	for _, r := range s.ShortReads {
-		tool.Map(r.Seq, nil)
-	}
-	if len(splitIn) == 0 {
-		return Table{}, fmt.Errorf("core: no Split-M-Graph GSSW inputs captured")
-	}
 
-	run := func(name string, inputs []pipeline.GSSWInput) ([]string, float64, error) {
-		probe := perf.NewProbe()
-		t0 := time.Now()
+	row := func(name string, inputs []pipeline.GSSWInput, m measurement) []string {
 		var subBases int
 		for _, in := range inputs {
 			subBases += in.Sub.TotalSeqLen()
-			if _, err := align.GSSW(in.Sub, in.Query, sc, probe); err != nil {
-				return nil, 0, err
-			}
 		}
-		elapsed := time.Since(t0)
-		rep := perf.NewReport(name, probe)
-		td := rep.TopDown
-		avgSub := float64(subBases) / float64(len(inputs))
+		td := m.report.TopDown
 		return []string{
-			name, fmt.Sprintf("%d", len(inputs)), f2(avgSub),
+			name, fmt.Sprintf("%d", len(inputs)), f2(float64(subBases) / float64(len(inputs))),
 			fmt.Sprintf("%.0f", td.Cycles), pct(td.MemoryBound), f2(td.IPC),
-			elapsed.Round(time.Microsecond).String(),
-		}, td.Cycles, nil
+			m.wall.Round(time.Microsecond).String(),
+		}
 	}
 
 	tbl := Table{
@@ -798,61 +786,62 @@ func (s *Suite) Fig11() (Table, error) {
 			"reducing GSSW cycles at similar microarchitectural utilization",
 		},
 	}
-	mRow, _, err := run("M-Graph", mIn)
-	if err != nil {
-		return Table{}, err
-	}
-	sRow, _, err := run("Split-M-Graph", splitIn)
-	if err != nil {
-		return Table{}, err
-	}
 	mStats := s.Pop.Graph.ComputeStats()
 	spStats := split.ComputeStats()
 	tbl.Notes = append(tbl.Notes, fmt.Sprintf("avg node length: M=%.2f bp, Split-M=%.2f bp", mStats.AvgNodeLen, spStats.AvgNodeLen))
-	tbl.Rows = append(tbl.Rows, mRow, sRow)
+	tbl.Rows = append(tbl.Rows, row("M-Graph", mIn, mGraph), row("Split-M-Graph", splitIn, splitGraph))
 	return tbl, nil
 }
 
-// Experiments lists all experiment IDs in canonical order. The last two are
-// extension studies beyond the paper's figures: the §6.1 proposed
-// optimization, and the §5.2 index contrast.
+// experiments is the one experiment table, in canonical order: each ID,
+// its aliases, and its driver. The last two are extension studies beyond
+// the paper's figures: the §6.1 proposed optimization, and the §5.2 index
+// contrast.
+var experiments = []struct {
+	id      string
+	aliases []string
+	run     func(*Suite) (Table, error)
+}{
+	{"table1", nil, (*Suite).Table1},
+	{"table2-3", []string{"table2", "table3"}, (*Suite).Tables23},
+	{"table4", nil, (*Suite).Table4},
+	{"fig2", nil, (*Suite).Fig2},
+	{"fig3", nil, (*Suite).Fig3},
+	{"fig5", nil, (*Suite).Fig5},
+	{"fig6+table6", []string{"fig6", "table6"}, (*Suite).Fig6Table6},
+	{"fig7", nil, (*Suite).Fig7},
+	{"fig8", nil, (*Suite).Fig8},
+	{"fig9", nil, (*Suite).Fig9},
+	{"table7", nil, (*Suite).Table7},
+	{"fig10", nil, (*Suite).Fig10},
+	{"fig11", nil, (*Suite).Fig11},
+	{"opt-gssw", nil, (*Suite).OptGSSW},
+	{"gbwt-vs-fmindex", nil, (*Suite).GBWTvsFMIndex},
+}
+
+// Experiments lists all experiment IDs in canonical order.
 func Experiments() []string {
-	return []string{"table1", "table2-3", "table4", "fig2", "fig3", "fig5", "fig6+table6", "fig7", "fig8", "fig9", "table7", "fig10", "fig11", "opt-gssw", "gbwt-vs-fmindex"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// lookup returns the driver of an experiment ID or alias.
+func lookup(id string) (func(*Suite) (Table, error), bool) {
+	for _, e := range experiments {
+		if e.id == id || slices.Contains(e.aliases, id) {
+			return e.run, true
+		}
+	}
+	return nil, false
 }
 
 // Run dispatches an experiment by ID.
 func (s *Suite) Run(id string) (Table, error) {
-	switch id {
-	case "table1":
-		return s.Table1()
-	case "table2-3", "table2", "table3":
-		return s.Tables23()
-	case "table4":
-		return s.Table4()
-	case "fig2":
-		return s.Fig2()
-	case "fig3":
-		return s.Fig3()
-	case "fig5":
-		return s.Fig5()
-	case "fig6+table6", "fig6", "table6":
-		return s.Fig6Table6()
-	case "fig7":
-		return s.Fig7()
-	case "fig8":
-		return s.Fig8()
-	case "fig9":
-		return s.Fig9()
-	case "table7":
-		return s.Table7()
-	case "fig10":
-		return s.Fig10()
-	case "fig11":
-		return s.Fig11()
-	case "opt-gssw":
-		return s.OptGSSW()
-	case "gbwt-vs-fmindex":
-		return s.GBWTvsFMIndex()
+	if run, ok := lookup(id); ok {
+		return run(s)
 	}
 	ids := Experiments()
 	sort.Strings(ids)

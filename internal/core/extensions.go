@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -8,8 +9,6 @@ import (
 	"pangenomicsbench/internal/align"
 	"pangenomicsbench/internal/bio"
 	"pangenomicsbench/internal/fmindex"
-	"pangenomicsbench/internal/gbwt"
-	"pangenomicsbench/internal/graph"
 	"pangenomicsbench/internal/perf"
 )
 
@@ -24,21 +23,24 @@ func (s *Suite) OptGSSW() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	sc := bio.DefaultScoring
-
-	type variant struct {
-		name string
-		run  func(g *graph.Graph, q []byte, p *perf.Probe) (int, error)
+	full, err := s.measureNamed("GSSW")
+	if err != nil {
+		return Table{}, err
 	}
-	variants := []variant{
-		{"GSSW (full matrices)", func(g *graph.Graph, q []byte, p *perf.Probe) (int, error) {
-			r, err := align.GSSW(g, q, sc, p)
-			return r.Score, err
-		}},
-		{"GSSW-lean (§6.1 optimization)", func(g *graph.Graph, q []byte, p *perf.Probe) (int, error) {
-			r, err := align.GSSWLean(g, q, sc, p)
-			return r.Score, err
-		}},
+	lean, err := s.measure(gsswKernel("GSSW-lean", inputs, align.GSSWLean))
+	if err != nil {
+		return Table{}, err
+	}
+	// The lean variant must give the full kernel's score on every input.
+	for i, in := range inputs {
+		f, errF := align.GSSW(in.Sub, in.Query, bio.DefaultScoring, nil)
+		l, errL := align.GSSWLean(in.Sub, in.Query, bio.DefaultScoring, nil)
+		if err := errors.Join(errF, errL); err != nil {
+			return Table{}, err
+		}
+		if f.Score != l.Score {
+			return Table{}, fmt.Errorf("core: lean GSSW diverged on input %d (%d vs %d)", i, f.Score, l.Score)
+		}
 	}
 
 	tbl := Table{
@@ -50,32 +52,15 @@ func (s *Suite) OptGSSW() (Table, error) {
 			"scores verified identical across the corpus",
 		},
 	}
-	var scores [][]int
-	for _, v := range variants {
-		probe := perf.NewProbe()
-		t0 := time.Now()
-		var ss []int
-		for _, in := range inputs {
-			score, err := v.run(in.Sub, in.Query, probe)
-			if err != nil {
-				return Table{}, err
-			}
-			ss = append(ss, score)
-		}
-		wall := time.Since(t0)
-		scores = append(scores, ss)
-		td := perf.Analyze(probe)
-		storesPer := float64(probe.Stores) / float64(nonzeroU(probe.Instructions()))
+	for _, v := range []struct {
+		label string
+		m     measurement
+	}{{"GSSW (full matrices)", full}, {"GSSW-lean (§6.1 optimization)", lean}} {
+		td := v.m.report.TopDown
 		tbl.Rows = append(tbl.Rows, []string{
-			v.name, f2(storesPer), pct(td.MemoryBound), f2(td.IPC),
-			fmt.Sprintf("%.0f", td.Cycles), wall.Round(time.Microsecond).String(),
+			v.label, f2(storesPerInstr(v.m.report)), pct(td.MemoryBound), f2(td.IPC),
+			fmt.Sprintf("%.0f", td.Cycles), v.m.wall.Round(time.Microsecond).String(),
 		})
-	}
-	for i := range scores[0] {
-		if scores[0][i] != scores[1][i] {
-			return Table{}, fmt.Errorf("core: lean GSSW diverged on input %d (%d vs %d)",
-				i, scores[0][i], scores[1][i])
-		}
 	}
 	return tbl, nil
 }
@@ -91,10 +76,8 @@ func (s *Suite) GBWTvsFMIndex() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	fmProbe := perf.NewProbe()
 	rng := rand.New(rand.NewSource(s.Cfg.Seed + 13))
-	t0 := time.Now()
-	queries := 0
+	var queries [][]byte
 	for _, r := range s.ShortReads {
 		for k := 0; k < 4; k++ {
 			n := 12 + rng.Intn(20)
@@ -102,29 +85,27 @@ func (s *Suite) GBWTvsFMIndex() (Table, error) {
 				n = len(r.Seq)
 			}
 			start := rng.Intn(len(r.Seq) - n + 1)
-			fm.Count(r.Seq[start:start+n], fmProbe)
-			queries++
+			queries = append(queries, r.Seq[start:start+n])
 		}
 	}
-	fmWall := time.Since(t0)
-	fmRep := perf.NewReport("FM-index (base pairs)", fmProbe)
-
-	// GBWT over the graph's haplotypes, queried with the captured corpus.
-	idx, err := gbwt.Build(s.Pop.Graph)
+	fmRun, err := s.measure(Kernel{Name: "FM-index", Inputs: len(queries), Run: func(p *perf.Probe) error {
+		for _, q := range queries {
+			fm.Count(q, p)
+		}
+		return nil
+	}})
 	if err != nil {
 		return Table{}, err
 	}
+	// GBWT over the graph's haplotypes, queried with the captured corpus.
 	gbwtIn, err := s.GBWTInputs()
 	if err != nil {
 		return Table{}, err
 	}
-	gbProbe := perf.NewProbe()
-	t0 = time.Now()
-	for _, q := range gbwtIn {
-		idx.Find(q.Nodes, gbProbe)
+	gbRun, err := s.measureNamed("GBWT")
+	if err != nil {
+		return Table{}, err
 	}
-	gbWall := time.Since(t0)
-	gbRep := perf.NewReport("GBWT (haplotype paths)", gbProbe)
 
 	tbl := Table{
 		ID:     "gbwt-vs-fmindex",
@@ -135,14 +116,15 @@ func (s *Suite) GBWTvsFMIndex() (Table, error) {
 			"bandwidth-hungry; GBWT's node-ID alphabet bounds each hop to a few nearby records",
 		},
 	}
-	add := func(rep perf.Report, n int, wall time.Duration) {
+	add := func(label string, n int, m measurement) {
+		rep := m.report
 		tbl.Rows = append(tbl.Rows, []string{
-			rep.Kernel, fmt.Sprintf("%d", n), pct(rep.TopDown.MemoryBound),
+			label, fmt.Sprintf("%d", n), pct(rep.TopDown.MemoryBound),
 			f2(rep.L1MPKI), f2(rep.L3MPKI), f2(rep.TopDown.IPC),
-			wall.Round(time.Microsecond).String(),
+			m.wall.Round(time.Microsecond).String(),
 		})
 	}
-	add(fmRep, queries, fmWall)
-	add(gbRep, len(gbwtIn), gbWall)
+	add("FM-index (base pairs)", len(queries), fmRun)
+	add("GBWT (haplotype paths)", len(gbwtIn), gbRun)
 	return tbl, nil
 }

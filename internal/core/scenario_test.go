@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"pangenomicsbench/internal/gensim"
@@ -62,14 +63,14 @@ func TestScenarioCharacterization(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, tc := range []struct {
-				tool  pipeline.Tool
+				tool  pipeline.ContextTool
 				reads []gensim.Read
 			}{
 				{vm, short}, {gf, short}, {ga, suite.LongReads}, {mg, suite.LongReads},
 			} {
 				mapped := 0
 				for _, rd := range tc.reads {
-					if res, _ := tc.tool.Map(rd.Seq, nil); res.Mapped {
+					if res, _, _ := tc.tool.MapCtx(context.Background(), rd.Seq, nil); res.Mapped {
 						mapped++
 					}
 				}

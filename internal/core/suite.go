@@ -6,12 +6,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
+	"pangenomicsbench/internal/build"
 	"pangenomicsbench/internal/gensim"
 	"pangenomicsbench/internal/graph"
 	"pangenomicsbench/internal/pipeline"
+	"pangenomicsbench/internal/seqmap"
 	"pangenomicsbench/internal/seqwish"
 	"pangenomicsbench/internal/wfagpu"
 )
@@ -77,6 +80,13 @@ type Suite struct {
 	// memory behaviour only appears when the layout footprint exceeds the
 	// last-level cache, so this graph is sized independently of the scale.
 	layoutGraph *graph.Graph
+
+	// Memos, each usable at its zero value: the kernel registry, one
+	// measurement per kernel corpus (keyed by Kernel.Name), and the tool
+	// runs Table 1 and Fig. 2 share.
+	kernels  []Kernel
+	measured map[string]measurement
+	tools    []toolRun
 }
 
 // LayoutGraph lazily builds the PGSGD characterization graph.
@@ -128,19 +138,26 @@ func (s *Suite) GSSWInputs() ([]pipeline.GSSWInput, error) {
 	if s.gssw != nil {
 		return s.gssw, nil
 	}
-	tool, err := pipeline.NewVgMap(s.Pop.Graph, s.Cfg.K, s.Cfg.W)
+	cap, err := s.captureGSSW(s.Pop.Graph)
+	s.gssw = cap
+	return cap, err
+}
+
+// captureGSSW maps the short reads with Vg Map on g and returns the inputs
+// that reach its GSSW kernel.
+func (s *Suite) captureGSSW(g *graph.Graph) ([]pipeline.GSSWInput, error) {
+	tool, err := pipeline.NewVgMap(g, s.Cfg.K, s.Cfg.W)
 	if err != nil {
 		return nil, err
 	}
 	var cap []pipeline.GSSWInput
 	tool.Capture = &cap
 	for _, r := range s.ShortReads {
-		tool.Map(r.Seq, nil)
+		tool.MapCtx(context.Background(), r.Seq, nil)
 	}
 	if len(cap) == 0 {
 		return nil, fmt.Errorf("core: no GSSW inputs captured")
 	}
-	s.gssw = cap
 	return cap, nil
 }
 
@@ -157,7 +174,7 @@ func (s *Suite) GBWTInputs() ([]pipeline.GBWTInput, error) {
 	var cap []pipeline.GBWTInput
 	tool.Capture = &cap
 	for _, r := range s.ShortReads {
-		tool.Map(r.Seq, nil)
+		tool.MapCtx(context.Background(), r.Seq, nil)
 	}
 	// Random subpath queries (§4.2: "randomly sampling subsequences from
 	// the haplotypes in the graph with lengths between 1 and 100").
@@ -191,7 +208,7 @@ func (s *Suite) GBVInputs() ([]pipeline.GBVInput, error) {
 	var cap []pipeline.GBVInput
 	tool.Capture = &cap
 	for _, r := range s.LongReads {
-		tool.Map(r.Seq, nil)
+		tool.MapCtx(context.Background(), r.Seq, nil)
 	}
 	if len(cap) == 0 {
 		return nil, fmt.Errorf("core: no GBV inputs captured")
@@ -222,10 +239,10 @@ func (s *Suite) GWFAInputs(chromosome bool) ([]pipeline.GWFAInput, error) {
 		if len(asm) > 120_000 {
 			asm = asm[:120_000]
 		}
-		tool.Map(asm, nil)
+		tool.MapCtx(context.Background(), asm, nil)
 	} else {
 		for _, r := range s.LongReads {
-			tool.Map(r.Seq, nil)
+			tool.MapCtx(context.Background(), r.Seq, nil)
 		}
 	}
 	if len(cap) == 0 {
@@ -248,7 +265,7 @@ func (s *Suite) TCBuilder() (*seqwish.Builder, error) {
 	}
 	for i := 0; i < len(seqs); i++ {
 		for j := i + 1; j < len(seqs); j++ {
-			blocks, err := pairMatches(i, seqs[i], j, seqs[j], s.Cfg.K, s.Cfg.W)
+			blocks, _, err := build.PairMatches(i, seqs[i], j, seqs[j], s.Cfg.K, s.Cfg.W, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -269,16 +286,16 @@ func (s *Suite) SSWInputs() ([][]byte, [][]byte, error) {
 	if s.sswRefs != nil {
 		return s.sswRefs, s.sswQrys, nil
 	}
-	m, err := newSeqMapper(s.Pop.Ref, s.Cfg.K, s.Cfg.W)
+	m, err := seqmap.NewMapper(s.Pop.Ref, s.Cfg.K, s.Cfg.W)
 	if err != nil {
 		return nil, nil, err
 	}
-	refs, qrys, err := m.captureSSW(s.ShortReads)
-	if err != nil {
-		return nil, nil, err
+	var cap seqmap.SSWCapture
+	for _, r := range s.ShortReads {
+		m.Map(r.Seq, nil, &cap)
 	}
-	s.sswRefs, s.sswQrys = refs, qrys
-	return refs, qrys, nil
+	s.sswRefs, s.sswQrys = cap.Refs, cap.Queries
+	return cap.Refs, cap.Queries, nil
 }
 
 // TSUPairs generates the Tsunami corpus: sequence pairs of the given length

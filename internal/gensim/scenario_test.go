@@ -65,7 +65,7 @@ func generateScenario(t *testing.T, sc Scenario) scenarioArtifacts {
 	if err != nil {
 		t.Fatalf("%s: SimulateReads: %v", sc.Name, err)
 	}
-	trace, err := pop.Trace(DefaultTraceConfig())
+	trace, err := pop.Trace(testTraceConfig)
 	if err != nil {
 		t.Fatalf("%s: Trace: %v", sc.Name, err)
 	}

@@ -27,22 +27,8 @@ type TraceConfig struct {
 	Seed int64
 }
 
-// DefaultTraceConfig is a laptop-scale multi-tenant workload.
-func DefaultTraceConfig() TraceConfig {
-	return TraceConfig{
-		Tenants:   4,
-		Requests:  32,
-		CohortMin: 3,
-		CohortMax: 5,
-		Drift:     0.25,
-		Seed:      42,
-	}
-}
-
 // TraceRequest is one serve-mode build request of the trace.
 type TraceRequest struct {
-	// Tenant identifies the issuing client (0-based).
-	Tenant int
 	// Cohort names the assemblies to build, in request order.
 	Cohort []string
 }
@@ -99,7 +85,7 @@ func (p *Population) Trace(cfg TraceConfig) ([]TraceRequest, error) {
 				cohort[i], cohort[j] = cohort[j], cohort[i]
 			})
 		}
-		out = append(out, TraceRequest{Tenant: t, Cohort: cohort})
+		out = append(out, TraceRequest{Cohort: cohort})
 	}
 	return out, nil
 }

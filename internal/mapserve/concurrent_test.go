@@ -52,7 +52,7 @@ func giraffeServiceFixture(t *testing.T, nReads, length int, blockAt int32) (*Se
 	want := make([]pipeline.Result, nReads)
 	for i, r := range sim {
 		reads[i] = r.Seq
-		want[i], _ = giraffe.Map(r.Seq, nil)
+		want[i], _, _ = giraffe.MapCtx(context.Background(), r.Seq, nil)
 	}
 	tool := &rendezvousTool{ContextTool: giraffe, blockAt: blockAt, entered: make(chan struct{})}
 	snap, err := NewSnapshotWithTool("pop", pop.Graph, tool)

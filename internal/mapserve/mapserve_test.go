@@ -22,10 +22,6 @@ type blockingTool struct {
 }
 
 func (b *blockingTool) Name() string { return "blocking" }
-func (b *blockingTool) Map(read []byte, probe *perf.Probe) (pipeline.Result, pipeline.StageTimes) {
-	r, st, _ := b.MapCtx(context.Background(), read, probe)
-	return r, st
-}
 func (b *blockingTool) MapCtx(ctx context.Context, read []byte, probe *perf.Probe) (pipeline.Result, pipeline.StageTimes, error) {
 	if b.started != nil {
 		b.started <- struct{}{}
@@ -263,7 +259,7 @@ func TestServedIdenticalColdWarmConcurrent(t *testing.T) {
 	}
 	want := make([]pipeline.Result, len(reads))
 	for i, r := range reads {
-		want[i], _ = ref.Map(r.Seq, nil)
+		want[i], _, _ = ref.MapCtx(context.Background(), r.Seq, nil)
 	}
 
 	reg := &Registry{}
@@ -332,7 +328,7 @@ func TestHotSwapDuringTraffic(t *testing.T) {
 	}
 	want := make([]pipeline.Result, len(reads))
 	for i, r := range reads {
-		want[i], _ = ref.Map(r.Seq, nil)
+		want[i], _, _ = ref.MapCtx(context.Background(), r.Seq, nil)
 	}
 
 	var retireMu sync.Mutex

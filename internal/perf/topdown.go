@@ -97,6 +97,7 @@ type Report struct {
 	L3MPKI  float64
 
 	Instructions   uint64
+	Stores         uint64
 	Mispredicts    uint64
 	BranchMissRate float64
 }
@@ -108,6 +109,7 @@ func NewReport(kernel string, p *Probe) Report {
 		TopDown:      Analyze(p),
 		Mix:          p.Mix(),
 		Instructions: p.Instructions(),
+		Stores:       p.Stores,
 		Mispredicts:  p.Mispredicts,
 	}
 	if p.Branches > 0 {

@@ -76,7 +76,7 @@ func TestMapBatchCanceled(t *testing.T) {
 	for _, tool := range tools {
 		want := make([]Result, len(reads))
 		for i, read := range reads {
-			want[i], _ = tool.Map(read, nil)
+			want[i], _, _ = tool.MapCtx(context.Background(), read, nil)
 		}
 		results := make([]Result, len(reads))
 		stages := make([]StageTimes, len(reads))

@@ -64,24 +64,3 @@ func TestMapCtxCanceled(t *testing.T) {
 		}
 	}
 }
-
-// TestMapMatchesMapCtx pins Map as the Background-context view of MapCtx.
-func TestMapMatchesMapCtx(t *testing.T) {
-	pop, tools := ctxTestTools(t)
-	reads, err := pop.SimulateReads(gensim.ReadConfig{Count: 4, Length: 800, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tool := range tools {
-		for _, r := range reads {
-			direct, _ := tool.Map(r.Seq, nil)
-			viaCtx, _, err := tool.MapCtx(context.Background(), r.Seq, nil)
-			if err != nil {
-				t.Fatalf("%s: MapCtx: %v", tool.Name(), err)
-			}
-			if direct != viaCtx {
-				t.Errorf("%s: Map %+v != MapCtx %+v", tool.Name(), direct, viaCtx)
-			}
-		}
-	}
-}

@@ -66,7 +66,7 @@ func NewVgGiraffe(g *graph.Graph, k, w int) (*VgGiraffe, error) {
 	return NewVgGiraffeFromIndexes(g, idx, hap)
 }
 
-// Name implements Tool.
+// Name implements ContextTool.
 func (t *VgGiraffe) Name() string { return "VgGiraffe" }
 
 // mapOne runs one read's seed → chain → filter → align pipeline on the

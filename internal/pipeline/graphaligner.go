@@ -70,7 +70,7 @@ func NewGraphAligner(g *graph.Graph, k, w int) (*GraphAligner, error) {
 	return NewGraphAlignerFromIndex(g, idx)
 }
 
-// Name implements Tool.
+// Name implements ContextTool.
 func (t *GraphAligner) Name() string { return "GraphAligner" }
 
 // mapOne runs one read on the scratch: long reads align in 64 bp chunks, and

@@ -51,7 +51,7 @@ func NewMinigraph(g *graph.Graph, k, w int, chromosomeMode bool) (*Minigraph, er
 	return NewMinigraphFromIndex(g, idx, chromosomeMode)
 }
 
-// Name implements Tool.
+// Name implements ContextTool.
 func (t *Minigraph) Name() string {
 	if t.ChromosomeMode {
 		return "Minigraph-cr"

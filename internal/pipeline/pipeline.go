@@ -40,18 +40,13 @@ type Result struct {
 	EditDistance int
 }
 
-// Tool is a Seq2Graph mapper model.
-type Tool interface {
-	Name() string
-	Map(read []byte, probe *perf.Probe) (Result, StageTimes)
-}
-
-// ContextTool is a Tool whose mapping loops honor context cancellation:
-// MapCtx returns ctx.Err() as soon as the deadline or cancellation is
-// observed at a loop boundary (per cluster, chunk, or bridge), abandoning the
-// rest of the read. All four tools in this package implement it; Map is
-// MapCtx with context.Background(). The serve-mode mapping executor relies
-// on this to stop a query when its deadline expires.
+// ContextTool is a Seq2Graph mapper model whose mapping loops honor context
+// cancellation: MapCtx returns ctx.Err() as soon as the deadline or
+// cancellation is observed at a loop boundary (per cluster, chunk, or
+// bridge), abandoning the rest of the read. ctx.Err() is its only error, so
+// a caller passing context.Background() may drop it. All four tools in this
+// package implement it. The serve-mode mapping executor relies on this to
+// stop a query when its deadline expires.
 //
 // MapBatch maps reads[i] into the caller-owned results[i] and stages[i]
 // (both must be at least len(reads) long) and returns the number of leading
@@ -61,12 +56,12 @@ type Tool interface {
 // canceled mid-batch, MapBatch returns (n, *BatchError) with results[:n]
 // and stages[:n] valid and the rest unmapped.
 type ContextTool interface {
-	Tool
+	Name() string
 	MapCtx(ctx context.Context, read []byte, probe *perf.Probe) (Result, StageTimes, error)
 	MapBatch(ctx context.Context, reads [][]byte, results []Result, stages []StageTimes, probe *perf.Probe) (int, error)
 }
 
-// runner defines the three mapping entry points once, over a tool's single
+// runner defines the two mapping entry points once, over a tool's single
 // mapOne. Each tool embeds a runner of its scratch type and binds mapOne in
 // its constructor; the pool keeps one grow-only scratch per goroutine warm,
 // which is what holds the steady-state path near zero allocations.
@@ -89,12 +84,6 @@ func (r *runner[S]) get() *warm[S] {
 		w = new(warm[S])
 	}
 	return w
-}
-
-// Map implements Tool.
-func (r *runner[S]) Map(read []byte, probe *perf.Probe) (Result, StageTimes) {
-	res, st, _ := r.MapCtx(context.Background(), read, probe)
-	return res, st
 }
 
 // MapCtx implements ContextTool.

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"pangenomicsbench/internal/gensim"
@@ -39,7 +40,7 @@ func TestVgMapMapsShortReads(t *testing.T) {
 	reads := shortReads(t, p, 30)
 	mapped := 0
 	for _, r := range reads {
-		res, st := tool.Map(r.Seq, nil)
+		res, st, _ := tool.MapCtx(context.Background(), r.Seq, nil)
 		if res.Mapped {
 			mapped++
 			// A 150 bp read with ~0.2% errors should align nearly fully:
@@ -67,7 +68,7 @@ func TestVgMapCapturesGSSWInputs(t *testing.T) {
 	tool.Capture = &cap
 	reads := shortReads(t, p, 5)
 	for _, r := range reads {
-		tool.Map(r.Seq, nil)
+		tool.MapCtx(context.Background(), r.Seq, nil)
 	}
 	if len(cap) == 0 {
 		t.Fatal("no GSSW inputs captured")
@@ -94,7 +95,7 @@ func TestVgGiraffeFilterDominates(t *testing.T) {
 	var total seqmap.StageTimes
 	mapped := 0
 	for _, r := range reads {
-		res, st := tool.Map(r.Seq, nil)
+		res, st, _ := tool.MapCtx(context.Background(), r.Seq, nil)
 		total.Add(st)
 		if res.Mapped {
 			mapped++
@@ -127,7 +128,7 @@ func TestGraphAlignerAlignDominates(t *testing.T) {
 	var total seqmap.StageTimes
 	mapped := 0
 	for _, r := range reads {
-		res, st := tool.Map(r.Seq, nil)
+		res, st, _ := tool.MapCtx(context.Background(), r.Seq, nil)
 		total.Add(st)
 		if res.Mapped {
 			mapped++
@@ -168,7 +169,7 @@ func TestMinigraphBridgesWithGWFA(t *testing.T) {
 	mapped := 0
 	var total seqmap.StageTimes
 	for _, r := range reads {
-		res, st := tool.Map(r.Seq, nil)
+		res, st, _ := tool.MapCtx(context.Background(), r.Seq, nil)
 		total.Add(st)
 		if res.Mapped {
 			mapped++
@@ -201,7 +202,7 @@ func TestToolsOnUnmappableRead(t *testing.T) {
 	for i := range junk {
 		junk[i] = "AC"[i%2] // dinucleotide repeat unlikely to seed uniquely
 	}
-	tools := []Tool{}
+	tools := []ContextTool{}
 	if tl, err := NewVgMap(p.Graph, 15, 10); err == nil {
 		tools = append(tools, tl)
 	}
@@ -209,7 +210,7 @@ func TestToolsOnUnmappableRead(t *testing.T) {
 		tools = append(tools, tl)
 	}
 	for _, tool := range tools {
-		res, _ := tool.Map(junk, nil)
+		res, _, _ := tool.MapCtx(context.Background(), junk, nil)
 		_ = res // must simply not crash; mapping may or may not succeed
 	}
 }
@@ -243,7 +244,7 @@ func TestSeedingUsesIndexWindow(t *testing.T) {
 				t.Errorf("w=%d: read minimizer at %d is not in the index", w, m.Pos)
 			}
 		}
-		if res, _ := tool.Map(read, nil); !res.Mapped {
+		if res, _, _ := tool.MapCtx(context.Background(), read, nil); !res.Mapped {
 			t.Errorf("w=%d: giraffe did not map an error-free haplotype read", w)
 		}
 	}

@@ -49,7 +49,7 @@ func NewVgMap(g *graph.Graph, k, w int) (*VgMap, error) {
 	return NewVgMapFromIndex(g, idx)
 }
 
-// Name implements Tool.
+// Name implements ContextTool.
 func (t *VgMap) Name() string { return "VgMap" }
 
 // mapOne runs one read on the scratch: cancellation is observed between

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"pangenomicsbench/internal/gensim"
@@ -144,8 +145,8 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, read := range kr.reads {
-				want, _ := orig.Map(read, nil)
-				got, _ := re.Map(read, nil)
+				want, _, _ := orig.MapCtx(context.Background(), read, nil)
+				got, _, _ := re.MapCtx(context.Background(), read, nil)
 				if want != got {
 					t.Fatalf("read %d maps differently after round trip:\n  saved:  %+v\n  loaded: %+v", i, want, got)
 				}
