@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"pangenomicsbench/internal/bio"
+	"pangenomicsbench/internal/graph"
+	"pangenomicsbench/internal/perf"
 )
 
 // TestGBVWorkspaceReusedMatchesFresh: a workspace reused across differently
@@ -56,28 +58,93 @@ func TestGWFAWorkspaceReusedMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestGSSWWorkspaceReusedMatchesFresh: the arena-backed GSSW must reproduce
-// the fresh-allocation result bit for bit — score, coordinates, path, and
-// cigar — across reuse with varying graph and query sizes (stale arena
-// contents must never leak into column 0 or the traceback).
+// TestGSSWWorkspaceReusedMatchesFresh: one reused workspace's boundary-only
+// pass must give GSSW's score and end cell, and exactly what a fresh
+// GSSWLean gives, across graphs and queries (1-300 bp) that make the
+// workspace grow and shrink; stale boundary vectors must never leak.
 func TestGSSWWorkspaceReusedMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	var ws GSSWWorkspace
-	for iter := 0; iter < 60; iter++ {
-		g := randomSmallDAG(rng)
-		q := randSeq(rng, 1+rng.Intn(60))
-		got, err := ws.Align(g, q, bio.DefaultScoring, nil)
+	for iter := 0; iter < 80; iter++ {
+		g := randomGrowDAG(rng, 1+rng.Intn(48), 1+rng.Intn(30))
+		q := randSeq(rng, 1+rng.Intn(300))
+		if iter%2 == 0 {
+			// Half the queries come from a walk through the graph, so
+			// scores are large.
+			var walk []byte
+			for id := graph.NodeID(1); ; {
+				walk = append(walk, g.Seq(id)...)
+				out := g.Out(id)
+				if len(out) == 0 {
+					break
+				}
+				id = out[rng.Intn(len(out))]
+			}
+			q = mutate(rng, walk, 0.02)
+			q = q[:min(len(q), 1+rng.Intn(300))]
+		}
+		got, err := ws.Lean(g, q, bio.DefaultScoring, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := GSSW(g, q, bio.DefaultScoring, nil)
+		full, err := GSSW(g, q, bio.DefaultScoring, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("iter %d: reused workspace %+v != fresh %+v", iter, got, want)
+		if got.Score != full.Score || got.EndNode != full.EndNode || got.EndOffset != full.EndOffset {
+			t.Fatalf("iter %d: reused Lean (%d, node %d, off %d) != GSSW (%d, node %d, off %d)",
+				iter, got.Score, got.EndNode, got.EndOffset, full.Score, full.EndNode, full.EndOffset)
+		}
+		fresh, err := GSSWLean(g, q, bio.DefaultScoring, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("iter %d: reused Lean %+v != fresh GSSWLean %+v", iter, got, fresh)
 		}
 	}
+}
+
+// TestGSSWWorkspaceProbeStream: a warm workspace's Lean records the same
+// event stream as a fresh GSSWLean, so the opt-gssw lean row does not
+// depend on which one ran.
+func TestGSSWWorkspaceProbeStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	var ws GSSWWorkspace
+	for iter := 0; iter < 6; iter++ {
+		g := randomGrowDAG(rng, 2+rng.Intn(20), 1+rng.Intn(20))
+		q := randSeq(rng, 1+rng.Intn(200))
+		if _, err := ws.Lean(randomSmallDAG(rng), randSeq(rng, 250), bio.DefaultScoring, nil); err != nil {
+			t.Fatal(err)
+		}
+		warm, fresh := perf.NewProbe(), perf.NewProbe()
+		if _, err := ws.Lean(g, q, bio.DefaultScoring, warm); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := GSSWLean(g, q, bio.DefaultScoring, fresh); err != nil {
+			t.Fatal(err)
+		}
+		if w, f := perf.NewReport("lean", warm), perf.NewReport("lean", fresh); !reflect.DeepEqual(w, f) {
+			t.Fatalf("iter %d: warm workspace report %+v != fresh %+v", iter, w, f)
+		}
+	}
+}
+
+// randomGrowDAG is a chain of n nodes of 1..maxLen bp plus n/2 random
+// forward edges: acyclic, with sizes the caller varies.
+func randomGrowDAG(rng *rand.Rand, n, maxLen int) *graph.Graph {
+	g := graph.New()
+	for i := 0; i < n; i++ {
+		g.AddNode(randSeq(rng, 1+rng.Intn(maxLen)))
+	}
+	for i := 1; i < n; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
+	}
+	for k := 0; k < n/2; k++ {
+		a := 1 + rng.Intn(n-1)
+		g.AddEdge(graph.NodeID(a), graph.NodeID(a+1+rng.Intn(n-a)))
+	}
+	return g
 }
 
 // TestBatchedKernelAllocs pins the near-zero steady-state allocation
@@ -112,10 +179,8 @@ func TestBatchedKernelAllocs(t *testing.T) {
 		gr := randomSmallDAG(rng)
 		q := randSeq(rng, 40)
 		var ws GSSWWorkspace
-		// TopoSort and the traceback path/cigar still allocate per call;
-		// the DP matrices (the §5.2 triple footprint) must not.
-		warmAndPin(t, 16, func() {
-			if _, err := ws.Align(gr, q, bio.DefaultScoring, nil); err != nil {
+		warmAndPin(t, 0, func() {
+			if _, err := ws.Lean(gr, q, bio.DefaultScoring, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

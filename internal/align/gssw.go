@@ -24,30 +24,6 @@ type nodeMatrices struct {
 
 func (nm *nodeMatrices) at(m []int16, row, col int) int16 { return m[row*nm.cols+col] }
 
-// GSSWWorkspace holds the reusable storage of one GSSW alignment: a single
-// grow-only int16 arena backing every node's H/D/I matrices, a vec arena for
-// the striped carry state, and the profile/state buffers. The arena is sized
-// in one pass before any matrix is carved (so carved slices never move) and
-// the used prefix is zeroed per call (column 0 must stay 0 for traceback).
-// Scores, coordinates, and tracebacks are byte-identical to the
-// fresh-allocation path.
-type GSSWWorkspace struct {
-	i16   []int16
-	vecs  []vec
-	mats  []nodeMatrices
-	matp  []*nodeMatrices
-	lastH [][]vec
-	lastD [][]vec
-	dSnap []vec
-
-	hLoad, hStore, e []vec
-
-	pf      Profile
-	pfCodes []byte
-
-	as perf.AddrSpace
-}
-
 // GSSW aligns query to an acyclic sequence graph with the Graph SIMD
 // Smith-Waterman algorithm used by Vg Map (paper §3): nodes are processed
 // in topological order; within a node's body rows run striped Smith-
@@ -55,62 +31,6 @@ type GSSWWorkspace struct {
 // parents. Striped registers are written back to per-node unstriped DP
 // matrices (the "swizzle writes" of case study §6.1).
 func GSSW(g *graph.Graph, query []byte, sc bio.Scoring, probe *perf.Probe) (GraphResult, error) {
-	return gsswCore(nil, g, query, sc, probe)
-}
-
-// Align runs GSSW reusing the workspace's arenas — zero per-node matrix
-// allocations once the arenas have grown to the working-set size.
-func (ws *GSSWWorkspace) Align(g *graph.Graph, query []byte, sc bio.Scoring, probe *perf.Probe) (GraphResult, error) {
-	return gsswCore(ws, g, query, sc, probe)
-}
-
-// ensureVecs returns buf with length n (grow-only; contents unspecified).
-func ensureVecs(buf []vec, n int) []vec {
-	if cap(buf) < n {
-		return make([]vec, n)
-	}
-	return buf[:n]
-}
-
-// profileFor returns the striped query profile: freshly allocated without a
-// workspace, rebuilt into the workspace's reused vec storage otherwise.
-func (ws *GSSWWorkspace) profileFor(query []byte, sc bio.Scoring) *Profile {
-	if ws == nil {
-		return NewProfile(query, sc)
-	}
-	m := len(query)
-	segLen := (m + Lanes - 1) / Lanes
-	if segLen == 0 {
-		segLen = 1
-	}
-	ws.pfCodes = bio.AppendCodes(ws.pfCodes[:0], query)
-	p := &ws.pf
-	p.query, p.codes, p.segLen, p.bias = query, ws.pfCodes, segLen, int16(sc.Mismatch)
-	for code := 0; code < 5; code++ {
-		p.vecs[code] = ensureVecs(p.vecs[code], segLen)
-		fillProfileCode(p, code, m, sc)
-	}
-	return p
-}
-
-// fillProfileCode writes one base code's striped score vectors (the body of
-// NewProfile, shared so both construction paths stay identical).
-func fillProfileCode(p *Profile, code, m int, sc bio.Scoring) {
-	for seg := 0; seg < p.segLen; seg++ {
-		for l := 0; l < Lanes; l++ {
-			qpos := l*p.segLen + seg
-			score := -int(sc.Mismatch)
-			if qpos < m {
-				if int(p.codes[qpos]) == code && code != bio.BaseN {
-					score = sc.Match
-				}
-			}
-			p.vecs[code][seg][l] = int16(score) + p.bias
-		}
-	}
-}
-
-func gsswCore(ws *GSSWWorkspace, g *graph.Graph, query []byte, sc bio.Scoring, probe *perf.Probe) (GraphResult, error) {
 	order, err := g.TopoSort()
 	if err != nil {
 		return GraphResult{}, fmt.Errorf("align: GSSW requires an acyclic graph: %w", err)
@@ -119,85 +39,31 @@ func gsswCore(ws *GSSWWorkspace, g *graph.Graph, query []byte, sc bio.Scoring, p
 		return GraphResult{}, nil
 	}
 	m := len(query)
-	pf := ws.profileFor(query, sc)
+	pf := NewProfile(query, sc)
 	segLen := pf.segLen
-
-	var as *perf.AddrSpace
-	var st *sswState
+	as := perf.NewAddrSpace()
+	st := newSSWState(pf, sc, probe, as)
 	nn := g.NumNodes()
-	if ws != nil {
-		ws.as.Reset()
-		as = &ws.as
-		ws.hLoad = ensureVecs(ws.hLoad, segLen)
-		ws.hStore = ensureVecs(ws.hStore, segLen)
-		ws.e = ensureVecs(ws.e, segLen)
-		st = &sswState{pf: pf, sc: sc, probe: probe, hLoad: ws.hLoad, hStore: ws.hStore, e: ws.e}
-		bytes := segLen * Lanes * 2
-		st.addrH = as.Alloc(2 * bytes)
-		st.addrE = as.Alloc(bytes)
-		st.addrProfile = as.Alloc(5 * bytes)
-	} else {
-		as = perf.NewAddrSpace()
-		st = newSSWState(pf, sc, probe, as)
-	}
 
 	gapO := int16(sc.GapOpen)
 	gapE := int16(sc.GapExtend)
 
-	// Matrix storage. With a workspace, one pass sizes the int16 and vec
-	// arenas up front — carving after any growth would leave earlier slices
-	// aliased to a stale backing array.
-	var mats []*nodeMatrices
-	var lastH, lastD [][]vec
-	var dSnap []vec
-	if ws != nil {
-		totI16 := 0
-		for _, id := range order {
-			totI16 += len(g.Seq(id)) * (m + 1) * 3
-		}
-		ws.i16 = ensureI16(ws.i16, totI16)
-		for i := range ws.i16 {
-			ws.i16[i] = 0
-		}
-		ws.vecs = ensureVecs(ws.vecs, (2*nn+1)*segLen)
-		if cap(ws.mats) < len(order) {
-			ws.mats = make([]nodeMatrices, len(order))
-		}
-		ws.mats = ws.mats[:len(order)]
-		ws.matp = ensureMatp(ws.matp, nn+1)
-		ws.lastH = ensureVecSlices(ws.lastH, nn+1)
-		ws.lastD = ensureVecSlices(ws.lastD, nn+1)
-		mats, lastH, lastD = ws.matp, ws.lastH, ws.lastD
-		dSnap = ws.vecs[2*nn*segLen : (2*nn+1)*segLen]
-	} else {
-		mats = make([]*nodeMatrices, nn+1)
-		lastH = make([][]vec, nn+1)
-		lastD = make([][]vec, nn+1)
-		dSnap = make([]vec, segLen)
-	}
+	mats := make([]*nodeMatrices, nn+1)
+	lastH := make([][]vec, nn+1)
+	lastD := make([][]vec, nn+1)
+	dSnap := make([]vec, segLen)
 
 	best := GraphResult{}
 	var bestNode graph.NodeID
 	var bestRow, bestCol int
 
-	i16Off, vecOff := 0, 0
-	for oi, id := range order {
+	for _, id := range order {
 		seq := g.Seq(id)
-		var nm *nodeMatrices
 		size := len(seq) * (m + 1)
-		if ws != nil {
-			nm = &ws.mats[oi]
-			*nm = nodeMatrices{rows: len(seq), cols: m + 1}
-			nm.h = ws.i16[i16Off : i16Off+size]
-			nm.d = ws.i16[i16Off+size : i16Off+2*size]
-			nm.ins = ws.i16[i16Off+2*size : i16Off+3*size]
-			i16Off += 3 * size
-		} else {
-			nm = &nodeMatrices{rows: len(seq), cols: m + 1}
-			nm.h = make([]int16, size)
-			nm.d = make([]int16, size)
-			nm.ins = make([]int16, size)
-		}
+		nm := &nodeMatrices{rows: len(seq), cols: m + 1}
+		nm.h = make([]int16, size)
+		nm.d = make([]int16, size)
+		nm.ins = make([]int16, size)
 		nm.base = as.Alloc(size * 2 * 3)
 		mats[id] = nm
 
@@ -242,8 +108,8 @@ func gsswCore(ws *GSSWWorkspace, g *graph.Graph, query []byte, sc bio.Scoring, p
 					if q >= m {
 						continue
 					}
-					hRow[q+1] = hv[l]
-					dRow[q+1] = dv[l]
+					hRow[q+1] = hv.lane(l)
+					dRow[q+1] = dv.lane(l)
 					probe.Store(uintptr(nm.base)+uintptr((row*nm.cols+q+1)*2), 2)
 					probe.Store(uintptr(nm.base)+uintptr(size*2+(row*nm.cols+q+1)*2), 2)
 				}
@@ -279,22 +145,8 @@ func gsswCore(ws *GSSWWorkspace, g *graph.Graph, query []byte, sc bio.Scoring, p
 		}
 
 		// Stash the node's final striped state for children.
-		if ws != nil {
-			lh := ws.vecs[vecOff : vecOff+segLen]
-			ld := ws.vecs[vecOff+segLen : vecOff+2*segLen]
-			vecOff += 2 * segLen
-			copy(lh, st.hLoad)
-			copy(ld, st.e)
-			lastH[id], lastD[id] = lh, ld
-		} else {
-			lastH[id] = append([]vec(nil), st.hLoad...)
-			lastD[id] = append([]vec(nil), st.e...)
-		}
-		// column() swaps hLoad/hStore each call; re-anchor the workspace's
-		// view so the next Align starts from the same buffers.
-		if ws != nil {
-			ws.hLoad, ws.hStore = st.hLoad, st.hStore
-		}
+		lastH[id] = append([]vec(nil), st.hLoad...)
+		lastD[id] = append([]vec(nil), st.e...)
 	}
 
 	if best.Score == 0 {
@@ -305,27 +157,6 @@ func gsswCore(ws *GSSWWorkspace, g *graph.Graph, query []byte, sc bio.Scoring, p
 	best.QueryEnd = bestCol
 	best.Path, best.Cigar = gsswTraceback(g, query, sc, mats, bestNode, bestRow, bestCol)
 	return best, nil
-}
-
-func ensureI16(buf []int16, n int) []int16 {
-	if cap(buf) < n {
-		return make([]int16, n)
-	}
-	return buf[:n]
-}
-
-func ensureMatp(buf []*nodeMatrices, n int) []*nodeMatrices {
-	if cap(buf) < n {
-		return make([]*nodeMatrices, n)
-	}
-	return buf[:n]
-}
-
-func ensureVecSlices(buf [][]vec, n int) [][]vec {
-	if cap(buf) < n {
-		return make([][]vec, n)
-	}
-	return buf[:n]
 }
 
 func stripedArgmaxRow(hRow []int16, m int) int {

@@ -8,30 +8,55 @@ import (
 	"pangenomicsbench/internal/perf"
 )
 
+// GSSWWorkspace holds the reusable storage of the boundary-only GSSW pass
+// (Lean): the topological order, the striped profile and rolling state, and
+// one arena of per-node boundary H/D vectors. Everything grows only, so a
+// warm workspace allocates nothing. Vg Map's mapper keeps one per goroutine:
+// it reads only the score and end node, so it never pays for the full DP
+// matrices and traceback that GSSW builds.
+type GSSWWorkspace struct {
+	topo  graph.TopoOrder
+	pf    Profile
+	st    sswState
+	bound []vec // node id's boundary H, then D, at 2*id*segLen
+	as    perf.AddrSpace
+}
+
 // GSSWLean is the optimization case study §6.1 proposes: within a node the
 // DP rows have linear dependencies, so they need not be written back to the
 // full matrix — only each node's boundary (last-row) state must be kept for
 // its children. This variant therefore skips the swizzle write-back of
 // every intra-node row, eliminating the memory stalls the paper measured
 // (≈3× those of SSW), at the cost of returning score and end position only
-// (no traceback).
+// (no traceback). It runs Lean on a fresh workspace.
 func GSSWLean(g *graph.Graph, query []byte, sc bio.Scoring, probe *perf.Probe) (GraphResult, error) {
-	order, err := g.TopoSort()
+	var ws GSSWWorkspace
+	return ws.Lean(g, query, sc, probe)
+}
+
+// Lean is GSSWLean on the workspace's storage. Its best cell is updated on
+// the same strict > in the same node and row order as GSSW's, so Score,
+// EndNode and EndOffset equal GSSW's.
+func (ws *GSSWWorkspace) Lean(g *graph.Graph, query []byte, sc bio.Scoring, probe *perf.Probe) (GraphResult, error) {
+	order, err := ws.topo.Sort(g)
 	if err != nil {
 		return GraphResult{}, fmt.Errorf("align: GSSWLean requires an acyclic graph: %w", err)
 	}
 	if len(query) == 0 || g.NumNodes() == 0 {
 		return GraphResult{}, nil
 	}
-	pf := NewProfile(query, sc)
+	pf := &ws.pf
+	pf.reset(query, sc)
 	segLen := pf.segLen
-	as := perf.NewAddrSpace()
-	st := newSSWState(pf, sc, probe, as)
+	st := &ws.st
+	*st = sswState{pf: pf, sc: sc, probe: probe,
+		hLoad: ensureVecs(st.hLoad, segLen), hStore: ensureVecs(st.hStore, segLen), e: ensureVecs(st.e, segLen)}
+	ws.as.Reset()
+	st.place(&ws.as)
 
 	// Boundary states only: one striped (H, D) pair per node.
-	lastH := make([][]vec, g.NumNodes()+1)
-	lastD := make([][]vec, g.NumNodes()+1)
-	boundaryBase := as.Alloc((g.NumNodes() + 1) * segLen * Lanes * 4)
+	ws.bound = ensureVecs(ws.bound, 2*(g.NumNodes()+1)*segLen)
+	boundaryBase := ws.as.Alloc((g.NumNodes() + 1) * segLen * Lanes * 4)
 
 	best := GraphResult{}
 	for _, id := range order {
@@ -41,11 +66,12 @@ func GSSWLean(g *graph.Graph, query []byte, sc bio.Scoring, probe *perf.Probe) (
 			var h, d vec
 			for pi, p := range parents {
 				probe.Load(uintptr(boundaryBase)+uintptr((int(p)*segLen+seg)*Lanes*4), Lanes*4)
+				ph, pd := &ws.bound[2*int(p)*segLen+seg], &ws.bound[(2*int(p)+1)*segLen+seg]
 				if pi == 0 {
-					h, d = lastH[p][seg], lastD[p][seg]
+					h, d = *ph, *pd
 				} else {
-					h.maxWith(&lastH[p][seg])
-					d.maxWith(&lastD[p][seg])
+					h.maxWith(ph)
+					d.maxWith(pd)
 				}
 				probe.Op(perf.Vector, 2)
 			}
@@ -67,8 +93,8 @@ func GSSWLean(g *graph.Graph, query []byte, sc bio.Scoring, probe *perf.Probe) (
 				probe.TakeBranch(0x65, false)
 			}
 		}
-		lastH[id] = append([]vec(nil), st.hLoad...)
-		lastD[id] = append([]vec(nil), st.e...)
+		copy(ws.bound[2*int(id)*segLen:], st.hLoad)
+		copy(ws.bound[(2*int(id)+1)*segLen:], st.e)
 		probe.Store(uintptr(boundaryBase)+uintptr(int(id)*segLen*Lanes*4), segLen*Lanes*4)
 	}
 	return best, nil

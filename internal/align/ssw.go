@@ -10,66 +10,86 @@ import (
 // configuration of the SSW library the paper's GSSW kernel builds on.
 const Lanes = 8
 
-// vec is one modeled SIMD register.
-type vec [Lanes]int16
+// vec is one modeled SIMD register: the eight 16-bit lanes packed four to a
+// word, lane l in bits 16*(l%4) of word l/4, so each operation below works on
+// two words (SWAR) rather than lane by lane. Every lane value stays in
+// [0, 32767] — the profile is biased to be non-negative and every operation
+// floors at 0 — so each lane's top bit is free to serve as the guard bit that
+// keeps a borrow or carry from crossing into the next lane.
+type vec [2]uint64
+
+const (
+	laneTop = 0x8000800080008000 // each lane's guard bit
+	laneOne = 0x0001000100010001 // 1 in each lane
+)
+
+// lane returns lane l's value.
+func (v *vec) lane(l int) int16 { return int16(v[l>>2] >> (16 * (l & 3))) }
+
+// setLane sets lane l to x, which must lie in [0, 32767].
+func (v *vec) setLane(l int, x int16) {
+	sh := 16 * (l & 3)
+	v[l>>2] = v[l>>2]&^(0xFFFF<<sh) | uint64(uint16(x))<<sh
+}
+
+// geGuard has each lane's guard bit set where a >= b: the guard bit of
+// (a | guard) - b survives exactly where the lane did not borrow.
+func geGuard(a, b uint64) uint64 { return ((a | laneTop) - b) & laneTop }
+
+// lowMask widens each guard bit set in g into its lane's low 15 bits, which
+// hold the whole lane value.
+func lowMask(g uint64) uint64 { return g - g>>15 }
+
+func maxWord(a, b uint64) uint64 {
+	m := lowMask(geGuard(a, b))
+	return a&m | b&^m
+}
+
+// addSatWord adds lane-wise and clamps at 32767: a lane sum sets its guard
+// bit exactly when it exceeds 32767.
+func addSatWord(a, b uint64) uint64 {
+	s := a + b
+	return s&^laneTop | lowMask(s&laneTop)
+}
+
+// subSatWord subtracts lane-wise and floors at 0.
+func subSatWord(a, b uint64) uint64 {
+	d := (a | laneTop) - b
+	return d & lowMask(d&laneTop)
+}
 
 func (v *vec) maxWith(o *vec) {
-	for l := 0; l < Lanes; l++ {
-		if o[l] > v[l] {
-			v[l] = o[l]
-		}
-	}
+	v[0], v[1] = maxWord(v[0], o[0]), maxWord(v[1], o[1])
 }
 
 func (v *vec) addSat(o *vec) {
-	for l := 0; l < Lanes; l++ {
-		s := int32(v[l]) + int32(o[l])
-		if s > 32767 {
-			s = 32767
-		}
-		if s < 0 {
-			s = 0 // Smith-Waterman zero floor (saturating unsigned semantics)
-		}
-		v[l] = int16(s)
-	}
+	v[0], v[1] = addSatWord(v[0], o[0]), addSatWord(v[1], o[1])
 }
 
+// subSatScalar subtracts x, which must lie in [0, 32767], from every lane,
+// flooring at 0 (Smith-Waterman's zero floor).
 func (v *vec) subSatScalar(x int16) {
-	for l := 0; l < Lanes; l++ {
-		s := v[l] - x
-		if s < 0 {
-			s = 0
-		}
-		v[l] = s
-	}
+	b := uint64(uint16(x)) * laneOne
+	v[0], v[1] = subSatWord(v[0], b), subSatWord(v[1], b)
 }
 
 // shiftIn shifts lanes left by one (lane 0 receives fill). In the striped
 // layout this moves values to the next query position across segments.
 func (v vec) shiftIn(fill int16) vec {
-	var out vec
-	out[0] = fill
-	copy(out[1:], v[:Lanes-1])
-	return out
+	return vec{v[0]<<16 | uint64(uint16(fill)), v[1]<<16 | v[0]>>48}
 }
 
+// anyGreater reports whether some lane of v exceeds o's, i.e. whether o >= v
+// fails in some lane.
 func (v *vec) anyGreater(o *vec) bool {
-	for l := 0; l < Lanes; l++ {
-		if v[l] > o[l] {
-			return true
-		}
-	}
-	return false
+	return geGuard(o[0], v[0])&geGuard(o[1], v[1]) != laneTop
 }
 
 func (v *vec) horizontalMax() int16 {
-	m := v[0]
-	for l := 1; l < Lanes; l++ {
-		if v[l] > m {
-			m = v[l]
-		}
-	}
-	return m
+	m := maxWord(v[0], v[1])
+	m = maxWord(m, m>>32)
+	m = maxWord(m, m>>16)
+	return int16(uint16(m))
 }
 
 // Profile is a striped query profile (Farrar): for each reference base code,
@@ -84,28 +104,40 @@ type Profile struct {
 
 // NewProfile builds the striped query profile for the scoring scheme.
 func NewProfile(query []byte, sc bio.Scoring) *Profile {
+	p := &Profile{codes: make([]byte, 0, len(query))}
+	p.reset(query, sc)
+	return p
+}
+
+// reset rebuilds p for query in place, growing its storage only when too
+// small, so a reused profile allocates nothing.
+func (p *Profile) reset(query []byte, sc bio.Scoring) {
 	m := len(query)
-	segLen := (m + Lanes - 1) / Lanes
-	if segLen == 0 {
-		segLen = 1
-	}
-	p := &Profile{query: query, codes: bio.Encode2Bit(query), segLen: segLen, bias: int16(sc.Mismatch)}
-	for code := 0; code < 5; code++ {
-		p.vecs[code] = make([]vec, segLen)
-		for seg := 0; seg < segLen; seg++ {
+	p.query, p.codes, p.bias = query, bio.AppendCodes(p.codes[:0], query), int16(sc.Mismatch)
+	p.segLen = max((m+Lanes-1)/Lanes, 1)
+	for code := range p.vecs {
+		p.vecs[code] = ensureVecs(p.vecs[code], p.segLen)
+		for seg := 0; seg < p.segLen; seg++ {
 			for l := 0; l < Lanes; l++ {
-				qpos := l*segLen + seg
+				qpos := l*p.segLen + seg
 				score := -int(sc.Mismatch)
 				if qpos < m {
 					if int(p.codes[qpos]) == code && code != bio.BaseN {
 						score = sc.Match
 					}
 				}
-				p.vecs[code][seg][l] = int16(score) + p.bias
+				p.vecs[code][seg].setLane(l, int16(score)+p.bias)
 			}
 		}
 	}
-	return p
+}
+
+// ensureVecs returns buf with length n (grow-only; contents unspecified).
+func ensureVecs(buf []vec, n int) []vec {
+	if cap(buf) < n {
+		return make([]vec, n)
+	}
+	return buf[:n]
 }
 
 // sswState is the rolling striped state of one Smith-Waterman pass.
@@ -130,13 +162,16 @@ func newSSWState(pf *Profile, sc bio.Scoring, probe *perf.Probe, as *perf.AddrSp
 		hStore: make([]vec, pf.segLen),
 		e:      make([]vec, pf.segLen),
 	}
-	if as != nil {
-		bytes := pf.segLen * Lanes * 2
-		st.addrH = as.Alloc(2 * bytes)
-		st.addrE = as.Alloc(bytes)
-		st.addrProfile = as.Alloc(5 * bytes)
-	}
+	st.place(as)
 	return st
+}
+
+// place gives the state's buffers their synthetic cache-model addresses.
+func (st *sswState) place(as *perf.AddrSpace) {
+	bytes := st.pf.segLen * Lanes * 2
+	st.addrH = as.Alloc(2 * bytes)
+	st.addrE = as.Alloc(bytes)
+	st.addrProfile = as.Alloc(5 * bytes)
 }
 
 // column runs one Farrar column for reference base code refCode, returning
@@ -159,12 +194,7 @@ func (st *sswState) column(refCode byte, maxOut *vec) {
 		pv := profile[seg]
 		probe.Load(uintptr(st.addrProfile)+uintptr((int(refCode)*pf.segLen+seg)*vecBytes), vecBytes)
 		vH.addSat(&pv)
-		for l := 0; l < Lanes; l++ {
-			vH[l] -= bias
-			if vH[l] < 0 {
-				vH[l] = 0
-			}
-		}
+		vH.subSatScalar(bias)
 		probe.Op(perf.Vector, 3) // add, sub, max-with-zero
 
 		probe.Load(uintptr(st.addrE)+uintptr(seg*vecBytes), vecBytes)
@@ -195,14 +225,8 @@ func (st *sswState) column(refCode byte, maxOut *vec) {
 	// longer improve any cell.
 	vF = vF.shiftIn(0)
 	for seg := 0; ; {
-		var vTest vec
-		for l := 0; l < Lanes; l++ {
-			t := st.hStore[seg][l] - gapO
-			if t < 0 {
-				t = 0
-			}
-			vTest[l] = t
-		}
+		vTest := st.hStore[seg]
+		vTest.subSatScalar(gapO)
 		probe.Op(perf.Vector, 2)
 		if !vF.anyGreater(&vTest) {
 			probe.TakeBranch(0x51, false)
@@ -261,8 +285,8 @@ func stripedArgmax(col []vec, segLen int) int {
 	bestV, bestQ := int16(-1), 0
 	for seg := 0; seg < segLen; seg++ {
 		for l := 0; l < Lanes; l++ {
-			if col[seg][l] > bestV {
-				bestV = col[seg][l]
+			if v := col[seg].lane(l); v > bestV {
+				bestV = v
 				bestQ = l*segLen + seg
 			}
 		}

@@ -89,7 +89,8 @@ func TestProfileKernelProducesEvents(t *testing.T) {
 
 // TestMeasureMemo: the memoised report of every registry kernel equals a
 // fresh profile, and a second request for a name returns the stored
-// measurement without running the kernel again.
+// measurement without running the kernel again. The timed and the probed
+// halves are memoised apart: asking for one runs only that pass.
 func TestMeasureMemo(t *testing.T) {
 	s := getSuite(t)
 	ks, err := s.Kernels()
@@ -119,6 +120,35 @@ func TestMeasureMemo(t *testing.T) {
 			t.Errorf("%s: second request ran the kernel %d times or changed the result", k.Name, runs)
 		}
 	}
+
+	var probed, unprobed int
+	k := Kernel{Name: "counted", Run: func(p *perf.Probe) error {
+		if p == nil {
+			unprobed++
+			return nil
+		}
+		probed++
+		p.Op(perf.ScalarInt, 1)
+		return nil
+	}}
+	var fresh Suite
+	step := func(what string, run func() error, wantProbed, wantUnprobed int) {
+		t.Helper()
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		if probed != wantProbed || unprobed != wantUnprobed {
+			t.Fatalf("after %s: %d probed, %d unprobed runs; want %d, %d", what, probed, unprobed, wantProbed, wantUnprobed)
+		}
+	}
+	profiled := func() error { _, err := fresh.profiled(k); return err }
+	timed := func() error { _, err := fresh.timed(k); return err }
+	measured := func() error { _, err := fresh.measure(k); return err }
+	step("profiled", profiled, 1, 0)
+	step("profiled again", profiled, 1, 0)
+	step("timed", timed, 1, 1)
+	step("timed again", timed, 1, 1)
+	step("measure", measured, 1, 1)
 }
 
 // TestCharacterizationShapes verifies the paper's key qualitative findings

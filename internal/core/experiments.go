@@ -277,17 +277,17 @@ func (s *Suite) Table4() (Table, error) {
 		Notes:  []string{"paper (Machine B, full datasets): GBV 192s GSSW 35s GBWT 23s GWFA-cr 16657s GWFA-lr 720s PGSGD 285s TC 755s"},
 	}
 	for _, k := range ks {
-		m, err := s.measure(k)
+		wall, err := s.timed(k)
 		if err != nil {
 			return Table{}, err
 		}
-		tbl.Rows = append(tbl.Rows, []string{k.Name, m.wall.Round(time.Microsecond).String(), fmt.Sprintf("%d", k.Inputs)})
+		tbl.Rows = append(tbl.Rows, []string{k.Name, wall.Round(time.Microsecond).String(), fmt.Sprintf("%d", k.Inputs)})
 	}
 	return tbl, nil
 }
 
 // profileAll returns every registry kernel's report in registry order.
-// Each kernel is profiled once per Suite (see measure), so fig6/7/8 and
+// Each kernel is profiled once per Suite (see profiled), so fig6/7/8 and
 // table6 share one probed run.
 func (s *Suite) profileAll() ([]perf.Report, error) {
 	ks, err := s.Kernels()
@@ -296,11 +296,11 @@ func (s *Suite) profileAll() ([]perf.Report, error) {
 	}
 	reports := make([]perf.Report, 0, len(ks))
 	for _, k := range ks {
-		m, err := s.measure(k)
+		rep, err := s.profiled(k)
 		if err != nil {
 			return nil, err
 		}
-		reports = append(reports, m.report)
+		reports = append(reports, rep)
 	}
 	return reports, nil
 }
@@ -705,7 +705,7 @@ func (s *Suite) Fig10() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	ssw, err := s.measure(Kernel{Name: "SSW", Inputs: len(refs), Run: func(p *perf.Probe) error {
+	ssw, err := s.profiled(Kernel{Name: "SSW", Inputs: len(refs), Run: func(p *perf.Probe) error {
 		for i := range refs {
 			align.StripedSW(refs[i], qrys[i], bio.DefaultScoring, p)
 		}
@@ -714,7 +714,11 @@ func (s *Suite) Fig10() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	gssw, err := s.measureNamed("GSSW")
+	k, err := s.kernelNamed("GSSW")
+	if err != nil {
+		return Table{}, err
+	}
+	gssw, err := s.profiled(k)
 	if err != nil {
 		return Table{}, err
 	}
@@ -727,7 +731,7 @@ func (s *Suite) Fig10() (Table, error) {
 			"paper: GSSW has ~3x the memory stalls of SSW, from swizzle writes of the full DP matrix",
 		},
 	}
-	for _, r := range []perf.Report{ssw.report, gssw.report} {
+	for _, r := range []perf.Report{ssw, gssw} {
 		td := r.TopDown
 		tbl.Rows = append(tbl.Rows, []string{
 			r.Kernel, pct(td.Retiring), pct(td.FrontEndBound), pct(td.BadSpeculation),

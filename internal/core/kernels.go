@@ -157,44 +157,67 @@ func (s *Suite) Kernels() ([]Kernel, error) {
 	return ks, nil
 }
 
-// measure returns the suite's one measurement of k's corpus, keyed by
-// k.Name: on the first request for a name it times one unprobed run as
-// TimeKernel does, then profiles one probed run as ProfileKernel does; later
-// requests return the stored result without running k. Every table that
-// shows a kernel corpus reads it from here, so no wall cell times the cache
-// simulator.
+// timed returns the wall time of one unprobed run of k's corpus, timed as
+// TimeKernel does on the first request for k.Name and stored for later ones.
+func (s *Suite) timed(k Kernel) (time.Duration, error) { return memo(&s.walls, k, TimeKernel) }
+
+// profiled returns the report of one probed run of k's corpus, profiled as
+// ProfileKernel does on the first request for k.Name and stored for later
+// ones.
+func (s *Suite) profiled(k Kernel) (perf.Report, error) {
+	return memo(&s.reports, k, ProfileKernel)
+}
+
+// measure returns both halves of k's measurement. A table asks only for the
+// half it shows, so a table of wall times runs no probe and a table of
+// model columns runs no timed pass; every wall cell times an unprobed run.
 func (s *Suite) measure(k Kernel) (measurement, error) {
-	if m, ok := s.measured[k.Name]; ok {
-		return m, nil
-	}
-	wall, err := TimeKernel(k)
+	wall, err := s.timed(k)
 	if err != nil {
-		return measurement{}, fmt.Errorf("kernel %s: %w", k.Name, err)
+		return measurement{}, err
 	}
-	rep, err := ProfileKernel(k)
+	rep, err := s.profiled(k)
+	return measurement{report: rep, wall: wall}, err
+}
+
+// memo returns (*m)[k.Name], running run(k) and storing its result on the
+// first request for that name.
+func memo[V any](m *map[string]V, k Kernel, run func(Kernel) (V, error)) (V, error) {
+	if v, ok := (*m)[k.Name]; ok {
+		return v, nil
+	}
+	v, err := run(k)
 	if err != nil {
-		return measurement{}, fmt.Errorf("kernel %s: %w", k.Name, err)
+		return v, fmt.Errorf("kernel %s: %w", k.Name, err)
 	}
-	if s.measured == nil {
-		s.measured = make(map[string]measurement)
+	if *m == nil {
+		*m = make(map[string]V)
 	}
-	m := measurement{report: rep, wall: wall}
-	s.measured[k.Name] = m
-	return m, nil
+	(*m)[k.Name] = v
+	return v, nil
 }
 
 // measureNamed measures the registry kernel with the given name.
 func (s *Suite) measureNamed(name string) (measurement, error) {
-	ks, err := s.Kernels()
+	k, err := s.kernelNamed(name)
 	if err != nil {
 		return measurement{}, err
 	}
+	return s.measure(k)
+}
+
+// kernelNamed returns the registry kernel with the given name.
+func (s *Suite) kernelNamed(name string) (Kernel, error) {
+	ks, err := s.Kernels()
+	if err != nil {
+		return Kernel{}, err
+	}
 	for _, k := range ks {
 		if k.Name == name {
-			return s.measure(k)
+			return k, nil
 		}
 	}
-	return measurement{}, fmt.Errorf("core: no kernel %q in the registry", name)
+	return Kernel{}, fmt.Errorf("core: no kernel %q in the registry", name)
 }
 
 // TimeKernel measures a kernel's uninstrumented wall time.

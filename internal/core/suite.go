@@ -9,10 +9,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"time"
 
 	"pangenomicsbench/internal/build"
 	"pangenomicsbench/internal/gensim"
 	"pangenomicsbench/internal/graph"
+	"pangenomicsbench/internal/perf"
 	"pangenomicsbench/internal/pipeline"
 	"pangenomicsbench/internal/seqmap"
 	"pangenomicsbench/internal/seqwish"
@@ -81,12 +83,13 @@ type Suite struct {
 	// last-level cache, so this graph is sized independently of the scale.
 	layoutGraph *graph.Graph
 
-	// Memos, each usable at its zero value: the kernel registry, one
-	// measurement per kernel corpus (keyed by Kernel.Name), and the tool
-	// runs Table 1 and Fig. 2 share.
-	kernels  []Kernel
-	measured map[string]measurement
-	tools    []toolRun
+	// Memos, each usable at its zero value: the kernel registry, one timed
+	// and one probed run per kernel corpus (keyed by Kernel.Name), and the
+	// tool runs Table 1 and Fig. 2 share.
+	kernels []Kernel
+	walls   map[string]time.Duration
+	reports map[string]perf.Report
+	tools   []toolRun
 }
 
 // LayoutGraph lazily builds the PGSGD characterization graph.

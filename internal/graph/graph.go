@@ -154,30 +154,43 @@ func (g *Graph) TotalSeqLen() int {
 // TopoSort returns the node IDs in a topological order, or an error if the
 // graph contains a cycle (Kahn's algorithm).
 func (g *Graph) TopoSort() ([]NodeID, error) {
-	indeg := make([]int, len(g.nodes))
+	var t TopoOrder
+	return t.Sort(g)
+}
+
+// TopoOrder is reusable storage for TopoSort; the zero value is ready.
+type TopoOrder struct {
+	order []NodeID
+	indeg []int
+}
+
+// Sort is TopoSort into t's storage, which grows only: the returned order
+// is valid until the next Sort. The order itself serves as Kahn's FIFO
+// queue, since every node leaves the queue in the order it entered.
+func (t *TopoOrder) Sort(g *Graph) ([]NodeID, error) {
+	n := len(g.nodes)
+	if cap(t.indeg) < n {
+		t.indeg = make([]int, n)
+		t.order = make([]NodeID, 0, n)
+	}
+	indeg, order := t.indeg[:n], t.order[:0]
 	for i := range g.nodes {
 		indeg[i] = len(g.in[i])
-	}
-	queue := make([]NodeID, 0, len(g.nodes))
-	for i := range g.nodes {
 		if indeg[i] == 0 {
-			queue = append(queue, NodeID(i+1))
+			order = append(order, NodeID(i+1))
 		}
 	}
-	order := make([]NodeID, 0, len(g.nodes))
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, to := range g.out[id-1] {
+	for head := 0; head < len(order); head++ {
+		for _, to := range g.out[order[head]-1] {
 			indeg[to-1]--
 			if indeg[to-1] == 0 {
-				queue = append(queue, to)
+				order = append(order, to)
 			}
 		}
 	}
-	if len(order) != len(g.nodes) {
-		return nil, fmt.Errorf("graph: cycle detected (%d of %d nodes sorted)", len(order), len(g.nodes))
+	t.order = order
+	if len(order) != n {
+		return nil, fmt.Errorf("graph: cycle detected (%d of %d nodes sorted)", len(order), n)
 	}
 	return order, nil
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -65,6 +66,38 @@ func TestTopoSort(t *testing.T) {
 	g.AddEdge(4, 1)
 	if _, err := g.TopoSort(); err == nil {
 		t.Fatal("cycle not detected")
+	}
+}
+
+// TestTopoOrderReuse: one TopoOrder sorting a larger graph, a cyclic one and
+// a smaller one gives Kahn's FIFO order every time, as a fresh sort does.
+func TestTopoOrderReuse(t *testing.T) {
+	var to TopoOrder
+	big := New()
+	for i := 0; i < 7; i++ {
+		big.AddNode([]byte("A"))
+	}
+	for _, e := range [][2]NodeID{{1, 3}, {2, 3}, {3, 5}, {3, 4}, {4, 6}, {5, 6}, {7, 6}} {
+		big.AddEdge(e[0], e[1])
+	}
+	cyclic := diamond(t)
+	cyclic.AddEdge(4, 1)
+	for i, tc := range []struct {
+		g    *Graph
+		want []NodeID
+	}{
+		{big, []NodeID{1, 2, 7, 3, 5, 4, 6}},
+		{cyclic, nil},
+		{diamond(t), []NodeID{1, 2, 3, 4}},
+	} {
+		got, err := to.Sort(tc.g)
+		if (err != nil) != (tc.want == nil) || fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Fatalf("case %d: order %v (err %v), want %v", i, got, err, tc.want)
+		}
+		fresh, _ := tc.g.TopoSort()
+		if fmt.Sprint(got) != fmt.Sprint(fresh) {
+			t.Fatalf("case %d: reused order %v != fresh %v", i, got, fresh)
+		}
 	}
 }
 

@@ -23,7 +23,8 @@ func TestMapCtxAllocs(t *testing.T) {
 	// Residual per-call allocations (not regressions, pinned as-is):
 	// VgGiraffe — GBWT extension state internals; GraphAligner — subgraph
 	// cache fills; VgMap — Extract+Acyclify build a fresh subgraph per
-	// chain (the GSSW DP matrices themselves are pooled); Minigraph — the
+	// chain (its boundary-only GSSW pass allocates nothing once the
+	// workspace is warm); Minigraph — the
 	// search frontier of every graph-distance query chaining makes
 	// (graph.ShortestPathLenBounded); its GWFA bridges allocate nothing.
 	limits := map[string]float64{

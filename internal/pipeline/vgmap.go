@@ -14,9 +14,11 @@ import (
 
 // VgMap models vg map: minimizer seeding, graph-distance clustering, light
 // filtering, and GSSW alignment of read fragments to acyclic subgraphs
-// extracted around seed hits (§3, GSSW). Time is spread across all stages
-// (Fig. 2) and the tool is the slowest of the four (Table 1) because GSSW
-// computes full DP matrices.
+// extracted around seed hits (§3, GSSW). The tool is the slowest of the four
+// (Table 1) because GSSW runs a striped DP over every base of each extracted
+// subgraph for every chain. A mapping result keeps only the score and end
+// node, so the align stage runs GSSW's boundary-only pass (§6.1's proposal)
+// and builds no DP matrix or traceback.
 type VgMap struct {
 	runner[vgmapScratch]
 
@@ -30,9 +32,8 @@ type VgMap struct {
 }
 
 // vgmapScratch is the per-goroutine working state: seeding and chaining
-// scratch plus the arena-backed GSSW workspace, so the striped DP matrices
-// — the tool's dominant footprint — are reused across reads instead of
-// reallocated per chain.
+// scratch plus the GSSW workspace, whose profile and per-node boundary
+// vectors are reused across chains and reads instead of reallocated.
 type vgmapScratch struct {
 	seed    seedScratch
 	anchors []chain.Anchor
@@ -93,7 +94,7 @@ func (t *VgMap) mapOne(ctx context.Context, s *vgmapScratch, read []byte, probe 
 			if t.Capture != nil {
 				*t.Capture = append(*t.Capture, GSSWInput{Sub: dag.Graph, Query: read})
 			}
-			r, err := s.gssw.Align(dag.Graph, read, t.sc, probe)
+			r, err := s.gssw.Lean(dag.Graph, read, t.sc, probe)
 			if err != nil {
 				continue
 			}
