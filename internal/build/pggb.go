@@ -144,8 +144,7 @@ func PGGBFromMatches(ctx context.Context, names []string, seqs [][]byte, blocks 
 		}
 	}
 
-	stats := res.Graph.ComputeStats()
-	res.Stats.Nodes, res.Stats.Edges = stats.Nodes, stats.Edges
+	res.Stats.Nodes, res.Stats.Edges = res.Graph.NumNodes(), res.Graph.NumEdges()
 	return res, nil
 }
 

@@ -297,8 +297,10 @@ func TestTable1Shape(t *testing.T) {
 	if len(est) < 5 {
 		t.Fatalf("too few tools in table1: %v", est)
 	}
-	// Headline orderings from the paper: VgMap slowest Seq2Graph tool;
-	// the Seq2Seq baseline fastest.
+	// Two of the paper's orderings: VgMap slower than VgGiraffe, and the
+	// Seq2Seq baseline BWA-MEM2 faster than VgMap. BWA-MEM2 against
+	// VgGiraffe, the paper's fastest pair, is not checked: their wall
+	// times overlap from run to run.
 	if est["VgMap"] <= est["VgGiraffe"] {
 		t.Errorf("VgMap (%f) should be slower than VgGiraffe (%f)", est["VgMap"], est["VgGiraffe"])
 	}

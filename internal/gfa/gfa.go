@@ -22,10 +22,11 @@ import (
 func Write(w io.Writer, g *graph.Graph) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "H\tVN:Z:1.0")
-	for _, id := range g.SortedNodeIDs() {
+	ids := g.SortedNodeIDs()
+	for _, id := range ids {
 		fmt.Fprintf(bw, "S\t%d\t%s\n", id, g.Seq(id))
 	}
-	for _, id := range g.SortedNodeIDs() {
+	for _, id := range ids {
 		for _, to := range g.Out(id) {
 			fmt.Fprintf(bw, "L\t%d\t+\t%d\t+\t0M\n", id, to)
 		}

@@ -6,10 +6,7 @@
 // study), and shortest-path distances (graph-aware chaining).
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NodeID identifies a node. IDs are dense and start at 1; 0 is invalid.
 type NodeID int32
@@ -219,7 +216,6 @@ func (g *Graph) ShortestPathLenBounded(from, to NodeID, limit int) int {
 	if from == to {
 		return 0
 	}
-	const inf = int(^uint(0) >> 1)
 	dist := make(map[NodeID]int)
 	// Priority queue as sorted insertion; graphs traversed here are small
 	// local regions so simplicity wins.
@@ -268,7 +264,6 @@ func (g *Graph) ShortestPathLenBounded(from, to NodeID, limit int) int {
 			}
 		}
 	}
-	_ = inf
 	return -1
 }
 
@@ -342,6 +337,5 @@ func (g *Graph) SortedNodeIDs() []NodeID {
 	for i := range g.nodes {
 		ids[i] = NodeID(i + 1)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	return ids
 }

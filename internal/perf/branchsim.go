@@ -53,14 +53,6 @@ func (b *BranchSim) MispredictRate() float64 {
 	return float64(b.Mispredicts) / float64(b.Lookups)
 }
 
-// Reset clears predictor state and counters.
-func (b *BranchSim) Reset() {
-	for i := range b.table {
-		b.table[i] = 0
-	}
-	b.history, b.Lookups, b.Mispredicts = 0, 0, 0
-}
-
 func boolBit(b bool) uint64 {
 	if b {
 		return 1

@@ -9,42 +9,26 @@ type CacheGeometry struct {
 
 // Hierarchy is a three-level data-cache configuration.
 type Hierarchy struct {
-	Name       string
 	L1, L2, L3 CacheGeometry
 }
 
-// Machine configurations from Table 5 of the paper.
-var (
-	// MachineA is the Xeon E5-2697 v3 (L1d 32K/8w, L2 256K/8w, L3 35M/~20w).
-	MachineA = Hierarchy{
-		Name: "Machine A (Xeon E5-2697 v3)",
-		L1:   CacheGeometry{32 << 10, 8, 64},
-		L2:   CacheGeometry{256 << 10, 8, 64},
-		L3:   CacheGeometry{35 << 20, 20, 64},
-	}
-	// MachineB is the Xeon Gold 6326 (L1d 48K/12w, L2 1.25M/20w, L3 24M/12w),
-	// the machine used for the paper's microarchitectural analyses.
-	MachineB = Hierarchy{
-		Name: "Machine B (Xeon Gold 6326)",
-		L1:   CacheGeometry{48 << 10, 12, 64},
-		L2:   CacheGeometry{1280 << 10, 20, 64},
-		L3:   CacheGeometry{24 << 20, 12, 64},
-	}
-)
+// MachineB is the Xeon Gold 6326 of the paper's Table 5 (L1d 48K/12w,
+// L2 1.25M/20w, L3 24M/12w), the machine used for its microarchitectural
+// analyses.
+var MachineB = Hierarchy{
+	L1: CacheGeometry{48 << 10, 12, 64},
+	L2: CacheGeometry{1280 << 10, 20, 64},
+	L3: CacheGeometry{24 << 20, 12, 64},
+}
 
-// cacheLevel is one set-associative LRU cache.
+// cacheLevel is one set-associative cache with exact LRU replacement. lines
+// holds each set as a run of ways slots: the set's resident line addresses
+// plus one, most recently used first, then its empty ways as 0.
 type cacheLevel struct {
-	geom     CacheGeometry
-	sets     int
+	ways     int
 	lineBits uint
 	setMask  uint64
-	tags     []uint64 // sets × ways
-	age      []uint64 // LRU clocks, same layout
-	valid    []bool
-	clock    uint64
-
-	Accesses uint64
-	Misses   uint64
+	lines    []uint64 // sets × ways
 }
 
 func newCacheLevel(g CacheGeometry) *cacheLevel {
@@ -61,49 +45,31 @@ func newCacheLevel(g CacheGeometry) *cacheLevel {
 		lineBits++
 	}
 	return &cacheLevel{
-		geom:     g,
-		sets:     sets,
+		ways:     g.Ways,
 		lineBits: lineBits,
 		setMask:  uint64(sets - 1),
-		tags:     make([]uint64, sets*g.Ways),
-		age:      make([]uint64, sets*g.Ways),
-		valid:    make([]bool, sets*g.Ways),
+		lines:    make([]uint64, sets*g.Ways),
 	}
 }
 
-// access looks up one line address; returns true on hit. On miss the line is
-// installed with LRU replacement.
-func (c *cacheLevel) access(lineAddr uint64) bool {
-	c.Accesses++
-	c.clock++
-	set := int(lineAddr & c.setMask)
-	base := set * c.geom.Ways
-	victim, victimAge := base, c.age[base]
-	for w := 0; w < c.geom.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == lineAddr {
-			c.age[i] = c.clock
-			return true
-		}
-		if !c.valid[i] {
-			victim, victimAge = i, 0
-		} else if c.age[i] < victimAge {
-			victim, victimAge = i, c.age[i]
-		}
+// access looks up one line address and moves it to the front of its set;
+// returns true on hit. A miss installs the line at the front and drops the
+// set's last slot: the least recently used line, or an empty way.
+func (c *cacheLevel) access(line uint64) bool {
+	base := int(line&c.setMask) * c.ways
+	set := c.lines[base : base+c.ways]
+	key := line + 1
+	if set[0] == key {
+		return true
 	}
-	c.Misses++
-	c.tags[victim] = lineAddr
-	c.valid[victim] = true
-	c.age[victim] = c.clock
-	return false
-}
-
-func (c *cacheLevel) reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.age[i] = 0
+	w := 0
+	for w < len(set)-1 && set[w] != key && set[w] != 0 {
+		w++
 	}
-	c.clock, c.Accesses, c.Misses = 0, 0, 0
+	hit := set[w] == key
+	copy(set[1:w+1], set[:w])
+	set[0] = key
+	return hit
 }
 
 // CacheSim simulates an inclusive three-level data-cache hierarchy and counts
@@ -111,7 +77,6 @@ func (c *cacheLevel) reset() {
 // misses L1 but hits L2 counts only as an L2 "miss-filled" event, reported as
 // an L1 miss that did NOT also count at L2.
 type CacheSim struct {
-	Hier       Hierarchy
 	l1, l2, l3 *cacheLevel
 
 	Accesses uint64
@@ -124,16 +89,15 @@ type CacheSim struct {
 // NewCacheSim builds a simulator with the given hierarchy.
 func NewCacheSim(h Hierarchy) *CacheSim {
 	return &CacheSim{
-		Hier: h,
-		l1:   newCacheLevel(h.L1),
-		l2:   newCacheLevel(h.L2),
-		l3:   newCacheLevel(h.L3),
+		l1: newCacheLevel(h.L1),
+		l2: newCacheLevel(h.L2),
+		l3: newCacheLevel(h.L3),
 	}
 }
 
 // Access runs one data access of size bytes at addr through the hierarchy.
 // Accesses spanning a line boundary touch both lines.
-func (s *CacheSim) Access(addr uint64, size int, _ bool) {
+func (s *CacheSim) Access(addr uint64, size int) {
 	if size < 1 {
 		size = 1
 	}
@@ -164,12 +128,4 @@ func (s *CacheSim) MPKI(instructions uint64) (l1, l2, l3 float64) {
 	}
 	k := float64(instructions) / 1000
 	return float64(s.L1Misses) / k, float64(s.L2Misses) / k, float64(s.L3Misses) / k
-}
-
-// Reset clears all state and counters.
-func (s *CacheSim) Reset() {
-	s.l1.reset()
-	s.l2.reset()
-	s.l3.reset()
-	s.Accesses, s.L1Misses, s.L2Misses, s.L3Misses = 0, 0, 0, 0
 }

@@ -127,7 +127,7 @@ func (p *Probe) load(addr uintptr, size int) {
 	p.Ops[Memory]++
 	p.Loads++
 	if p.Cache != nil {
-		p.Cache.Access(uint64(addr), size, false)
+		p.Cache.Access(uint64(addr), size)
 	}
 }
 
@@ -136,7 +136,7 @@ func (p *Probe) store(addr uintptr, size int) {
 	p.Ops[Memory]++
 	p.Stores++
 	if p.Cache != nil {
-		p.Cache.Access(uint64(addr), size, true)
+		p.Cache.Access(uint64(addr), size)
 	}
 }
 
@@ -191,18 +191,4 @@ func (p *Probe) Mix() map[Class]float64 {
 		m[c] = float64(p.Ops[c]) / float64(total)
 	}
 	return m
-}
-
-// Reset clears all counters, cache and predictor state.
-func (p *Probe) Reset() {
-	if p == nil {
-		return
-	}
-	*p = Probe{Cache: p.Cache, Branch: p.Branch}
-	if p.Cache != nil {
-		p.Cache.Reset()
-	}
-	if p.Branch != nil {
-		p.Branch.Reset()
-	}
 }

@@ -24,40 +24,35 @@ type GraphAligner struct {
 	idx *minimizer.GraphIndex
 	// Capture records GBV kernel inputs.
 	Capture *[]GBVInput
-	// Radius is the per-chunk subgraph extraction radius.
-	Radius int
 }
 
-// subKey identifies one cached subgraph extraction.
-type subKey struct {
-	node   graph.NodeID
-	radius int
-}
+// gaRadius is the per-chunk subgraph extraction radius in bp.
+const gaRadius = 192
 
 // gaScratch is the per-goroutine working state: seeding scratch, the GBV
-// workspace, and a bounded cache of subgraph extractions (chunks of nearby
-// offsets repeatedly extract around the same anchor node; Extract is
-// deterministic, so cache hits change nothing but the allocation count).
+// workspace, and a bounded cache of subgraph extractions by anchor node
+// (chunks of nearby offsets repeatedly extract around the same anchor node;
+// Extract is deterministic, so cache hits change nothing but the allocation
+// count).
 type gaScratch struct {
 	seed    seedScratch
 	anchors []chain.Anchor
 	gbv     align.GBVWorkspace
-	subs    map[subKey]*graph.Subgraph
+	subs    map[graph.NodeID]*graph.Subgraph
 }
 
 // subgraph returns the (deterministic) extraction around node, cached.
-func (s *gaScratch) subgraph(g *graph.Graph, node graph.NodeID, radius int) *graph.Subgraph {
-	k := subKey{node, radius}
-	if sub, ok := s.subs[k]; ok {
+func (s *gaScratch) subgraph(g *graph.Graph, node graph.NodeID) *graph.Subgraph {
+	if sub, ok := s.subs[node]; ok {
 		return sub
 	}
 	if s.subs == nil {
-		s.subs = make(map[subKey]*graph.Subgraph)
+		s.subs = make(map[graph.NodeID]*graph.Subgraph)
 	} else if len(s.subs) >= 256 {
 		clear(s.subs)
 	}
-	sub := graph.Extract(g, node, radius)
-	s.subs[k] = sub
+	sub := graph.Extract(g, node, gaRadius)
+	s.subs[node] = sub
 	return sub
 }
 
@@ -112,7 +107,7 @@ func (t *GraphAligner) mapOne(ctx context.Context, s *gaScratch, read []byte, pr
 			for ai+1 < len(anchors) && anchors[ai+1].QPos <= off {
 				ai++
 			}
-			sub := s.subgraph(t.g, anchors[ai].Node, t.Radius)
+			sub := s.subgraph(t.g, anchors[ai].Node)
 			if t.Capture != nil {
 				*t.Capture = append(*t.Capture, GBVInput{Sub: sub.Graph, Query: chunk})
 			}

@@ -84,7 +84,7 @@ func NewVgMapFromIndex(g *graph.Graph, idx *minimizer.GraphIndex) (*VgMap, error
 	if err := checkIndexed("vg map", g, idx); err != nil {
 		return nil, err
 	}
-	t := &VgMap{g: g, idx: idx, sc: bio.DefaultScoring, Radius: 0}
+	t := &VgMap{g: g, idx: idx, sc: bio.DefaultScoring}
 	t.one = t.mapOne
 	return t, nil
 }
@@ -95,7 +95,7 @@ func NewGraphAlignerFromIndex(g *graph.Graph, idx *minimizer.GraphIndex) (*Graph
 	if err := checkIndexed("graphaligner", g, idx); err != nil {
 		return nil, err
 	}
-	t := &GraphAligner{g: g, idx: idx, Radius: 192}
+	t := &GraphAligner{g: g, idx: idx}
 	t.one = t.mapOne
 	return t, nil
 }

@@ -27,8 +27,6 @@ type VgMap struct {
 	sc  bio.Scoring
 	// Capture, when non-nil, records GSSW kernel inputs.
 	Capture *[]GSSWInput
-	// Radius is the subgraph extraction radius in bp around a seed hit.
-	Radius int
 }
 
 // vgmapScratch is the per-goroutine working state: seeding and chaining
@@ -79,10 +77,8 @@ func (t *VgMap) mapOne(ctx context.Context, s *vgmapScratch, read []byte, probe 
 	best := Result{}
 	canceled := false
 	timeStageCtx(ctx, "align", &st.Align, func() {
-		radius := t.Radius
-		if radius <= 0 {
-			radius = len(read) + len(read)/2
-		}
+		// Extract 1.5 read lengths around the chain's middle anchor.
+		radius := len(read) + len(read)/2
 		for _, ch := range chains {
 			if stopped(done) {
 				canceled = true
