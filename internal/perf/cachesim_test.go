@@ -114,18 +114,19 @@ func TestCacheLevelMatchesAgeLRU(t *testing.T) {
 
 	// Through CacheSim.Access on Machine B: sizes up to 130 bytes straddle
 	// one or two line boundaries, and the addresses mix a hot L1-sized
-	// region, an L2-sized one and a span larger than L3.
+	// region, an L2-sized one, and 64 lines 2 MiB apart at each of 64
+	// offsets, which share L2 and L3 sets and so force evictions there.
 	sim := NewCacheSim(MachineB)
 	ref := &ageSim{l1: newAgeLevel(MachineB.L1), l2: newAgeLevel(MachineB.L2), l3: newAgeLevel(MachineB.L3)}
-	for i := 0; i < 300000; i++ {
+	for i := 0; i < 100000; i++ {
 		var addr uint64
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			addr = uint64(rng.Intn(32 << 10))
 		case 1:
 			addr = uint64(rng.Intn(1 << 20))
 		default:
-			addr = uint64(rng.Intn(64 << 20))
+			addr = uint64(rng.Intn(64))<<21 | uint64(rng.Intn(64))<<6 | uint64(rng.Intn(64))
 		}
 		size := 1 + rng.Intn(130)
 		sim.Access(addr, size)
