@@ -376,31 +376,6 @@ func BenchmarkExt_FMIndexCount(b *testing.B) {
 	}
 }
 
-// Extension: affine-gap WFA (the WFA2-lib algorithm).
-func BenchmarkExt_WFAAffine(b *testing.B) {
-	s := getSuite(b)
-	pairs := s.TSUPairs(16, 1000)
-	pen := bio.Scoring{Match: 0, Mismatch: 4, GapOpen: 6, GapExtend: 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range pairs {
-			align.WFAAffine(p.A, p.B, pen, nil)
-		}
-	}
-}
-
-// Extension: blocked Myers over full-length long reads.
-func BenchmarkExt_MyersLong(b *testing.B) {
-	s := getSuite(b)
-	ref := s.Pop.Ref
-	query := s.LongReads[0].Seq
-	b.SetBytes(int64(len(ref)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		align.MyersLong(ref, query, nil)
-	}
-}
-
 // Fig. 11: GSSW on the split graph.
 func BenchmarkFig11_SplitGraphGSSW(b *testing.B) {
 	s := getSuite(b)

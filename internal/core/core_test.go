@@ -3,7 +3,6 @@ package core
 import (
 	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -23,6 +22,52 @@ func getSuite(t testing.TB) *Suite {
 		testSuite = s
 	}
 	return testSuite
+}
+
+// tables memoises the shared suite's experiment tables, keyed by ID.
+var tables = map[string]Table{}
+
+// getTable runs an experiment on the shared suite once per test binary.
+func getTable(t testing.TB, id string) Table {
+	t.Helper()
+	if tbl, ok := tables[id]; ok {
+		return tbl
+	}
+	tbl, err := getSuite(t).Run(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables[id] = tbl
+	return tbl
+}
+
+// num is a number cell's value. A label cell read as a number fails the
+// test, so a check cannot pass on a cell that holds no number.
+func num(t testing.TB, c Cell) float64 {
+	t.Helper()
+	if c.Kind == Label {
+		t.Fatalf("label cell %q read as a number", c.Text)
+	}
+	return c.Value
+}
+
+// cell is column col of the row whose first cell reads name. A missing row
+// fails the test.
+func cell(t testing.TB, tbl Table, name string, col int) Cell {
+	t.Helper()
+	for _, row := range tbl.Rows {
+		if row[0].Text == name {
+			return row[col]
+		}
+	}
+	t.Fatalf("%s has no %q row", tbl.ID, name)
+	return Cell{}
+}
+
+// at is the number in column col of the row named name.
+func at(t testing.TB, tbl Table, name string, col int) float64 {
+	t.Helper()
+	return num(t, cell(t, tbl, name, col))
 }
 
 func TestNewSuiteScales(t *testing.T) {
@@ -224,6 +269,7 @@ func TestCharacterizationShapes(t *testing.T) {
 	// recorded before the probe's recording methods were made inlinable and
 	// GBV's parent merge moved onto column words, both of which keep the
 	// stream identical. A deliberate stream change updates this table.
+	fig7 := getTable(t, "fig7")
 	pinned := []struct {
 		kernel                 string
 		instructions, mispreds uint64
@@ -243,15 +289,15 @@ func TestCharacterizationShapes(t *testing.T) {
 			t.Errorf("%s: %d instructions, %d mispredicts; pinned %d, %d",
 				p.kernel, r.Instructions, r.Mispredicts, p.instructions, p.mispreds)
 		}
-		if l1, l2, l3 := f2(r.L1MPKI), f2(r.L2MPKI), f2(r.L3MPKI); l1 != p.l1 || l2 != p.l2 || l3 != p.l3 {
+		l1, l2, l3 := cell(t, fig7, p.kernel, 1).String(), cell(t, fig7, p.kernel, 2).String(), cell(t, fig7, p.kernel, 3).String()
+		if l1 != p.l1 || l2 != p.l2 || l3 != p.l3 {
 			t.Errorf("%s: MPKI L1/L2/L3 %s/%s/%s; pinned %s/%s/%s", p.kernel, l1, l2, l3, p.l1, p.l2, p.l3)
 		}
 	}
 }
 
 func TestExperimentDispatch(t *testing.T) {
-	s := getSuite(t)
-	if _, err := s.Run("nonsense"); err == nil {
+	if _, err := getSuite(t).Run("nonsense"); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
 	// Every listed ID and every alias resolves to a driver.
@@ -265,10 +311,7 @@ func TestExperimentDispatch(t *testing.T) {
 		t.Errorf("%d experiments listed, want 15", n)
 	}
 	for _, id := range []string{"table2-3", "table4"} {
-		tbl, err := s.Run(id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+		tbl := getTable(t, id)
 		if len(tbl.Rows) == 0 {
 			t.Fatalf("%s produced no rows", id)
 		}
@@ -279,50 +322,27 @@ func TestExperimentDispatch(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Table1()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := getTable(t, "table1")
 	// Rows: VgMap, VgGiraffe, GraphAligner, Minigraph-lr, Minigraph-cr,
 	// BWA-MEM2.
-	est := map[string]float64{}
-	for _, row := range tbl.Rows {
-		v, err := strconv.ParseFloat(row[3], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		est[row[0]] = v
-	}
-	if len(est) < 5 {
-		t.Fatalf("too few tools in table1: %v", est)
+	if len(tbl.Rows) < 5 {
+		t.Fatalf("too few tools in table1: %d", len(tbl.Rows))
 	}
 	// Two of the paper's orderings: VgMap slower than VgGiraffe, and the
 	// Seq2Seq baseline BWA-MEM2 faster than VgMap. BWA-MEM2 against
 	// VgGiraffe, the paper's fastest pair, is not checked: their wall
 	// times overlap from run to run.
-	if est["VgMap"] <= est["VgGiraffe"] {
-		t.Errorf("VgMap (%f) should be slower than VgGiraffe (%f)", est["VgMap"], est["VgGiraffe"])
+	vgmap, giraffe, bwa := at(t, tbl, "VgMap", 3), at(t, tbl, "VgGiraffe", 3), at(t, tbl, "BWA-MEM2", 3)
+	if vgmap <= giraffe {
+		t.Errorf("VgMap (%f) should be slower than VgGiraffe (%f)", vgmap, giraffe)
 	}
-	if est["BWA-MEM2"] >= est["VgMap"] {
-		t.Errorf("BWA-MEM2 (%f) should be faster than VgMap (%f)", est["BWA-MEM2"], est["VgMap"])
+	if bwa >= vgmap {
+		t.Errorf("BWA-MEM2 (%f) should be faster than VgMap (%f)", bwa, vgmap)
 	}
 }
 
 func TestFig2Shape(t *testing.T) {
 	s := getSuite(t)
-	tbl, err := s.Fig2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := map[string][]string{}
-	for _, row := range tbl.Rows {
-		rows[row[0]] = row
-	}
-	parse := func(cell string) float64 {
-		v, _ := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
-		return v
-	}
 	// GraphAligner: alignment dominates. The share is read off the wall
 	// clock, so the bound holds for the median of three fresh tool runs
 	// (suites with empty memos): one run on a loaded host can dip below it.
@@ -333,142 +353,78 @@ func TestFig2Shape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range tbl.Rows {
-			if row[0] == "GraphAligner" {
-				shares = append(shares, parse(row[4]))
-			}
-		}
-	}
-	if len(shares) != 3 {
-		t.Fatalf("GraphAligner row in %d of 3 runs", len(shares))
+		shares = append(shares, at(t, tbl, "GraphAligner", 4))
 	}
 	sort.Float64s(shares)
-	if shares[1] < 50 {
-		t.Errorf("GraphAligner median align share %.1f%% (runs %v) should dominate", shares[1], shares)
+	if shares[1] < 0.5 {
+		t.Errorf("GraphAligner median align share %.3f (runs %v) should dominate", shares[1], shares)
 	}
 	// Giraffe: filter is a major stage.
-	if gf, ok := rows["VgGiraffe"]; ok {
-		if parse(gf[3]) < 15 {
-			t.Errorf("Giraffe filter share %.1f%% should be substantial", parse(gf[3]))
-		}
-	} else {
-		t.Error("missing VgGiraffe row")
+	if share := at(t, getTable(t, "fig2"), "VgGiraffe", 3); share < 0.15 {
+		t.Errorf("Giraffe filter share %.3f should be substantial", share)
 	}
 }
 
 func TestFig5Shape(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Fig5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := map[string][]string{}
-	for _, row := range tbl.Rows {
-		rows[row[0]] = row
-	}
-	val := func(row []string, i int) float64 {
-		v, _ := strconv.ParseFloat(row[i], 64)
-		return v
-	}
+	tbl := getTable(t, "fig5")
+	giraffe56 := at(t, tbl, "VgGiraffe", 4)
 	// Minigraph-cr must be flat at 1.0.
-	if cr, ok := rows["Minigraph-cr"]; ok {
-		if val(cr, 4) != 1 {
-			t.Errorf("Minigraph-cr must not scale, got %v", cr)
-		}
-	} else {
-		t.Error("missing Minigraph-cr")
+	if v := at(t, tbl, "Minigraph-cr", 4); v != 1 {
+		t.Errorf("Minigraph-cr must not scale, got %v at 56 threads", v)
 	}
 	// Mapping tools scale well to 28 threads.
-	if g, ok := rows["VgGiraffe"]; ok {
-		if val(g, 3) < 4 {
-			t.Errorf("VgGiraffe 28-thread speedup %v too low", val(g, 3))
-		}
+	if v := at(t, tbl, "VgGiraffe", 3); v < 4 {
+		t.Errorf("VgGiraffe 28-thread speedup %v too low", v)
 	}
 	// seqwish plateaus: 56-thread speedup well below the mapping tools'.
-	if sw, ok := rows["seqwish"]; ok {
-		if g, ok2 := rows["VgGiraffe"]; ok2 && val(sw, 4) > val(g, 4)/2 {
-			t.Errorf("seqwish (%v) should scale far worse than Giraffe (%v)", val(sw, 4), val(g, 4))
-		}
-	} else {
-		t.Error("missing seqwish")
+	if v := at(t, tbl, "seqwish", 4); v > giraffe56/2 {
+		t.Errorf("seqwish (%v) should scale far worse than Giraffe (%v)", v, giraffe56)
 	}
 	// Construction curve: C(n,2) pair tasks bound parallelism, so at 56
 	// threads it must scale no better than the mapping tools.
-	if ap, ok := rows["PGGB-allpair"]; ok {
-		if g, ok2 := rows["VgGiraffe"]; ok2 && val(ap, 4) > val(g, 4) {
-			t.Errorf("PGGB-allpair (%v) should scale no better than Giraffe (%v)", val(ap, 4), val(g, 4))
-		}
-	} else {
-		t.Error("missing PGGB-allpair")
+	if v := at(t, tbl, "PGGB-allpair", 4); v > giraffe56 {
+		t.Errorf("PGGB-allpair (%v) should scale no better than Giraffe (%v)", v, giraffe56)
 	}
 	// MC-growth: the iterative-growth chain's per-step task count and
 	// sequential induction share cap its scaling well below the mapping
 	// tools'.
-	if mg, ok := rows["MC-growth"]; ok {
-		if val(mg, 1) != 1 {
-			t.Errorf("MC-growth not normalized to 4 threads: %v", mg)
-		}
-		if g, ok2 := rows["VgGiraffe"]; ok2 && val(mg, 4) > val(g, 4) {
-			t.Errorf("MC-growth (%v) should scale no better than Giraffe (%v)", val(mg, 4), val(g, 4))
-		}
-	} else {
-		t.Error("missing MC-growth")
+	if v := at(t, tbl, "MC-growth", 1); v != 1 {
+		t.Errorf("MC-growth not normalized to 4 threads: %v", v)
+	}
+	if v := at(t, tbl, "MC-growth", 4); v > giraffe56 {
+		t.Errorf("MC-growth (%v) should scale no better than Giraffe (%v)", v, giraffe56)
 	}
 }
 
 func TestFig9Shape(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Fig9()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := getTable(t, "fig9")
 	// Single-lane fraction must increase monotonically-ish from the first
 	// to the last row, ending in the paper's divergent regime.
-	first, _ := strconv.ParseFloat(tbl.Rows[0][4], 64)
-	last, _ := strconv.ParseFloat(tbl.Rows[len(tbl.Rows)-1][4], 64)
-	if last <= first {
-		t.Errorf("divergence should grow with length: %v → %v", first, last)
+	first, last := tbl.Rows[0], tbl.Rows[len(tbl.Rows)-1]
+	firstLane, lastLane := num(t, first[4]), num(t, last[4])
+	if lastLane <= firstLane {
+		t.Errorf("divergence should grow with length: %v → %v", firstLane, lastLane)
 	}
-	if last < 0.6 {
-		t.Errorf("10k single-lane fraction %v below expected regime", last)
+	if lastLane < 0.6 {
+		t.Errorf("10k single-lane fraction %v below expected regime", lastLane)
 	}
 	// GPU advantage must shrink with length.
-	s0, _ := strconv.ParseFloat(tbl.Rows[0][3], 64)
-	sn, _ := strconv.ParseFloat(tbl.Rows[len(tbl.Rows)-1][3], 64)
-	if sn >= s0 {
+	if s0, sn := num(t, first[3]), num(t, last[3]); sn >= s0 {
 		t.Errorf("GPU speedup should shrink with length: %v → %v", s0, sn)
 	}
 }
 
 func TestTable7Shape(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Table7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parse := func(cell string) float64 {
-		v, _ := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
-		return v
-	}
-	var tsuOcc, pgsgdOcc, pgsgdWarp, pgsgd256Occ float64
-	for _, row := range tbl.Rows {
-		switch row[0] {
-		case "TSU":
-			tsuOcc = parse(row[1])
-		case "PGSGD (block 1024)":
-			pgsgdOcc = parse(row[1])
-			pgsgdWarp = parse(row[3])
-		case "PGSGD (block 256)":
-			pgsgd256Occ = parse(row[1])
-		}
-	}
-	if tsuOcc < 32 || tsuOcc > 34 {
+	tbl := getTable(t, "table7")
+	tsuOcc, pgsgdOcc := at(t, tbl, "TSU", 1), at(t, tbl, "PGSGD (block 1024)", 1)
+	pgsgdWarp, pgsgd256Occ := at(t, tbl, "PGSGD (block 1024)", 3), at(t, tbl, "PGSGD (block 256)", 1)
+	if tsuOcc < 0.32 || tsuOcc > 0.34 {
 		t.Errorf("TSU occupancy %v, want ≈ 33%%", tsuOcc)
 	}
-	if pgsgdOcc < 66 || pgsgdOcc > 67 {
+	if pgsgdOcc < 0.66 || pgsgdOcc > 0.67 {
 		t.Errorf("PGSGD occupancy %v, want ≈ 66.7%%", pgsgdOcc)
 	}
-	if pgsgdWarp < 80 {
+	if pgsgdWarp < 0.8 {
 		t.Errorf("PGSGD warp utilization %v, want high (warp merging)", pgsgdWarp)
 	}
 	if pgsgd256Occ <= pgsgdOcc {
@@ -477,50 +433,25 @@ func TestTable7Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Fig10()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parse := func(cell string) float64 {
-		v, _ := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
-		return v
-	}
-	var ssw, gssw []string
-	for _, row := range tbl.Rows {
-		if row[0] == "SSW" {
-			ssw = row
-		}
-		if row[0] == "GSSW" {
-			gssw = row
-		}
-	}
-	if ssw == nil || gssw == nil {
-		t.Fatal("missing rows")
-	}
+	tbl := getTable(t, "fig10")
 	// GSSW must show more memory pressure than SSW (more stores, more
 	// memory-bound slots).
-	if parse(gssw[7]) <= parse(ssw[7]) {
-		t.Errorf("GSSW stores/instr %v should exceed SSW %v", gssw[7], ssw[7])
+	if g, s := at(t, tbl, "GSSW", 7), at(t, tbl, "SSW", 7); g <= s {
+		t.Errorf("GSSW stores/instr %v should exceed SSW %v", g, s)
 	}
-	if parse(gssw[5]) < parse(ssw[5]) {
-		t.Errorf("GSSW memory-bound %v should be >= SSW %v", gssw[5], ssw[5])
+	if g, s := at(t, tbl, "GSSW", 5), at(t, tbl, "SSW", 5); g < s {
+		t.Errorf("GSSW memory-bound %v should be >= SSW %v", g, s)
 	}
 }
 
 func TestFig11Shape(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Fig11()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := getTable(t, "fig11")
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
-	mCycles, _ := strconv.ParseFloat(tbl.Rows[0][3], 64)
-	sCycles, _ := strconv.ParseFloat(tbl.Rows[1][3], 64)
-	mSub, _ := strconv.ParseFloat(tbl.Rows[0][2], 64)
-	sSub, _ := strconv.ParseFloat(tbl.Rows[1][2], 64)
+	m, sp := tbl.Rows[0], tbl.Rows[1]
+	mCycles, sCycles := num(t, m[3]), num(t, sp[3])
+	mSub, sSub := num(t, m[2]), num(t, sp[2])
 	if sSub >= mSub {
 		t.Errorf("split-graph subgraphs (%v bp) should be smaller than M-graph's (%v bp)", sSub, mSub)
 	}

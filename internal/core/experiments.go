@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -36,10 +37,7 @@ func (s *Suite) runSeq2GraphTools() ([]toolRun, error) {
 	if s.tools != nil {
 		return s.tools, nil
 	}
-	g := s.Pop.Graph
 	ctx := context.Background()
-	var runs []toolRun
-
 	mapAll := func(tool pipeline.ContextTool, reads []gensim.Read) toolRun {
 		r := toolRun{name: tool.Name()}
 		t0 := time.Now()
@@ -52,50 +50,25 @@ func (s *Suite) runSeq2GraphTools() ([]toolRun, error) {
 		r.total = time.Since(t0)
 		return r
 	}
-
-	vm, err := pipeline.NewVgMap(g, s.Cfg.K, s.Cfg.W)
-	if err != nil {
+	g, k, w := s.Pop.Graph, s.Cfg.K, s.Cfg.W
+	vm, errVM := pipeline.NewVgMap(g, k, w)
+	gf, errGF := pipeline.NewVgGiraffe(g, k, w)
+	ga, errGA := pipeline.NewGraphAligner(g, k, w)
+	mgLR, errLR := pipeline.NewMinigraph(g, k, w, false)
+	mgCR, errCR := pipeline.NewMinigraph(g, k, w, true)
+	if err := errors.Join(errVM, errGF, errGA, errLR, errCR); err != nil {
 		return nil, err
 	}
-	runs = append(runs, mapAll(vm, s.ShortReads))
+	var gwfaLR, gwfaCR seqmap.StageTimes
+	mgLR.GWFATime, mgCR.GWFATime = &gwfaLR, &gwfaCR
+	runs := []toolRun{mapAll(vm, s.ShortReads), mapAll(gf, s.ShortReads), mapAll(ga, s.LongReads), mapAll(mgLR, s.LongReads)}
+	runs[3].kernel = gwfaLR.Chain
 
-	gf, err := pipeline.NewVgGiraffe(g, s.Cfg.K, s.Cfg.W)
-	if err != nil {
-		return nil, err
-	}
-	runs = append(runs, mapAll(gf, s.ShortReads))
-
-	ga, err := pipeline.NewGraphAligner(g, s.Cfg.K, s.Cfg.W)
-	if err != nil {
-		return nil, err
-	}
-	runs = append(runs, mapAll(ga, s.LongReads))
-
-	mgLR, err := pipeline.NewMinigraph(g, s.Cfg.K, s.Cfg.W, false)
-	if err != nil {
-		return nil, err
-	}
-	var gwfaLR seqmap.StageTimes
-	mgLR.GWFATime = &gwfaLR
-	r := mapAll(mgLR, s.LongReads)
-	r.kernel = gwfaLR.Chain
-	runs = append(runs, r)
-
-	mgCR, err := pipeline.NewMinigraph(g, s.Cfg.K, s.Cfg.W, true)
-	if err != nil {
-		return nil, err
-	}
-	var gwfaCR seqmap.StageTimes
-	mgCR.GWFATime = &gwfaCR
 	asm := s.Pop.Haplotypes[0].Seq
-	if len(asm) > 120_000 {
-		asm = asm[:120_000]
-	}
+	asm = asm[:min(len(asm), 120_000)]
 	t0 := time.Now()
 	_, st, _ := mgCR.MapCtx(ctx, asm, nil)
-	cr := toolRun{name: mgCR.Name(), total: time.Since(t0), stages: st, reads: 1, bases: len(asm)}
-	cr.kernel = gwfaCR.Chain
-	runs = append(runs, cr)
+	runs = append(runs, toolRun{name: mgCR.Name(), total: time.Since(t0), stages: st, reads: 1, bases: len(asm), kernel: gwfaCR.Chain})
 
 	s.tools = runs
 	return runs, nil
@@ -139,9 +112,9 @@ func (s *Suite) Table1() (Table, error) {
 		}
 		perBase := r.total.Seconds() / float64(r.bases)
 		hours := perBase * genomeBases / 3600
-		tbl.Rows = append(tbl.Rows, []string{
-			r.name, r.total.Round(time.Millisecond).String(),
-			fmt.Sprintf("%d", r.reads), f2(hours),
+		tbl.Rows = append(tbl.Rows, []Cell{
+			label(r.name), wall(r.total.Seconds(), Millis),
+			model(float64(r.reads), Count), wall(hours, Fixed2),
 		})
 	}
 	return tbl, nil
@@ -168,23 +141,20 @@ func (s *Suite) Fig2() (Table, error) {
 		if tot == 0 {
 			continue
 		}
-		kernelShare := "-"
+		kernelShare := label("-")
 		switch {
 		case r.kernel > 0 && r.stages.Chain > 0:
-			kernelShare = pct(r.kernel.Seconds() / r.stages.Chain.Seconds())
+			kernelShare = wall(r.kernel.Seconds()/r.stages.Chain.Seconds(), Percent)
 		case r.name == "VgMap" || r.name == "GraphAligner":
-			kernelShare = "align stage"
+			kernelShare = label("align stage")
 		case r.name == "VgGiraffe":
-			kernelShare = "filter stage"
+			kernelShare = label("filter stage")
 		}
-		tbl.Rows = append(tbl.Rows, []string{
-			r.name,
-			pct(r.stages.Seed.Seconds() / tot),
-			pct(r.stages.Chain.Seconds() / tot),
-			pct(r.stages.Filter.Seconds() / tot),
-			pct(r.stages.Align.Seconds() / tot),
-			kernelShare,
-		})
+		row := []Cell{label(r.name)}
+		for _, d := range []time.Duration{r.stages.Seed, r.stages.Chain, r.stages.Filter, r.stages.Align} {
+			row = append(row, wall(d.Seconds()/tot, Percent))
+		}
+		tbl.Rows = append(tbl.Rows, append(row, kernelShare))
 	}
 	return tbl, nil
 }
@@ -210,17 +180,14 @@ func (s *Suite) Fig3() (Table, error) {
 			"MC: GWFA inside alignment (via minigraph); abPOA inside induction",
 		},
 	}
-	row := func(b build.StageBreakdown, note string) []string {
-		// Microsecond resolution keeps small-scale stage times nonzero.
-		return []string{
-			b.Pipeline,
-			b.Alignment.Round(time.Microsecond).String(),
-			b.Induction.Round(time.Microsecond).String(),
-			b.Polishing.Round(time.Microsecond).String(),
-			b.Layout.Round(time.Microsecond).String(),
-			b.Total().Round(time.Microsecond).String(),
-			note,
+	row := func(b build.StageBreakdown, note string) []Cell {
+		row := []Cell{label(b.Pipeline)}
+		for _, d := range []time.Duration{b.Alignment, b.Induction, b.Polishing, b.Layout, b.Total()} {
+			// Microsecond resolution keeps small-scale stage times nonzero.
+			row = append(row, wall(d.Seconds(), Micros))
 		}
+		// The note quotes wall times, so it is a wall cell of text.
+		return append(row, Cell{Kind: Wall, Text: note, Format: Plain})
 	}
 	pNote := fmt.Sprintf("TC=%d%% of induction, POA=%d%% of polishing",
 		int(100*pres.Breakdown.TCTime.Seconds()/nonzero(pres.Breakdown.Induction.Seconds())),
@@ -252,14 +219,14 @@ func (s *Suite) Tables23() (Table, error) {
 	}
 	stats := s.Pop.Graph.ComputeStats()
 	tbl.Rows = append(tbl.Rows,
-		[]string{"reference", fmt.Sprintf("%d bp", len(s.Pop.Ref)), "ancestral genome", "-"},
-		[]string{"graph", fmt.Sprintf("%d nodes / %d edges", stats.Nodes, stats.Edges), fmt.Sprintf("avg node %.1f bp", stats.AvgNodeLen), "-"},
-		[]string{"short reads", fmt.Sprintf("%d × %d bp", len(s.ShortReads), 150), "Illumina-like", "VgMap/Giraffe"},
-		[]string{"long reads", fmt.Sprintf("%d × %d bp", len(s.LongReads), s.Cfg.LongLen), "HiFi-like", "GraphAligner/Minigraph"},
-		[]string{"assemblies", fmt.Sprintf("%d", len(s.Pop.Haplotypes)), "haplotypes", "MC/PGGB"},
+		labels("reference", fmt.Sprintf("%d bp", len(s.Pop.Ref)), "ancestral genome", "-"),
+		labels("graph", fmt.Sprintf("%d nodes / %d edges", stats.Nodes, stats.Edges), fmt.Sprintf("avg node %.1f bp", stats.AvgNodeLen), "-"),
+		labels("short reads", fmt.Sprintf("%d × %d bp", len(s.ShortReads), 150), "Illumina-like", "VgMap/Giraffe"),
+		labels("long reads", fmt.Sprintf("%d × %d bp", len(s.LongReads), s.Cfg.LongLen), "HiFi-like", "GraphAligner/Minigraph"),
+		[]Cell{label("assemblies"), model(float64(len(s.Pop.Haplotypes)), Count), label("haplotypes"), label("MC/PGGB")},
 	)
 	for _, k := range ks {
-		tbl.Rows = append(tbl.Rows, []string{k.Name, fmt.Sprintf("%d", k.Inputs), k.InputType, k.ParentTool})
+		tbl.Rows = append(tbl.Rows, []Cell{label(k.Name), model(float64(k.Inputs), Count), label(k.InputType), label(k.ParentTool)})
 	}
 	return tbl, nil
 }
@@ -277,11 +244,11 @@ func (s *Suite) Table4() (Table, error) {
 		Notes:  []string{"paper (Machine B, full datasets): GBV 192s GSSW 35s GBWT 23s GWFA-cr 16657s GWFA-lr 720s PGSGD 285s TC 755s"},
 	}
 	for _, k := range ks {
-		wall, err := s.timed(k)
+		d, err := s.timed(k)
 		if err != nil {
 			return Table{}, err
 		}
-		tbl.Rows = append(tbl.Rows, []string{k.Name, wall.Round(time.Microsecond).String(), fmt.Sprintf("%d", k.Inputs)})
+		tbl.Rows = append(tbl.Rows, []Cell{label(k.Name), wall(d.Seconds(), Micros), model(float64(k.Inputs), Count)})
 	}
 	return tbl, nil
 }
@@ -322,11 +289,7 @@ func (s *Suite) Fig6Table6() (Table, error) {
 		},
 	}
 	for _, r := range reports {
-		td := r.TopDown
-		tbl.Rows = append(tbl.Rows, []string{
-			r.Kernel, pct(td.Retiring), pct(td.FrontEndBound), pct(td.BadSpeculation),
-			pct(td.CoreBound), pct(td.MemoryBound), f2(td.IPC),
-		})
+		tbl.Rows = append(tbl.Rows, topDownRow(r))
 	}
 	return tbl, nil
 }
@@ -347,7 +310,7 @@ func (s *Suite) Fig7() (Table, error) {
 		},
 	}
 	for _, r := range reports {
-		tbl.Rows = append(tbl.Rows, []string{r.Kernel, f2(r.L1MPKI), f2(r.L2MPKI), f2(r.L3MPKI)})
+		tbl.Rows = append(tbl.Rows, []Cell{label(r.Kernel), model(r.L1MPKI, Fixed2), model(r.L2MPKI, Fixed2), model(r.L3MPKI, Fixed2)})
 	}
 	return tbl, nil
 }
@@ -373,9 +336,9 @@ func (s *Suite) Fig8() (Table, error) {
 		},
 	}
 	for _, r := range reports {
-		row := []string{r.Kernel}
+		row := []Cell{label(r.Kernel)}
 		for _, c := range classes {
-			row = append(row, pct(r.Mix[c]))
+			row = append(row, model(r.Mix[c], Percent))
 		}
 		tbl.Rows = append(tbl.Rows, row)
 	}
@@ -405,9 +368,9 @@ func (s *Suite) Fig5() (Table, error) {
 	}
 	for _, w := range workloads {
 		sp := sched.Speedups(m, w, threads)
-		row := []string{w.Name}
+		row := []Cell{label(w.Name)}
 		for _, v := range sp {
-			row = append(row, f2(v))
+			row = append(row, wall(v, Fixed2))
 		}
 		tbl.Rows = append(tbl.Rows, row)
 	}
@@ -416,14 +379,13 @@ func (s *Suite) Fig5() (Table, error) {
 
 // scalingWorkloads builds the Fig. 5 workload models from measured costs.
 func (s *Suite) scalingWorkloads() ([]sched.Workload, error) {
-	var out []sched.Workload
-
+	ctx := context.Background()
 	// Mapping tools: per-read independent tasks.
-	measure := func(name string, tool pipeline.ContextTool, reads [][]byte) sched.Workload {
+	measure := func(name string, tool pipeline.ContextTool, reads []gensim.Read) sched.Workload {
 		var tasks []float64
 		for _, r := range reads {
 			t0 := time.Now()
-			tool.MapCtx(context.Background(), r, nil)
+			tool.MapCtx(ctx, r.Seq, nil)
 			tasks = append(tasks, time.Since(t0).Seconds())
 		}
 		// Clamp outliers at 5× the median: single-read costs measured on a
@@ -433,9 +395,7 @@ func (s *Suite) scalingWorkloads() ([]sched.Workload, error) {
 		sort.Float64s(sorted)
 		clamp := 5 * sorted[len(sorted)/2]
 		for i := range tasks {
-			if tasks[i] > clamp {
-				tasks[i] = clamp
-			}
+			tasks[i] = min(tasks[i], clamp)
 		}
 		// Replicate small measured batches to full-dataset size so tail
 		// latency does not dominate (the paper's runs map 158k+ reads;
@@ -445,151 +405,113 @@ func (s *Suite) scalingWorkloads() ([]sched.Workload, error) {
 		}
 		return sched.Workload{Name: name, Phases: []sched.Phase{{Name: "map", Tasks: tasks, MemFraction: 0.1}}}
 	}
-	short := make([][]byte, 0, len(s.ShortReads))
-	for _, r := range s.ShortReads {
-		short = append(short, r.Seq)
+	g, k, w := s.Pop.Graph, s.Cfg.K, s.Cfg.W
+	giraffe, errGF := pipeline.NewVgGiraffe(g, k, w)
+	ga, errGA := pipeline.NewGraphAligner(g, k, w)
+	mg, errMG := pipeline.NewMinigraph(g, k, w, true)
+	tc, errTC := s.TCBuilder()
+	if err := errors.Join(errGF, errGA, errMG, errTC); err != nil {
+		return nil, err
 	}
-	long := make([][]byte, 0, len(s.LongReads))
-	for _, r := range s.LongReads {
-		long = append(long, r.Seq)
-	}
+	out := []sched.Workload{measure("VgGiraffe", giraffe, s.ShortReads), measure("GraphAligner/Minigraph-lr", ga, s.LongReads)}
 
-	if tool, err := pipeline.NewVgGiraffe(s.Pop.Graph, s.Cfg.K, s.Cfg.W); err == nil {
-		out = append(out, measure("VgGiraffe", tool, short))
-	}
-	if tool, err := pipeline.NewGraphAligner(s.Pop.Graph, s.Cfg.K, s.Cfg.W); err == nil {
-		out = append(out, measure("GraphAligner/Minigraph-lr", tool, long))
+	// The construction workloads and Minigraph-cr use assemblies capped at
+	// 60 kbp.
+	names, seqs := s.Pop.AssemblyView()
+	for i, seq := range seqs {
+		seqs[i] = seq[:min(len(seq), 60_000)]
 	}
 
 	// Minigraph-cr: one indivisible task.
-	if tool, err := pipeline.NewMinigraph(s.Pop.Graph, s.Cfg.K, s.Cfg.W, true); err == nil {
-		asm := s.Pop.Haplotypes[0].Seq
-		if len(asm) > 60_000 {
-			asm = asm[:60_000]
-		}
-		t0 := time.Now()
-		tool.MapCtx(context.Background(), asm, nil)
-		out = append(out, sched.Workload{Name: "Minigraph-cr", Phases: []sched.Phase{{
-			Name: "map", Tasks: []float64{time.Since(t0).Seconds()}, MaxParallel: 1,
-		}}})
-	}
+	t0 := time.Now()
+	mg.MapCtx(ctx, seqs[0], nil)
+	out = append(out, sched.Workload{Name: "Minigraph-cr", Phases: []sched.Phase{{
+		Name: "map", Tasks: []float64{time.Since(t0).Seconds()}, MaxParallel: 1,
+	}}})
 
 	// seqwish: pipelined chunked transclosure + emission.
-	if b, err := s.TCBuilder(); err == nil {
-		t0 := time.Now()
-		b.Transclose(nil)
-		tcTime := time.Since(t0).Seconds()
-		chunks := 16
-		compute := make([]float64, chunks)
-		emit := make([]float64, chunks)
-		for i := range compute {
-			compute[i] = tcTime * 0.7 / float64(chunks)
-			emit[i] = tcTime * 0.3 / float64(chunks)
-		}
-		out = append(out, sched.Workload{Name: "seqwish", Phases: []sched.Phase{
-			{Name: "unpack", Tasks: uniform(8, tcTime*0.05)},
-			{Name: "transclose", Tasks: compute, EmitChunks: emit, MemFraction: 0.3},
-			{Name: "gfa-out", Sequential: tcTime * 0.15},
-		}})
-	}
+	t0 = time.Now()
+	tc.Transclose(nil)
+	tcTime := time.Since(t0).Seconds()
+	const chunks = 16
+	out = append(out, sched.Workload{Name: "seqwish", Phases: []sched.Phase{
+		{Name: "unpack", Tasks: uniform(8, tcTime*0.05)},
+		{Name: "transclose", Tasks: uniform(chunks, tcTime*0.7/chunks), EmitChunks: uniform(chunks, tcTime*0.3/chunks), MemFraction: 0.3},
+		{Name: "gfa-out", Sequential: tcTime * 0.15},
+	}})
 
 	// PGGB all-vs-all construction (build.AllPairMatches as a sched workload):
 	// C(n,2) independent pair-match tasks on the worker pool, then the
 	// sequential canonical-order merge of the per-pair match blocks. With few
 	// assemblies the task count bounds parallelism, so the curve plateaus far
 	// below the mapping tools — the construction-side contrast in Fig. 5.
-	{
-		seqs := make([][]byte, 0, len(s.Pop.Haplotypes))
-		for _, h := range s.Pop.Haplotypes {
-			seq := h.Seq
-			if len(seq) > 60_000 {
-				seq = seq[:60_000]
+	var tasks []float64
+	var blocks [][]build.MatchBlock
+	for i := range seqs {
+		for j := i + 1; j < len(seqs); j++ {
+			t0 = time.Now()
+			blk, _, err := build.PairMatches(i, seqs[i], j, seqs[j], k, w, nil)
+			if err != nil {
+				return nil, err
 			}
-			seqs = append(seqs, seq)
-		}
-		var tasks []float64
-		var blocks [][]build.MatchBlock
-		for i := 0; i < len(seqs); i++ {
-			for j := i + 1; j < len(seqs); j++ {
-				t0 := time.Now()
-				blk, _, err := build.PairMatches(i, seqs[i], j, seqs[j], s.Cfg.K, s.Cfg.W, nil)
-				if err != nil {
-					continue
-				}
-				tasks = append(tasks, time.Since(t0).Seconds())
-				blocks = append(blocks, blk)
-			}
-		}
-		if len(tasks) > 0 {
-			t0 := time.Now()
-			merged := make([]build.MatchBlock, 0)
-			for _, blk := range blocks {
-				merged = append(merged, blk...)
-			}
-			_ = merged
-			mergeTime := time.Since(t0).Seconds()
-			out = append(out, sched.Workload{Name: "PGGB-allpair", Phases: []sched.Phase{
-				{Name: "pair-match", Tasks: tasks, MemFraction: 0.25},
-				{Name: "merge", Sequential: mergeTime},
-			}})
+			tasks = append(tasks, time.Since(t0).Seconds())
+			blocks = append(blocks, blk)
 		}
 	}
+	t0 = time.Now()
+	var merged []build.MatchBlock
+	for _, blk := range blocks {
+		merged = append(merged, blk...)
+	}
+	out = append(out, sched.Workload{Name: "PGGB-allpair", Phases: []sched.Phase{
+		{Name: "pair-match", Tasks: tasks, MemFraction: 0.25},
+		{Name: "merge", Sequential: time.Since(t0).Seconds()},
+	}})
 
 	// MC-growth: Minigraph-Cactus iterative construction. A serial
 	// (Workers=1) run yields measured per-chunk mapping and per-step
 	// induction costs (build.Result.Growth); the workload is the sequential
 	// per-assembly chain with parallel chunk-mapping tasks inside each step.
-	{
-		names, seqs := s.Pop.AssemblyView()
-		capped := make([][]byte, len(seqs))
-		for i, seq := range seqs {
-			if len(seq) > 60_000 {
-				seq = seq[:60_000]
-			}
-			capped[i] = seq
-		}
-		cfg := build.DefaultMCConfig()
-		cfg.LayoutIterations = 0
-		cfg.Workers = 1 // single-thread task costs feed the simulator
-		if mres, err := build.MinigraphCactus(context.Background(), names, capped, cfg, nil); err == nil && len(mres.Growth) > 0 {
-			steps := make([]sched.GrowthStep, 0, len(mres.Growth))
-			for _, st := range mres.Growth {
-				tasks := make([]float64, 0, len(st.ChunkTimes))
-				for _, ct := range st.ChunkTimes {
-					tasks = append(tasks, ct.Seconds())
-				}
-				steps = append(steps, sched.GrowthStep{
-					Tasks:      tasks,
-					Sequential: (st.Induction + st.IndexTime).Seconds(),
-				})
-			}
-			out = append(out, sched.GrowthChain("MC-growth", steps, 0.25))
-		}
+	cfg := build.DefaultMCConfig()
+	cfg.LayoutIterations = 0
+	cfg.Workers = 1 // single-thread task costs feed the simulator
+	mres, err := build.MinigraphCactus(ctx, names, seqs, cfg, nil)
+	if err != nil {
+		return nil, err
 	}
+	if len(mres.Growth) == 0 {
+		return nil, fmt.Errorf("core: MC-growth: the build recorded no growth steps")
+	}
+	steps := make([]sched.GrowthStep, 0, len(mres.Growth))
+	for _, st := range mres.Growth {
+		tasks := make([]float64, 0, len(st.ChunkTimes))
+		for _, ct := range st.ChunkTimes {
+			tasks = append(tasks, ct.Seconds())
+		}
+		steps = append(steps, sched.GrowthStep{Tasks: tasks, Sequential: (st.Induction + st.IndexTime).Seconds()})
+	}
+	out = append(out, sched.GrowthChain("MC-growth", steps, 0.25))
 
 	// odgi-layout: sequential path index + 30 barriered PGSGD iterations.
-	{
-		t0 := time.Now()
-		if _, err := layout.NewPathIndex(s.Pop.Graph); err == nil {
-			idxTime := time.Since(t0).Seconds()
-			l, err := layout.New(s.Pop.Graph, 3)
-			if err == nil {
-				params := layout.DefaultParams(s.Pop.Graph)
-				params.Iterations = 1
-				t1 := time.Now()
-				l.Run(params, nil)
-				iterTime := time.Since(t1).Seconds()
-				phases := []sched.Phase{{Name: "path-index", Sequential: idxTime}}
-				for i := 0; i < 30; i++ {
-					phases = append(phases, sched.Phase{
-						Name: "sgd-iter", Tasks: uniform(256, iterTime/256), MemFraction: 0.45,
-					})
-				}
-				out = append(out, sched.Workload{Name: "odgi-layout", Phases: phases})
-			}
-		}
+	t0 = time.Now()
+	if _, err := layout.NewPathIndex(g); err != nil {
+		return nil, err
 	}
-	return out, nil
+	idxTime := time.Since(t0).Seconds()
+	l, err := layout.New(g, 3)
+	if err != nil {
+		return nil, err
+	}
+	params := layout.DefaultParams(g)
+	params.Iterations = 1
+	t0 = time.Now()
+	l.Run(params, nil)
+	iterTime := time.Since(t0).Seconds()
+	phases := []sched.Phase{{Name: "path-index", Sequential: idxTime}}
+	for i := 0; i < 30; i++ {
+		phases = append(phases, sched.Phase{Name: "sgd-iter", Tasks: uniform(256, iterTime/256), MemFraction: 0.45})
+	}
+	return append(out, sched.Workload{Name: "odgi-layout", Phases: phases}), nil
 }
 
 func uniform(n int, v float64) []float64 {
@@ -622,11 +544,7 @@ func (s *Suite) Fig9() (Table, error) {
 	// count, as the TSU evaluation protocol does.
 	const totalBases = 768_000
 	for _, L := range lengths {
-		count := totalBases / L
-		if count < 4 {
-			count = 4
-		}
-		pairs := s.TSUPairs(count, L)
+		pairs := s.TSUPairs(max(totalBases/L, 4), L)
 		// CPU side: modeled cycles of a serial run.
 		probe := perf.NewProbe()
 		for _, p := range pairs {
@@ -641,12 +559,12 @@ func (s *Suite) Fig9() (Table, error) {
 		}
 		gpu := time.Duration(st.Metrics.TimeMS * float64(time.Millisecond))
 		speedup := cpu.Seconds() / nonzero(gpu.Seconds())
-		tbl.Rows = append(tbl.Rows, []string{
-			fmt.Sprintf("%d", L),
-			cpu.Round(time.Microsecond).String(),
-			gpu.Round(time.Microsecond).String(),
-			f2(speedup),
-			f2(st.SingleLaneFrac),
+		tbl.Rows = append(tbl.Rows, []Cell{
+			model(float64(L), Count),
+			model(cpu.Seconds(), Micros),
+			model(gpu.Seconds(), Micros),
+			model(speedup, Fixed2),
+			model(st.SingleLaneFrac, Fixed2),
 		})
 	}
 	return tbl, nil
@@ -687,9 +605,9 @@ func (s *Suite) Table7() (Table, error) {
 		},
 	}
 	add := func(name string, m simt.Metrics) {
-		tbl.Rows = append(tbl.Rows, []string{
-			name, pct(m.TheoreticalOccupancy), pct(m.AchievedOccupancy),
-			pct(m.WarpUtilization), pct(m.MemBWUtilization), f2(m.IssueIntervalCycles),
+		tbl.Rows = append(tbl.Rows, []Cell{
+			label(name), model(m.TheoreticalOccupancy, Percent), model(m.AchievedOccupancy, Percent),
+			model(m.WarpUtilization, Percent), model(m.MemBWUtilization, Percent), model(m.IssueIntervalCycles, Fixed2),
 		})
 	}
 	add("TSU", tsu.Metrics)
@@ -732,13 +650,18 @@ func (s *Suite) Fig10() (Table, error) {
 		},
 	}
 	for _, r := range []perf.Report{ssw, gssw} {
-		td := r.TopDown
-		tbl.Rows = append(tbl.Rows, []string{
-			r.Kernel, pct(td.Retiring), pct(td.FrontEndBound), pct(td.BadSpeculation),
-			pct(td.CoreBound), pct(td.MemoryBound), f2(td.IPC), f2(storesPerInstr(r)),
-		})
+		tbl.Rows = append(tbl.Rows, append(topDownRow(r), model(storesPerInstr(r), Fixed2)))
 	}
 	return tbl, nil
+}
+
+// topDownRow is a kernel's Fig. 6 row: its top-down fractions and IPC.
+func topDownRow(r perf.Report) []Cell {
+	td := r.TopDown
+	return []Cell{
+		label(r.Kernel), model(td.Retiring, Percent), model(td.FrontEndBound, Percent), model(td.BadSpeculation, Percent),
+		model(td.CoreBound, Percent), model(td.MemoryBound, Percent), model(td.IPC, Fixed2),
+	}
 }
 
 // storesPerInstr is a report's modelled stores per instruction.
@@ -768,16 +691,16 @@ func (s *Suite) Fig11() (Table, error) {
 		return Table{}, err
 	}
 
-	row := func(name string, inputs []pipeline.GSSWInput, m measurement) []string {
+	row := func(name string, inputs []pipeline.GSSWInput, m measurement) []Cell {
 		var subBases int
 		for _, in := range inputs {
 			subBases += in.Sub.TotalSeqLen()
 		}
 		td := m.report.TopDown
-		return []string{
-			name, fmt.Sprintf("%d", len(inputs)), f2(float64(subBases) / float64(len(inputs))),
-			fmt.Sprintf("%.0f", td.Cycles), pct(td.MemoryBound), f2(td.IPC),
-			m.wall.Round(time.Microsecond).String(),
+		return []Cell{
+			label(name), model(float64(len(inputs)), Count), model(float64(subBases)/float64(len(inputs)), Fixed2),
+			model(td.Cycles, Count), model(td.MemoryBound, Percent), model(td.IPC, Fixed2),
+			wall(m.wall.Seconds(), Micros),
 		}
 	}
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"pangenomicsbench/internal/align"
 	"pangenomicsbench/internal/bio"
@@ -53,13 +52,13 @@ func (s *Suite) OptGSSW() (Table, error) {
 		},
 	}
 	for _, v := range []struct {
-		label string
-		m     measurement
+		name string
+		m    measurement
 	}{{"GSSW (full matrices)", full}, {"GSSW-lean (§6.1 optimization)", lean}} {
 		td := v.m.report.TopDown
-		tbl.Rows = append(tbl.Rows, []string{
-			v.label, f2(storesPerInstr(v.m.report)), pct(td.MemoryBound), f2(td.IPC),
-			fmt.Sprintf("%.0f", td.Cycles), v.m.wall.Round(time.Microsecond).String(),
+		tbl.Rows = append(tbl.Rows, []Cell{
+			label(v.name), model(storesPerInstr(v.m.report), Fixed2), model(td.MemoryBound, Percent), model(td.IPC, Fixed2),
+			model(td.Cycles, Count), wall(v.m.wall.Seconds(), Micros),
 		})
 	}
 	return tbl, nil
@@ -80,10 +79,7 @@ func (s *Suite) GBWTvsFMIndex() (Table, error) {
 	var queries [][]byte
 	for _, r := range s.ShortReads {
 		for k := 0; k < 4; k++ {
-			n := 12 + rng.Intn(20)
-			if n > len(r.Seq) {
-				n = len(r.Seq)
-			}
+			n := min(12+rng.Intn(20), len(r.Seq))
 			start := rng.Intn(len(r.Seq) - n + 1)
 			queries = append(queries, r.Seq[start:start+n])
 		}
@@ -116,12 +112,12 @@ func (s *Suite) GBWTvsFMIndex() (Table, error) {
 			"bandwidth-hungry; GBWT's node-ID alphabet bounds each hop to a few nearby records",
 		},
 	}
-	add := func(label string, n int, m measurement) {
+	add := func(name string, n int, m measurement) {
 		rep := m.report
-		tbl.Rows = append(tbl.Rows, []string{
-			label, fmt.Sprintf("%d", n), pct(rep.TopDown.MemoryBound),
-			f2(rep.L1MPKI), f2(rep.L3MPKI), f2(rep.TopDown.IPC),
-			m.wall.Round(time.Microsecond).String(),
+		tbl.Rows = append(tbl.Rows, []Cell{
+			label(name), model(float64(n), Count), model(rep.TopDown.MemoryBound, Percent),
+			model(rep.L1MPKI, Fixed2), model(rep.L3MPKI, Fixed2), model(rep.TopDown.IPC, Fixed2),
+			wall(m.wall.Seconds(), Micros),
 		})
 	}
 	add("FM-index (base pairs)", len(queries), fmRun)

@@ -1,18 +1,11 @@
 package core
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestFig3Smoke runs the graph-building experiment end to end at small scale
 // and checks that both pipelines report real stage times.
 func TestFig3Smoke(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Fig3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := getTable(t, "fig3")
 	if tbl.ID != "fig3" {
 		t.Fatalf("table id = %q", tbl.ID)
 	}
@@ -24,17 +17,13 @@ func TestFig3Smoke(t *testing.T) {
 		if len(row) != len(tbl.Header) {
 			t.Fatalf("row %d has %d cells, header has %d", i, len(row), len(tbl.Header))
 		}
-		if row[0] != wantPipelines[i] {
-			t.Errorf("row %d pipeline = %q, want %q", i, row[0], wantPipelines[i])
+		if row[0].Text != wantPipelines[i] {
+			t.Errorf("row %d pipeline = %q, want %q", i, row[0].Text, wantPipelines[i])
 		}
 		// Alignment and Induction (columns 1 and 2) must be measurable.
 		for _, col := range []int{1, 2} {
-			d, err := time.ParseDuration(row[col])
-			if err != nil {
-				t.Fatalf("row %d %s = %q: %v", i, tbl.Header[col], row[col], err)
-			}
-			if d <= 0 {
-				t.Errorf("row %d (%s) reports zero %s", i, row[0], tbl.Header[col])
+			if num(t, row[col]) <= 0 {
+				t.Errorf("row %d (%s) reports zero %s", i, row[0].Text, tbl.Header[col])
 			}
 		}
 	}

@@ -188,10 +188,7 @@ func (s *Suite) GBWTInputs() ([]pipeline.GBWTInput, error) {
 		if len(p.Nodes) == 0 {
 			continue
 		}
-		n := 1 + rng.Intn(100)
-		if n > len(p.Nodes) {
-			n = len(p.Nodes)
-		}
+		n := min(1+rng.Intn(100), len(p.Nodes))
 		start := rng.Intn(len(p.Nodes) - n + 1)
 		cap = append(cap, pipeline.GBWTInput{Nodes: p.Nodes[start : start+n]})
 	}
@@ -239,9 +236,7 @@ func (s *Suite) GWFAInputs(chromosome bool) ([]pipeline.GWFAInput, error) {
 	if chromosome {
 		// Assembly mapping: the whole first haplotype as one query.
 		asm := s.Pop.Haplotypes[0].Seq
-		if len(asm) > 120_000 {
-			asm = asm[:120_000]
-		}
+		asm = asm[:min(len(asm), 120_000)]
 		tool.MapCtx(context.Background(), asm, nil)
 	} else {
 		for _, r := range s.LongReads {
@@ -266,17 +261,13 @@ func (s *Suite) TCBuilder() (*seqwish.Builder, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < len(seqs); i++ {
-		for j := i + 1; j < len(seqs); j++ {
-			blocks, _, err := build.PairMatches(i, seqs[i], j, seqs[j], s.Cfg.K, s.Cfg.W, nil)
-			if err != nil {
-				return nil, err
-			}
-			for _, blk := range blocks {
-				if err := b.AddMatch(blk.SeqA, blk.PosA, blk.SeqB, blk.PosB, blk.Len); err != nil {
-					return nil, err
-				}
-			}
+	blocks, _, err := build.AllPairMatches(context.Background(), seqs, s.Cfg.K, s.Cfg.W, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, blk := range blocks {
+		if err := b.AddMatch(blk.SeqA, blk.PosA, blk.SeqB, blk.PosB, blk.Len); err != nil {
+			return nil, err
 		}
 	}
 	s.tcB = b

@@ -151,6 +151,19 @@ func Build(g *graph.Graph) (*Index, error) {
 	return idx, nil
 }
 
+// Validate reports the first record whose node is not a node of g. Every
+// successor of a record has a record of its own (Build makes one per
+// visited node, and DecodeIndex rejects a successor without one), so this
+// covers every node ID the index holds. It allocates only the error.
+func (x *Index) Validate(g *graph.Graph) error {
+	for id := range x.records {
+		if !g.Valid(id) {
+			return fmt.Errorf("gbwt: record for node %d, outside the graph's [1,%d]", id, g.NumNodes())
+		}
+	}
+	return nil
+}
+
 // State is a search state: a node and a half-open visit range within its
 // record. Size reports how many haplotype positions match the searched
 // subpath.

@@ -269,6 +269,23 @@ func (x *GraphIndex) W() int { return x.w }
 // Lookup returns the graph occurrences of a minimizer hash.
 func (x *GraphIndex) Lookup(hash uint64) []GraphLocation { return x.hits[hash] }
 
+// Validate reports the first stored occurrence that does not start inside
+// a node of g: its node is not in g, or its offset is at or past the node's
+// end. It walks the index once and allocates only the error.
+func (x *GraphIndex) Validate(g *graph.Graph) error {
+	for _, locs := range x.hits {
+		for _, l := range locs {
+			if !g.Valid(l.Node) {
+				return fmt.Errorf("minimizer: occurrence in node %d, outside the graph's [1,%d]", l.Node, g.NumNodes())
+			}
+			if n := len(g.Seq(l.Node)); l.Offset >= n {
+				return fmt.Errorf("minimizer: occurrence at offset %d of node %d, which has %d bp", l.Offset, l.Node, n)
+			}
+		}
+	}
+	return nil
+}
+
 // Size returns the number of distinct minimizer hashes stored.
 func (x *GraphIndex) Size() int { return len(x.hits) }
 

@@ -7,6 +7,7 @@ import (
 	"pangenomicsbench/internal/gbwt"
 	"pangenomicsbench/internal/graph"
 	"pangenomicsbench/internal/minimizer"
+	"pangenomicsbench/internal/store"
 )
 
 // Index accessors and from-index constructors: the persistence layer
@@ -43,13 +44,25 @@ func (t *GraphAligner) GraphIndex() *minimizer.GraphIndex { return t.idx }
 // GraphIndex returns the tool's minimizer index.
 func (t *Minigraph) GraphIndex() *minimizer.GraphIndex { return t.idx }
 
-// checkIndexed validates a prebuilt index against its graph.
-func checkIndexed(who string, g *graph.Graph, idx *minimizer.GraphIndex) error {
+// checkIndexed validates prebuilt indexes against their graph: every
+// minimizer occurrence must start inside a node of g, and every GBWT record
+// (hap, when the tool has one) must name a node of g. A snapshot decodes
+// each section on its own, so this is where a loaded snapshot is checked as
+// a whole; a failure is store.ErrCorrupt naming the section at fault.
+func checkIndexed(who string, g *graph.Graph, idx *minimizer.GraphIndex, hap *gbwt.Index) error {
 	if g == nil {
 		return fmt.Errorf("pipeline: %s: nil graph", who)
 	}
 	if idx == nil {
 		return fmt.Errorf("pipeline: %s: nil minimizer index", who)
+	}
+	if err := idx.Validate(g); err != nil {
+		return fmt.Errorf("pipeline: %s: %w: %s section: %v", who, store.ErrCorrupt, store.SectionGraphIndex, err)
+	}
+	if hap != nil {
+		if err := hap.Validate(g); err != nil {
+			return fmt.Errorf("pipeline: %s: %w: %s section: %v", who, store.ErrCorrupt, store.SectionGBWT, err)
+		}
 	}
 	return nil
 }
@@ -58,7 +71,7 @@ func checkIndexed(who string, g *graph.Graph, idx *minimizer.GraphIndex) error {
 // and GBWT (e.g. loaded from a snapshot store); only the cheap linear-scan
 // distance index is derived here.
 func NewVgGiraffeFromIndexes(g *graph.Graph, idx *minimizer.GraphIndex, hap *gbwt.Index) (*VgGiraffe, error) {
-	if err := checkIndexed("giraffe", g, idx); err != nil {
+	if err := checkIndexed("giraffe", g, idx, hap); err != nil {
 		return nil, err
 	}
 	if hap == nil {
@@ -81,7 +94,7 @@ func NewVgGiraffeFromIndexes(g *graph.Graph, idx *minimizer.GraphIndex, hap *gbw
 
 // NewVgMapFromIndex builds Vg Map around a prebuilt minimizer index.
 func NewVgMapFromIndex(g *graph.Graph, idx *minimizer.GraphIndex) (*VgMap, error) {
-	if err := checkIndexed("vg map", g, idx); err != nil {
+	if err := checkIndexed("vg map", g, idx, nil); err != nil {
 		return nil, err
 	}
 	t := &VgMap{g: g, idx: idx, sc: bio.DefaultScoring}
@@ -92,7 +105,7 @@ func NewVgMapFromIndex(g *graph.Graph, idx *minimizer.GraphIndex) (*VgMap, error
 // NewGraphAlignerFromIndex builds GraphAligner around a prebuilt minimizer
 // index.
 func NewGraphAlignerFromIndex(g *graph.Graph, idx *minimizer.GraphIndex) (*GraphAligner, error) {
-	if err := checkIndexed("graphaligner", g, idx); err != nil {
+	if err := checkIndexed("graphaligner", g, idx, nil); err != nil {
 		return nil, err
 	}
 	t := &GraphAligner{g: g, idx: idx}
@@ -102,7 +115,7 @@ func NewGraphAlignerFromIndex(g *graph.Graph, idx *minimizer.GraphIndex) (*Graph
 
 // NewMinigraphFromIndex builds Minigraph around a prebuilt minimizer index.
 func NewMinigraphFromIndex(g *graph.Graph, idx *minimizer.GraphIndex, chromosomeMode bool) (*Minigraph, error) {
-	if err := checkIndexed("minigraph", g, idx); err != nil {
+	if err := checkIndexed("minigraph", g, idx, nil); err != nil {
 		return nil, err
 	}
 	t := &Minigraph{g: g, idx: idx, ChromosomeMode: chromosomeMode}

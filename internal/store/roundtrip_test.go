@@ -3,6 +3,9 @@ package store_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"strings"
 	"testing"
 
 	"pangenomicsbench/internal/gensim"
@@ -222,5 +225,119 @@ func TestDecodersRejectCorruptBlobs(t *testing.T) {
 		s[store.SectionMeta] = append(s[store.SectionMeta], 0)
 	})); err == nil {
 		t.Error("META with trailing bytes decoded")
+	}
+}
+
+// TestRehydrateRejectsIndexOutsideGraph: each section of a snapshot decodes
+// on its own, so an index naming nodes that the decoded graph lacks passes
+// DecodeSnapshot; served, it would panic on the first map call (graph: node
+// N out of range). Every tool constructor must reject it with ErrCorrupt
+// naming the section at fault.
+func TestRehydrateRejectsIndexOutsideGraph(t *testing.T) {
+	pop := testPop(t)
+	g := pop.Graph
+	tool, err := pipeline.NewVgGiraffe(g, 15, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image, err := (&store.SnapshotData{
+		ID: "x", Tool: "giraffe", K: 15, W: 10,
+		Graph: g, Index: tool.GraphIndex(), Haplotypes: tool.Haplotypes(),
+	}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A GBWT over a larger population's graph holds node IDs past g's.
+	bigCfg := gensim.DefaultConfig()
+	bigCfg.RefLen = 12_000
+	bigCfg.Haplotypes = 3
+	big, err := gensim.Simulate(bigCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if big.Graph.NumNodes() <= g.NumNodes() {
+		t.Fatalf("larger population has %d nodes, not more than %d", big.Graph.NumNodes(), g.NumNodes())
+	}
+	bigTool, err := pipeline.NewVgGiraffe(big.Graph, 15, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigHap := bigTool.Haplotypes().AppendBinary(nil)
+	// The check runs on every load: one walk, no allocation when it passes.
+	if n := testing.AllocsPerRun(10, func() {
+		if tool.GraphIndex().Validate(g) != nil || tool.Haplotypes().Validate(g) != nil {
+			t.Fatal("a built index fails validation against its own graph")
+		}
+	}); n != 0 {
+		t.Errorf("validating a good snapshot allocates %v times", n)
+	}
+
+	// occurrences rewrites every (node, offset) of the MINIDX payload:
+	// u32 k, u32 w, u64 hashCount, per hash u64 hash, u64 occCount and
+	// occCount × (u32 node, u32 offset).
+	occurrences := func(edit func(node, off uint32) (uint32, uint32)) func(map[string][]byte) {
+		return func(secs map[string][]byte) {
+			b := append([]byte(nil), secs[store.SectionGraphIndex]...)
+			le := binary.LittleEndian
+			p := 16
+			for h := le.Uint64(b[8:]); h > 0; h-- {
+				n := le.Uint64(b[p+8:])
+				p += 16
+				for ; n > 0; n-- {
+					node, off := edit(le.Uint32(b[p:]), le.Uint32(b[p+4:]))
+					le.PutUint32(b[p:], node)
+					le.PutUint32(b[p+4:], off)
+					p += 8
+				}
+			}
+			secs[store.SectionGraphIndex] = b
+		}
+	}
+	for _, tc := range []struct {
+		name, section string
+		mutate        func(map[string][]byte)
+		giraffeOnly   bool
+	}{
+		{"index node past the graph", store.SectionGraphIndex,
+			occurrences(func(_, off uint32) (uint32, uint32) { return uint32(g.NumNodes() + 7), off }), false},
+		{"index offset past its node", store.SectionGraphIndex,
+			occurrences(func(node, _ uint32) (uint32, uint32) { return node, 1 << 20 }), false},
+		{"GBWT node past the graph", store.SectionGBWT,
+			func(secs map[string][]byte) { secs[store.SectionGBWT] = bigHap }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			secs, err := store.DecodeSections(image)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(secs)
+			data, err := store.DecodeSnapshot(secs)
+			if err != nil {
+				t.Fatalf("the section alone must decode, so the cross-check is what rejects it: %v", err)
+			}
+			ctors := map[string]func() error{
+				"giraffe": func() error {
+					_, err := pipeline.NewVgGiraffeFromIndexes(data.Graph, data.Index, data.Haplotypes)
+					return err
+				},
+			}
+			if !tc.giraffeOnly {
+				ctors["vg map"] = func() error { _, err := pipeline.NewVgMapFromIndex(data.Graph, data.Index); return err }
+				ctors["graphaligner"] = func() error {
+					_, err := pipeline.NewGraphAlignerFromIndex(data.Graph, data.Index)
+					return err
+				}
+				ctors["minigraph"] = func() error {
+					_, err := pipeline.NewMinigraphFromIndex(data.Graph, data.Index, false)
+					return err
+				}
+			}
+			for name, ctor := range ctors {
+				err := ctor()
+				if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), tc.section+" section") {
+					t.Errorf("%s: err = %v, want ErrCorrupt naming the %s section", name, err, tc.section)
+				}
+			}
+		})
 	}
 }
